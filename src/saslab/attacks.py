@@ -11,6 +11,10 @@ Two families:
                    redirects against the 3/4/6-pass protocols, which succeed
                    only at the residual n_e-bit collision rate
 
+Each strategy is declared once, in STRATEGIES: its targets, trial runner,
+success criterion, parties, and the rule that labels a combination defended
+or a demonstration.
+
 Every adversarial decision is made through the AdversaryView facade, i.e.
 from wire traffic, public parameters, and values the attacker computed
 itself. World access outside the view is measurement plumbing: starting the
@@ -21,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from .model import AdversaryView, MessageEnvelope, Model, SessionId, SessionStatus, World
 from .primitives import (
     Encapsulation,
-    EntropyValue,
     KemMode,
     commit,
     decode_fields,
@@ -38,8 +42,9 @@ from .primitives import (
     kex_agree,
     kex_keygen,
     pke_encrypt,
+    random_element,
 )
-from .protocols import ProtocolKind
+from .protocols import SPECS, ProtocolConfig, ProtocolKind, kem2_elements, kex2_elements
 
 DEFENDED_KINDS = (
     ProtocolKind.KEX3,
@@ -59,72 +64,105 @@ class AttackStrategy(Enum):
     REDIRECT = "redirect"
 
 
-# success criterion per strategy: collision attacks break the entropy check,
-# the replica completes a run whose two ends hold different keys, and the
-# same-key family leaves one key shared by all three parties
-SUCCESS_CRITERIA = {
-    AttackStrategy.KEX2_ENTROPY_COLLISION: "entropy-match",
-    AttackStrategy.KEM_SAME_KEY: "same-key-three-parties",
-    AttackStrategy.KEM2_REPLICA: "key-mismatch-undetected",
-    AttackStrategy.KEM2_COMBINED: "same-key-three-parties",
-    AttackStrategy.RANDOM_FORGE: "entropy-match",
-    AttackStrategy.REDIRECT: "entropy-match",
-}
-
-
 @dataclass
 class AttackOutcome:
     success: bool
     criterion: str
     iterations: int
-    transcripts: dict | None = None
     detail: dict = field(default_factory=dict)
 
 
-@dataclass
-class AttackAggregate:
-    strategy: AttackStrategy
-    protocol: ProtocolKind
-    trials: int
-    successes: int
-    iterations: list[int]
-    details: list[dict] = field(default_factory=list)
+@dataclass(frozen=True)
+class StrategySpec:
+    """Everything the package declares about one attack strategy.
+
+    run executes one trial on a fresh world within an iteration budget.
+    demonstration(kind, cfg) is true when the combination is expected to
+    break the residual bound rather than hold it.
+    """
+
+    targets: tuple[ProtocolKind, ...]
+    run: Callable[[World, int], AttackOutcome]
+    criterion: str
+    demonstration: Callable[[ProtocolKind, ProtocolConfig], bool]
+    parties: tuple[bytes, ...] = (b"alice", b"bob")
+    full_entropy: bool = False  # needs the public values in the kem2 entropy
+    kem_mode: KemMode | None = None  # the KEM mode it needs, if any
 
     @property
-    def rate(self) -> float:
-        return self.successes / self.trials if self.trials else 0.0
+    def implied_target(self) -> ProtocolKind | None:
+        """The protocol attacked when none is named."""
+        return self.targets[0] if len(self.targets) == 1 else None
 
 
-def _require(condition: bool, reason: str):
-    if not condition:
-        raise ValueError(reason)
-
-
-def _transcripts(world: World, *ends: tuple[bytes, SessionId]) -> dict:
-    out = {}
-    for party, sid in ends:
-        record = world.session_record(party, sid)
-        out[party.decode("latin-1")] = [
-            {k: e[k] for k in ("event", "labels", "digest") if k in e}
-            for e in record.events
-        ]
-    return out
-
-
-def _kex2_entropy(view, receiver, pka_raw, pkb_raw, key) -> EntropyValue:
-    return entropy(
-        receiver,
-        [("pka", pka_raw), ("pkb", pkb_raw), ("key", key.key)],
-        view.cfg.n_e,
+def _no_receiver_identity(kind: ProtocolKind, cfg: ProtocolConfig) -> bool:
+    """A redirect lands when no entropy value binds the receiver's identity."""
+    return not cfg.include_receiver_identity or all(
+        value.receiver is None for value in SPECS[kind].entropies.values()
     )
 
 
-def _kem2_entropy(view, pk_raw, ct_raw, key) -> EntropyValue:
-    if view.cfg.kem2_key_only_entropy:
-        elements = [("key", key.key)]
-    else:
-        elements = [("pk", pk_raw), ("ct", ct_raw), ("key", key.key)]
-    return entropy(b"", elements, view.cfg.n_e)
+# Success criteria: collision attacks break the entropy check, the replica
+# completes a run whose two ends hold different keys, and the same-key family
+# leaves one key shared by all three parties. The runners look the attack
+# functions up when called, so a function replaced on this module is the one
+# that runs.
+STRATEGIES = {
+    AttackStrategy.KEX2_ENTROPY_COLLISION: StrategySpec(
+        (ProtocolKind.KEX2,),
+        lambda world, budget: attack_kex2_collision(world, budget),
+        "entropy-match", lambda kind, cfg: True,
+    ),
+    AttackStrategy.KEM_SAME_KEY: StrategySpec(
+        (ProtocolKind.KEM2,),
+        lambda world, budget: attack_kem_same_key(world),
+        "same-key-three-parties", lambda kind, cfg: cfg.kem2_key_only_entropy,
+    ),
+    AttackStrategy.KEM2_REPLICA: StrategySpec(
+        (ProtocolKind.KEM2,),
+        lambda world, budget: attack_kem2_replica(world, budget),
+        "key-mismatch-undetected", lambda kind, cfg: True, full_entropy=True,
+    ),
+    AttackStrategy.KEM2_COMBINED: StrategySpec(
+        (ProtocolKind.KEM2,),
+        lambda world, budget: attack_kem2_replica(world, budget, reuse_secret=True),
+        "same-key-three-parties", lambda kind, cfg: True, full_entropy=True,
+        kem_mode=KemMode.PROBABILISTIC,
+    ),
+    AttackStrategy.RANDOM_FORGE: StrategySpec(
+        DEFENDED_KINDS, lambda world, budget: forge_trial(world),
+        "entropy-match", lambda kind, cfg: False,
+    ),
+    AttackStrategy.REDIRECT: StrategySpec(
+        tuple(ProtocolKind), lambda world, budget: redirect_trial(world),
+        "entropy-match", _no_receiver_identity, parties=(b"alice", b"bob", b"carol"),
+    ),
+}
+
+
+def unmet_requirement(
+    strategy: AttackStrategy, kind: ProtocolKind, cfg: ProtocolConfig
+) -> str | None:
+    """Why the strategy cannot attack this protocol configuration, or None."""
+    spec = STRATEGIES[strategy]
+    if kind not in spec.targets:
+        return (
+            f"{strategy.value} does not apply to {kind.value}; "
+            f"valid targets: {', '.join(k.value for k in spec.targets)}"
+        )
+    if spec.full_entropy and cfg.kem2_key_only_entropy:
+        return f"{strategy.value} needs the full entropy input"
+    if spec.kem_mode is not None and cfg.kem_mode is not spec.kem_mode:
+        return f"{strategy.value} requires the {spec.kem_mode.name.lower()} KEM mode"
+    return None
+
+
+def _require(strategy: AttackStrategy, world: World):
+    reason = unmet_requirement(strategy, world.kind, world.cfg)
+    if reason is None and world.model is not Model.UM:
+        reason = "attack requires the unauthenticated model"
+    if reason is not None:
+        raise ValueError(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +172,8 @@ def _kem2_entropy(view, pk_raw, ct_raw, key) -> EntropyValue:
 def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
     """Substitute both public elements and loop over keypairs toward the
     initiator until the two sides' short digests collide."""
-    _require(world.kind is ProtocolKind.KEX2, "collision loop targets the 2-pass exchange")
-    _require(world.model is Model.UM, "attack requires the unauthenticated model")
-    criterion = SUCCESS_CRITERIA[AttackStrategy.KEX2_ENTROPY_COLLISION]
+    _require(AttackStrategy.KEX2_ENTROPY_COLLISION, world)
+    criterion = STRATEGIES[AttackStrategy.KEX2_ENTROPY_COLLISION].criterion
 
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
@@ -155,7 +192,8 @@ def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
     (pkb_raw,) = [v for _, v in decode_fields(env2.payload)]
     pkb = g.decode_element(pkb_raw)
     key_eb = kex_agree(toward_bob, pkb, g)
-    e_bob = _kex2_entropy(view, receiver, toward_bob_raw, pkb_raw, key_eb)
+    n_e = view.cfg.n_e
+    e_bob = entropy(receiver, kex2_elements(toward_bob_raw, pkb_raw, key_eb), n_e)
 
     found = None
     iterations = 0
@@ -164,7 +202,7 @@ def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
         candidate = kex_keygen(g, view.rng)
         candidate_raw = g.encode_element(candidate.public)
         key_ea = kex_agree(candidate, pka, g)
-        if _kex2_entropy(view, receiver, pka_raw, candidate_raw, key_ea) == e_bob:
+        if entropy(receiver, kex2_elements(pka_raw, candidate_raw, key_ea), n_e) == e_bob:
             found = candidate_raw
             break
     if found is None:
@@ -173,12 +211,7 @@ def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
 
     view.modify(env2, encode_fields([("pkb", found)]))
     verdict = view.verify(b"alice", sid, b"bob", sid)
-    return AttackOutcome(
-        verdict == "accept",
-        criterion,
-        iterations,
-        transcripts=_transcripts(world, (b"alice", sid), (b"bob", sid)),
-    )
+    return AttackOutcome(verdict == "accept", criterion, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +221,8 @@ def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
 def attack_kem_same_key(world: World) -> AttackOutcome:
     """Swap in the attacker's public key, decapsulate the responder's secret,
     and re-encapsulate the exact same secret toward the initiator."""
-    _require(world.kind is ProtocolKind.KEM2, "same-key attack targets the 2-pass encapsulation")
-    _require(world.model is Model.UM, "attack requires the unauthenticated model")
-    criterion = SUCCESS_CRITERIA[AttackStrategy.KEM_SAME_KEY]
+    _require(AttackStrategy.KEM_SAME_KEY, world)
+    criterion = STRATEGIES[AttackStrategy.KEM_SAME_KEY].criterion
 
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
@@ -219,7 +251,6 @@ def attack_kem_same_key(world: World) -> AttackOutcome:
         verdict == "accept" and all_equal,
         criterion,
         iterations=1,
-        transcripts=_transcripts(world, (b"alice", sid), (b"bob", sid)),
         detail={"all_three_keys_equal": all_equal},
     )
 
@@ -235,19 +266,9 @@ def attack_kem2_replica(
     matches the responder side. With reuse_secret the attacker re-encapsulates
     the responder's own secret (probabilistic mode only), so a success also
     leaves both ends with the same key."""
-    _require(world.kind is ProtocolKind.KEM2, "replica attack targets the 2-pass encapsulation")
-    _require(world.model is Model.UM, "attack requires the unauthenticated model")
-    _require(
-        not world.cfg.kem2_key_only_entropy,
-        "replica loop needs the public values in the entropy input",
-    )
     strategy = AttackStrategy.KEM2_COMBINED if reuse_secret else AttackStrategy.KEM2_REPLICA
-    if reuse_secret:
-        _require(
-            world.cfg.kem_mode is KemMode.PROBABILISTIC,
-            "re-encapsulating a fixed secret needs a probabilistic scheme",
-        )
-    criterion = SUCCESS_CRITERIA[strategy]
+    _require(strategy, world)
+    criterion = STRATEGIES[strategy].criterion
 
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
@@ -263,7 +284,8 @@ def attack_kem2_replica(
     env2 = view.pending()[0]
     (ct_raw,) = [v for _, v in decode_fields(env2.payload)]
     x_b, key_be = kem_decaps_star(own.secret, Encapsulation.decode(ct_raw, g), g)
-    e_bob = _kem2_entropy(view, own_raw, ct_raw, key_be)
+    # the 2-pass encapsulation entropy binds no receiver identity
+    e_bob = entropy(b"", kem2_elements(view.cfg, own_raw, ct_raw, key_be), view.cfg.n_e)
 
     found = None
     iterations = 0
@@ -273,15 +295,15 @@ def attack_kem2_replica(
             ct_e, key_ea = kem_encaps_star(pka, x_b, g, KemMode.PROBABILISTIC, view.rng)
         else:
             ct_e, key_ea, _ = kem_encaps(pka, g, view.cfg.kem_mode, view.rng)
-        if _kem2_entropy(view, pka_raw, ct_e.encode(g), key_ea) == e_bob:
-            found = (ct_e, key_ea)
+        elements = kem2_elements(view.cfg, pka_raw, ct_e.encode(g), key_ea)
+        if entropy(b"", elements, view.cfg.n_e) == e_bob:
+            found = ct_e
             break
     if found is None:
         view.drop(env2)
         return AttackOutcome(False, criterion, iterations)
 
-    ct_e, key_ea = found
-    view.modify(env2, encode_fields([("ct", ct_e.encode(g))]))
+    view.modify(env2, encode_fields([("ct", found.encode(g))]))
     verdict = view.verify(b"alice", sid, b"bob", sid)
     alice = world.session_record(b"alice", sid)
     bob = world.session_record(b"bob", sid)
@@ -289,7 +311,6 @@ def attack_kem2_replica(
         verdict == "accept",
         criterion,
         iterations,
-        transcripts=_transcripts(world, (b"alice", sid), (b"bob", sid)),
         detail={
             "initiator_key_equals_responder_key": (
                 alice.kappa is not None and alice.kappa == bob.kappa
@@ -302,105 +323,69 @@ def attack_kem2_replica(
 # defended protocols: single-shot substitution at the committed point
 # ---------------------------------------------------------------------------
 
+def _relay(view: AdversaryView, forged: dict[str, bytes]) -> None:
+    """Carry the rest of the flow, substituting the forged fields."""
+    while view.pending():
+        env = view.pending()[0]
+        fields = decode_fields(env.payload)
+        if any(label in forged for label, _ in fields):
+            view.modify(env, encode_fields([(k, forged.get(k, v)) for k, v in fields]))
+        else:
+            view.deliver(env)
+
+
 def forge_trial(world: World) -> AttackOutcome:
     """Substitute a coherent forgery at the one undetermined point of the
     flow and hope the n_e-bit digests collide."""
     kind = world.kind
-    criterion = SUCCESS_CRITERIA[AttackStrategy.RANDOM_FORGE]
+    criterion = STRATEGIES[AttackStrategy.RANDOM_FORGE].criterion
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
     g = view.cfg.group
 
-    def fields(env: MessageEnvelope) -> dict:
-        return dict(decode_fields(env.payload))
-
     if kind is ProtocolKind.KEX3:
-        env1 = view.pending()[0]  # commitment to the responder's element
+        # commit to, then open, an element of the attacker's own
         own = kex_keygen(g, view.rng)
         c_e, d_e = commit(g.encode_element(own.public), view.rng)
-        view.modify(env1, encode_fields([("com", c_e.encode())]))
-        view.deliver(view.pending()[0])  # peer's public element, untouched
-        env3 = view.pending()[0]
-        view.modify(env3, encode_fields([("open", d_e.encode())]))
+        forged = {"com": c_e.encode(), "open": d_e.encode()}
 
     elif kind is ProtocolKind.KEM3_TWO_ENTROPY:
-        env1 = view.pending()[0]  # commitment to the nonce
+        # a nonce of the attacker's own; the encapsulation passes untouched
         c_e, d_e = commit(view.rng.randbytes(32), view.rng)
-        view.modify(env1, encode_fields([("com", c_e.encode())]))
-        view.deliver(view.pending()[0])
-        env3 = view.pending()[0]
-        ct_raw = fields(env3)["ct"]  # keep the encapsulation, swap the opening
-        view.modify(env3, encode_fields([("ct", ct_raw), ("open", d_e.encode())]))
+        forged = {"com": c_e.encode(), "open": d_e.encode()}
 
     elif kind is ProtocolKind.KEM3_COMMIT:
-        env1 = view.pending()[0]  # commitment to the encapsulated secret
-        x_e = pow(g.g, view.rng.randrange(1, g.q + 1), g.p)
+        # commit to a secret of the attacker's own, then encapsulate it and
+        # encrypt the blinder under the initiator's key once that is seen
+        x_e = random_element(g, view.rng)
         c_e, d_e = commit(g.encode_element(x_e), view.rng)
-        view.modify(env1, encode_fields([("com", c_e.encode())]))
+        view.modify(view.pending()[0], encode_fields([("com", c_e.encode())]))
         env2 = view.pending()[0]
-        pka = g.decode_element(fields(env2)["pk"])
+        pka = g.decode_element(dict(decode_fields(env2.payload))["pk"])
         view.deliver(env2)
-        env3 = view.pending()[0]
         ct_e, _ = kem_encaps_star(pka, x_e, g, view.cfg.kem_mode, view.rng)
-        ctd_e = pke_encrypt(pka, g, d_e.blinder, view.rng)
-        view.modify(
-            env3, encode_fields([("ct", ct_e.encode(g)), ("ctd", ctd_e)])
-        )
+        forged = {"ct": ct_e.encode(g), "ctd": pke_encrypt(pka, g, d_e.blinder, view.rng)}
 
-    elif kind is ProtocolKind.KEM4:
+    elif kind in (ProtocolKind.KEM4, ProtocolKind.KEM6):
+        # an encapsulation of the attacker's own under the initiator's key,
+        # carried through the second transfer leg in the responder's place
         env1 = view.pending()[0]
-        pk = g.decode_element(fields(env1)["pk"])
+        pk = g.decode_element(dict(decode_fields(env1.payload))["pk"])
         view.deliver(env1)
-        env2 = view.pending()[0]  # (committed encapsulation, challenge)
         ct_e, _, _ = kem_encaps(pk, g, view.cfg.kem_mode, view.rng)
         c_e, d_e = commit(ct_e.encode(g), view.rng)
-        view.modify(
-            env2,
-            encode_fields([("com_ct", c_e.encode()), ("chal_b", fields(env2)["chal_b"])]),
-        )
-        view.deliver(view.pending()[0])
-        env4 = view.pending()[0]
-        view.modify(env4, encode_fields([("open_ct", d_e.encode())]))
-
-    elif kind is ProtocolKind.KEM6:
-        env1 = view.pending()[0]
-        pk = g.decode_element(fields(env1)["pk"])
-        view.deliver(env1)
-        for _ in range(2):  # challenge and opening of the first transfer
-            view.deliver(view.pending()[0])
-        env4 = view.pending()[0]  # commitment to the encapsulation
-        ct_e, _, _ = kem_encaps(pk, g, view.cfg.kem_mode, view.rng)
-        c_e, d_e = commit(ct_e.encode(g), view.rng)
-        view.modify(env4, encode_fields([("com_ct", c_e.encode())]))
-        view.deliver(view.pending()[0])
-        env6 = view.pending()[0]
-        view.modify(env6, encode_fields([("open_ct", d_e.encode())]))
+        forged = {"com_ct": c_e.encode(), "open_ct": d_e.encode()}
 
     else:
         raise ValueError(f"no forge strategy for {kind.value}")
 
+    _relay(view, forged)
     initiator = world.session_record(b"alice", sid)
     responder = world.session_record(b"bob", sid)
     if SessionStatus.ABORTED in (initiator.status, responder.status):
         return AttackOutcome(False, criterion, iterations=1, detail={"aborted": True})
     verdict = view.verify(b"alice", sid, b"bob", sid)
     return AttackOutcome(verdict == "accept", criterion, iterations=1)
-
-
-def attack_random_forge(world: World, kind: ProtocolKind, trials: int) -> AttackAggregate:
-    _require(kind in DEFENDED_KINDS, f"forge targets the defended protocols, not {kind.value}")
-    _require(world.kind is kind, "world was built for a different protocol")
-    _require(world.model is Model.UM, "attack requires the unauthenticated model")
-    successes = 0
-    iterations = []
-    for _ in range(trials):
-        world.reset_sessions()
-        outcome = forge_trial(world)
-        successes += outcome.success
-        iterations.append(outcome.iterations)
-    return AttackAggregate(
-        AttackStrategy.RANDOM_FORGE, kind, trials, successes, iterations
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +395,7 @@ def attack_random_forge(world: World, kind: ProtocolKind, trials: int) -> Attack
 def redirect_trial(world: World) -> AttackOutcome:
     """Deliver the starter's flow, unmodified, to a third party instead of
     the intended peer, relabeling envelopes so both ends stay in-session."""
-    criterion = SUCCESS_CRITERIA[AttackStrategy.REDIRECT]
+    criterion = STRATEGIES[AttackStrategy.REDIRECT].criterion
     sid = world.start_session(b"alice", b"bob")
     redirected = SessionId(b"alice", b"carol", sid.nonce)
     view = AdversaryView(world)
@@ -431,18 +416,3 @@ def redirect_trial(world: World) -> AttackOutcome:
         return AttackOutcome(False, criterion, iterations=1, detail={"aborted": True})
     verdict = view.verify(b"alice", sid, b"carol", redirected)
     return AttackOutcome(verdict == "accept", criterion, iterations=1)
-
-
-def attack_redirect(world: World, kind: ProtocolKind, trials: int) -> AttackAggregate:
-    _require(world.kind is kind, "world was built for a different protocol")
-    _require(world.model is Model.UM, "attack requires the unauthenticated model")
-    _require(
-        b"carol" in world.parties, "redirect needs a third party named carol"
-    )
-    successes = 0
-    for _ in range(trials):
-        world.reset_sessions()
-        successes += redirect_trial(world).success
-    return AttackAggregate(
-        AttackStrategy.REDIRECT, kind, trials, successes, [1] * trials
-    )

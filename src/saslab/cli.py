@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Exit codes: 0 when everything ran and every defended combination held its
-bound, 1 for configuration or usage errors, 2 when a defended protocol
-violated its bound (the CI gate). Human-readable summaries go to stdout;
-reports go to --out as JSON or CSV.
+bound, 1 for configuration or usage errors and for a transcript that is
+corrupt or whose replay diverges from the recorded run, 2 when a defended
+protocol violated its bound (the CI gate). Human-readable summaries go to
+stdout; reports go to --out as JSON or CSV.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .acceptance import ACCEPTANCE_SEED, run_criteria
+from .attacks import STRATEGIES, AttackStrategy
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -25,26 +27,10 @@ from .harness import (
     sweep,
 )
 from .model import Model, TranscriptError, World, run_honest, transcript_export, transcript_replay
-from .protocols import (
-    ENTROPY_RECEIVER_SIDE,
-    MESSAGE_COUNTS,
-    ProtocolKind,
-    STARTING_SIDE,
-)
+from .protocols import SPECS, ProtocolKind
 from .rng import derive_seed
 
 PROTOCOL_NAMES = [k.value for k in ProtocolKind]
-STRATEGY_NAMES = [
-    "kex2-collision", "kem-same-key", "kem2-replica", "kem2-combined",
-    "random-forge", "redirect",
-]
-# strategies whose target protocol is implied
-IMPLIED_TARGET = {
-    "kex2-collision": "kex2",
-    "kem-same-key": "kem2",
-    "kem2-replica": "kem2",
-    "kem2-combined": "kem2",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,6 +72,7 @@ def _add_common_flags(parser, with_budget=True, ne_list=False):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="saslab", description=__doc__)
+    strategies = [s.value for s in STRATEGIES]
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sub.add_parser("list-protocols", help="show the protocol catalogue")
@@ -99,13 +86,13 @@ def build_parser() -> _Parser:
     )
 
     attack_p = sub.add_parser("attack", help="launch one attack strategy")
-    attack_p.add_argument("--strategy", choices=STRATEGY_NAMES, required=True)
+    attack_p.add_argument("--strategy", choices=strategies, required=True)
     attack_p.add_argument("--protocol", choices=PROTOCOL_NAMES, default=None)
     _add_common_flags(attack_p)
 
     sweep_p = sub.add_parser("sweep", help="repeat an experiment across entropy widths")
     sweep_p.add_argument("--protocol", choices=PROTOCOL_NAMES, required=True)
-    sweep_p.add_argument("--strategy", choices=STRATEGY_NAMES + ["honest"], default="honest")
+    sweep_p.add_argument("--strategy", choices=strategies + ["honest"], default="honest")
     _add_common_flags(sweep_p, ne_list=True)
 
     selftest_p = sub.add_parser("selftest", help="run the acceptance battery")
@@ -171,14 +158,14 @@ def _config_from_args(args, strategy=None) -> ExperimentConfig:
 def _cmd_list_protocols() -> int:
     print(f"{'protocol':18s} {'msgs':>4s} {'starts':>6s}  entropy values (receiver identity)")
     for kind in ProtocolKind:
-        receivers = ENTROPY_RECEIVER_SIDE[kind]
+        spec = SPECS[kind]
         entry = ", ".join(
-            f"{label}[{side.value if side else 'none'}]"
-            for label, side in receivers.items()
+            f"{label}[{value.receiver.value if value.receiver else 'none'}]"
+            for label, value in spec.entropies.items()
         )
         print(
-            f"{kind.value:18s} {MESSAGE_COUNTS[kind]:4d} "
-            f"{STARTING_SIDE[kind].value:>6s}  {entry}"
+            f"{kind.value:18s} {spec.message_count:4d} "
+            f"{spec.starting_side.value:>6s}  {entry}"
         )
     return 0
 
@@ -202,9 +189,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_attack(args) -> int:
     if args.protocol is None:
-        args.protocol = IMPLIED_TARGET.get(args.strategy)
-        if args.protocol is None:
+        target = STRATEGIES[AttackStrategy(args.strategy)].implied_target
+        if target is None:
             raise ConfigError(f"--protocol is required for {args.strategy}")
+        args.protocol = target.value
     config = _config_from_args(args, strategy=args.strategy)
     config.validate()
     summary = run_experiment(config)

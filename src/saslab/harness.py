@@ -23,27 +23,13 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from . import attacks
-from .attacks import AttackStrategy, DEFENDED_KINDS
+from .attacks import STRATEGIES, AttackStrategy, unmet_requirement
 from .model import Model, SessionStatus, World, run_honest
 from .primitives import SUITE_HEADER, KemMode, group_by_name
-from .protocols import ProtocolConfig, ProtocolKind
+from .protocols import SPECS, ProtocolConfig, ProtocolKind
 from .rng import derive_seed
 
 REPORT_VERSION = 1
-
-# residual collision terms from the per-protocol security arguments,
-# as multiples of 2^-n_e
-RESIDUAL_FACTORS = {
-    ProtocolKind.MT_AUTH: 2.0,
-    ProtocolKind.KEX2: 2.0,
-    ProtocolKind.KEX3: 2.0,
-    ProtocolKind.KEM2: 2.0,
-    ProtocolKind.KEM3_TWO_ENTROPY: 3.0,
-    ProtocolKind.KEM3_COMMIT: 1.0,
-    ProtocolKind.KEM4: 2.0,
-    ProtocolKind.KEM6: 2.0,
-}
 
 
 class ConfigError(ValueError):
@@ -116,26 +102,10 @@ class ExperimentConfig:
             group_by_name(self.group)
         except ValueError as exc:
             raise ConfigError(str(exc))
-        if strategy is None:
-            return
-        targets = {
-            AttackStrategy.KEX2_ENTROPY_COLLISION: (ProtocolKind.KEX2,),
-            AttackStrategy.KEM_SAME_KEY: (ProtocolKind.KEM2,),
-            AttackStrategy.KEM2_REPLICA: (ProtocolKind.KEM2,),
-            AttackStrategy.KEM2_COMBINED: (ProtocolKind.KEM2,),
-            AttackStrategy.RANDOM_FORGE: DEFENDED_KINDS,
-            AttackStrategy.REDIRECT: tuple(ProtocolKind),
-        }[strategy]
-        if kind not in targets:
-            raise ConfigError(
-                f"{strategy.value} does not apply to {kind.value}; "
-                f"valid targets: {', '.join(k.value for k in targets)}"
-            )
-        if strategy in (AttackStrategy.KEM2_REPLICA, AttackStrategy.KEM2_COMBINED):
-            if self.kem2_entropy != "full":
-                raise ConfigError(f"{strategy.value} needs the full entropy input")
-        if strategy is AttackStrategy.KEM2_COMBINED and self.mode() is not KemMode.PROBABILISTIC:
-            raise ConfigError("kem2-combined requires the probabilistic mode")
+        if strategy is not None:
+            reason = unmet_requirement(strategy, kind, self.protocol_config())
+            if reason is not None:
+                raise ConfigError(reason)
 
     # -- semantics ----------------------------------------------------------
 
@@ -143,25 +113,16 @@ class ExperimentConfig:
         """Whether this combination is expected to hold the bound
         ("defended") or to break it ("demonstration")."""
         strategy = self.strategy_enum()
-        kind = self.kind()
         if strategy is None:
             return "defended"
-        if strategy is AttackStrategy.KEX2_ENTROPY_COLLISION:
+        if STRATEGIES[strategy].demonstration(self.kind(), self.protocol_config()):
             return "demonstration"
-        if strategy is AttackStrategy.KEM_SAME_KEY:
-            return "demonstration" if self.kem2_entropy == "key-only" else "defended"
-        if strategy in (AttackStrategy.KEM2_REPLICA, AttackStrategy.KEM2_COMBINED):
-            return "demonstration"
-        if strategy is AttackStrategy.REDIRECT:
-            if kind is ProtocolKind.KEM2 or not self.include_receiver_identity:
-                return "demonstration"
-            return "defended"
         return "defended"
 
     def theoretical_bound(self) -> float:
         if self.strategy_enum() is None:
             return 1.0  # expected completion rate of honest runs
-        return min(1.0, RESIDUAL_FACTORS[self.kind()] * 2.0 ** -self.n_e)
+        return min(1.0, SPECS[self.kind()].residual_factor * 2.0 ** -self.n_e)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -206,36 +167,16 @@ class TrialSummary:
         out.pop("wall_time_s")
         return out
 
-    CSV_FIELDS = (
-        "protocol", "strategy", "group", "mode", "n_e", "trials", "budget",
-        "seed", "successes", "rate", "wilson_low", "wilson_high",
-        "mean_iterations", "max_iterations", "bound", "verdict",
-        "expectation", "wall_time_s",
-    )
-
-    def csv_row(self) -> list:
-        return [getattr(self, name) for name in self.CSV_FIELDS]
-
 
 def _trial_seed(config: ExperimentConfig, index: int) -> bytes:
     return derive_seed(config.seed, b"trial", index.to_bytes(8, "big"))
 
 
-def _party_names(config: ExperimentConfig) -> tuple[bytes, ...]:
-    if config.strategy_enum() is AttackStrategy.REDIRECT:
-        return (b"alice", b"bob", b"carol")
-    return (b"alice", b"bob")
-
-
 def _run_one_trial(config: ExperimentConfig, index: int) -> tuple[bool, int]:
     """One independent trial; returns (success, iterations used)."""
     strategy = config.strategy_enum()
-    model = Model.AM if strategy is None else Model.UM
-    world = World(
-        config.kind(), config.protocol_config(), model,
-        _trial_seed(config, index), _party_names(config),
-    )
     if strategy is None:
+        world = World(config.kind(), config.protocol_config(), Model.AM, _trial_seed(config, index))
         init, resp = run_honest(world)
         ok = (
             init.status is SessionStatus.COMPLETED
@@ -244,22 +185,12 @@ def _run_one_trial(config: ExperimentConfig, index: int) -> tuple[bool, int]:
             and init.entropies == resp.entropies
         )
         return ok, 1
-    if strategy is AttackStrategy.KEX2_ENTROPY_COLLISION:
-        outcome = attacks.attack_kex2_collision(world, config.effective_budget())
-    elif strategy is AttackStrategy.KEM_SAME_KEY:
-        outcome = attacks.attack_kem_same_key(world)
-    elif strategy is AttackStrategy.KEM2_REPLICA:
-        outcome = attacks.attack_kem2_replica(world, config.effective_budget())
-    elif strategy is AttackStrategy.KEM2_COMBINED:
-        outcome = attacks.attack_kem2_replica(
-            world, config.effective_budget(), reuse_secret=True
-        )
-    elif strategy is AttackStrategy.RANDOM_FORGE:
-        outcome = attacks.forge_trial(world)
-    elif strategy is AttackStrategy.REDIRECT:
-        outcome = attacks.redirect_trial(world)
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled strategy {strategy}")
+    spec = STRATEGIES[strategy]
+    world = World(
+        config.kind(), config.protocol_config(), Model.UM,
+        _trial_seed(config, index), spec.parties,
+    )
+    outcome = spec.run(world, config.effective_budget())
     return outcome.success, outcome.iterations
 
 
@@ -390,9 +321,9 @@ def report_csv_text(summaries: list[TrialSummary]) -> str:
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(TrialSummary.CSV_FIELDS)
+    writer.writerow(f.name for f in dataclasses.fields(TrialSummary))
     for summary in summaries:
-        writer.writerow(summary.csv_row())
+        writer.writerow(dataclasses.astuple(summary))
     return buffer.getvalue()
 
 

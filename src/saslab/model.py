@@ -22,7 +22,7 @@ from typing import Optional
 
 from .primitives import SUITE_HEADER, SharedKey, decode_fields, group_by_name
 from .protocols import (
-    STARTING_SIDE,
+    SPECS,
     Machine,
     ProtocolConfig,
     ProtocolError,
@@ -100,7 +100,7 @@ class SessionStatus(Enum):
 @dataclass
 class SessionRecord:
     """A party's local view of one session: (P_i, P_j, s, key) plus status,
-    protocol state, and an ordered event log."""
+    entropies, and an ordered event log."""
 
     parties: tuple[bytes, bytes]  # (self, peer)
     session: SessionId
@@ -108,7 +108,6 @@ class SessionRecord:
     status: SessionStatus = SessionStatus.IN_PROCESS
     kappa: Optional[bytes] = None
     entropies: dict = field(default_factory=dict)
-    state: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
 
     def log(self, event: str, **details):
@@ -279,7 +278,7 @@ class World:
             if sid not in init.sessions:
                 break
         machine = build_machine(
-            self.kind, self.cfg, STARTING_SIDE[self.kind],
+            self.kind, self.cfg, SPECS[self.kind].starting_side,
             initiator, responder, init.rng, message,
         )
         record = SessionRecord(parties=(initiator, responder), session=sid, role="initiator")
@@ -308,7 +307,7 @@ class World:
                 raise RuleViolationError(
                     f"{env.receiver!r} is not the responder of {env.session.label()}"
                 )
-            side = STARTING_SIDE[self.kind].other
+            side = SPECS[self.kind].starting_side.other
             machine = build_machine(
                 self.kind, self.cfg, side, env.receiver, env.session.initiator, receiver.rng
             )
@@ -403,10 +402,7 @@ class World:
             verdict = "accept"
             rounds = [(sorted(first.machine.entropies), "accept")]
         else:
-            # the 4- and 6-pass flows check their two values in separate
-            # rounds (mutual authentication); everything else compares its
-            # values, concatenated, in a single round
-            if self.kind in (ProtocolKind.KEM4, ProtocolKind.KEM6):
+            if SPECS[self.kind].separate_rounds:
                 groups = [[label] for label in sorted(first.machine.entropies)]
             else:
                 groups = [sorted(first.machine.entropies)]
@@ -506,15 +502,6 @@ class World:
         return SharedKey(self._hidden_rng.randbytes(32))
 
     # -- bookkeeping -------------------------------------------------------------
-
-    def reset_sessions(self):
-        """Drop all sessions and pending messages; party rng streams roll on."""
-        for p in self.parties.values():
-            p.sessions.clear()
-            p.live_keys.clear()
-            p.corrupted = False
-        self.undelivered.clear()
-        self._seq.clear()
 
     def records(self) -> list[SessionRecord]:
         return [e.record for p in self.parties.values() for e in p.sessions.values()]
@@ -654,7 +641,8 @@ def transcript_export(world: World, run: dict | None = None) -> bytes:
 
 
 def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRecord]]:
-    """Re-execute the run recorded in a transcript from its seeds."""
+    """Re-execute the run recorded in a transcript from its seeds; raises
+    TranscriptError unless every session record comes out as recorded."""
     if len(raw) < len(TRANSCRIPT_MAGIC) + 4 or not raw.startswith(TRANSCRIPT_MAGIC):
         raise TranscriptError("not a transcript")
     size = int.from_bytes(raw[len(TRANSCRIPT_MAGIC) : len(TRANSCRIPT_MAGIC) + 4], "big")
@@ -688,4 +676,8 @@ def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRe
     records = run_honest(
         world, run["initiator"].encode(), run["responder"].encode(), message
     )
+    # compare in the recorded form, as the JSON round trip leaves it
+    replayed = json.loads(json.dumps([_record_to_dict(r) for r in world.records()]))
+    if replayed != body.get("records"):
+        raise TranscriptError("replayed run diverges from the recorded run")
     return world, records

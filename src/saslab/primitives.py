@@ -303,24 +303,27 @@ def message_key(message: bytes) -> SharedKey:
 
 
 @dataclass(frozen=True)
-class KexKeyPair:
+class KeyPair:
     secret: int
     public: int
 
 
-@dataclass(frozen=True)
-class KemKeyPair:
-    secret: int
-    public: int
-
-
-def kex_keygen(params: GroupParams, rng: HashDrbg) -> KexKeyPair:
-    """Fresh exchange key pair: secret uniform in [1, q-1], public g^secret."""
+def _keygen(params: GroupParams, rng: HashDrbg) -> KeyPair:
     secret = rng.randrange(1, params.q)
-    return KexKeyPair(secret=secret, public=pow(params.g, secret, params.p))
+    return KeyPair(secret=secret, public=pow(params.g, secret, params.p))
 
 
-def kex_agree(own: KexKeyPair, peer_public: int, params: GroupParams) -> SharedKey:
+def random_element(params: GroupParams, rng: HashDrbg) -> int:
+    """Uniform element g^e of the order-q subgroup, e drawn from [1, q]."""
+    return pow(params.g, rng.randrange(1, params.q + 1), params.p)
+
+
+def kex_keygen(params: GroupParams, rng: HashDrbg) -> KeyPair:
+    """Fresh exchange key pair: secret uniform in [1, q-1], public g^secret."""
+    return _keygen(params, rng)
+
+
+def kex_agree(own: KeyPair, peer_public: int, params: GroupParams) -> SharedKey:
     """Derive the shared key from a peer's public element.
 
     Raises MalformedElementError for elements outside [1, p-1]; both honest
@@ -361,9 +364,9 @@ class Encapsulation:
         )
 
 
-def kem_keygen(params: GroupParams, rng: HashDrbg) -> KemKeyPair:
-    secret = rng.randrange(1, params.q)
-    return KemKeyPair(secret=secret, public=pow(params.g, secret, params.p))
+def kem_keygen(params: GroupParams, rng: HashDrbg) -> KeyPair:
+    """Fresh KEM key pair, drawn exactly as an exchange key pair."""
+    return _keygen(params, rng)
 
 
 def _encaps_randomness(
@@ -409,7 +412,7 @@ def kem_encaps(
     The secret x is returned alongside the key: the attack strategies need
     the starred Encaps/Decaps interface, and protocol code simply ignores it.
     """
-    x = pow(params.g, rng.randrange(1, params.q + 1), params.p)
+    x = random_element(params, rng)
     ct, key = kem_encaps_star(pk, x, params, mode, rng)
     return ct, key, x
 

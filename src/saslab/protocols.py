@@ -32,8 +32,12 @@ Flows (arrows show wire messages; entropy receivers in brackets):
                      A: (open(m), N_A) -> B
                      B: open(ct) -> A
 
-  kem6               the kem4 exchange unrolled into two 3-message
-                     authenticated transfers (6 msgs, same entropies)
+  kem6               compile_mt(kem2): each kem2 message wrapped in one
+                     authenticated transfer, the pk riding the first in
+                     clear (6 msgs, the kem4 entropies)
+
+mt-auth, kem4 and kem6 are built from one commit / challenge / open leg.
+Everything the rest of the package knows about a kind is in its SPECS entry.
 """
 
 from __future__ import annotations
@@ -44,16 +48,13 @@ from typing import Callable, Optional
 
 from .primitives import (
     Commitment,
-    DIGEST_SIZE,
     Encapsulation,
     EntropyValue,
     GroupParams,
     KemMode,
-    MalformedElementError,
     Opening,
     REJECT,
     SharedKey,
-    SizeError,
     TOY256,
     commit,
     encode_fields,
@@ -70,6 +71,7 @@ from .primitives import (
     open_commitment,
     pke_decrypt,
     pke_encrypt,
+    random_element,
 )
 from .rng import HashDrbg
 
@@ -98,75 +100,36 @@ class Side(Enum):
         return Side.B if self is Side.A else Side.A
 
 
-MESSAGE_COUNTS = {
-    ProtocolKind.MT_AUTH: 3,
-    ProtocolKind.KEX2: 2,
-    ProtocolKind.KEX3: 3,
-    ProtocolKind.KEM2: 2,
-    ProtocolKind.KEM3_TWO_ENTROPY: 3,
-    ProtocolKind.KEM3_COMMIT: 3,
-    ProtocolKind.KEM4: 4,
-    ProtocolKind.KEM6: 6,
-}
+@dataclass(frozen=True)
+class EntropySpec:
+    """One entropy value of a flow.
 
-# Which side sends the first wire message.
-STARTING_SIDE = {
-    ProtocolKind.MT_AUTH: Side.A,
-    ProtocolKind.KEX2: Side.A,
-    ProtocolKind.KEX3: Side.B,
-    ProtocolKind.KEM2: Side.A,
-    ProtocolKind.KEM3_TWO_ENTROPY: Side.B,
-    ProtocolKind.KEM3_COMMIT: Side.B,
-    ProtocolKind.KEM4: Side.A,
-    ProtocolKind.KEM6: Side.A,
-}
+    receiver is the side whose identity the value binds (None: the flow
+    carries no receiver identity). elements maps each input element to the
+    message index (1-based) at which it becomes determined, or "derived" for
+    values computed from earlier ones. A main value must not depend on
+    anything determined only by the final message; secondary values exist
+    precisely to cover the final message.
+    """
 
-# Which side's identity each entropy value binds (None: the flow carries no
-# receiver identity and the entropy is computed over elements alone).
-ENTROPY_RECEIVER_SIDE: dict[ProtocolKind, dict[str, Optional[Side]]] = {
-    ProtocolKind.MT_AUTH: {"E_A": Side.B},
-    ProtocolKind.KEX2: {"E": Side.B},
-    ProtocolKind.KEX3: {"E_B": Side.A},
-    ProtocolKind.KEM2: {"E": None},
-    ProtocolKind.KEM3_TWO_ENTROPY: {"E_B1": Side.A, "E_B2": Side.A},
-    ProtocolKind.KEM3_COMMIT: {"E": Side.A},
-    ProtocolKind.KEM4: {"E_A": Side.B, "E_B": Side.A},
-    ProtocolKind.KEM6: {"E_A": Side.B, "E_B": Side.A},
-}
+    receiver: Optional[Side]
+    elements: dict
+    main: bool = True
 
-# Message index (1-based) at which each entropy element becomes determined,
-# or "derived"/"local" for values computed from earlier ones. "main" entropy
-# values must not depend on anything determined only by the final message;
-# secondary values exist precisely to cover the final message.
-ENTROPY_PROVENANCE: dict[ProtocolKind, dict[str, dict]] = {
-    ProtocolKind.MT_AUTH: {
-        "E_A": {"main": True, "elements": {"com": 1, "chal": 2, "msg": 1}},
-    },
-    ProtocolKind.KEX2: {
-        "E": {"main": True, "elements": {"pka": 1, "pkb": 2, "key": "derived"}},
-    },
-    ProtocolKind.KEX3: {
-        "E_B": {"main": True, "elements": {"pka": 2, "pkb": 1, "com": 1}},
-    },
-    ProtocolKind.KEM2: {
-        "E": {"main": True, "elements": {"pk": 1, "ct": 2, "key": "derived"}},
-    },
-    ProtocolKind.KEM3_TWO_ENTROPY: {
-        "E_B1": {"main": True, "elements": {"nonce": 1, "pk": 2, "com": 1}},
-        "E_B2": {"main": False, "elements": {"ct": 3, "key": "derived"}},
-    },
-    ProtocolKind.KEM3_COMMIT: {
-        "E": {"main": True, "elements": {"pk": 2, "com": 1, "key": "derived"}},
-    },
-    ProtocolKind.KEM4: {
-        "E_A": {"main": True, "elements": {"com": 1, "chal": 2, "msg": 1, "pk": 1}},
-        "E_B": {"main": True, "elements": {"com": 2, "chal": 3, "msg": 2}},
-    },
-    ProtocolKind.KEM6: {
-        "E_A": {"main": True, "elements": {"com": 1, "chal": 2, "msg": 1, "pk": 1}},
-        "E_B": {"main": True, "elements": {"com": 4, "chal": 5, "msg": 4}},
-    },
-}
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """Everything the package declares about one protocol kind."""
+
+    machine: Callable[..., "Machine"]
+    message_count: int
+    starting_side: Side  # which side sends the first wire message
+    entropies: dict[str, EntropySpec]
+    # verify each entropy value in its own round (mutual authentication)
+    # instead of all of them, concatenated, in one
+    separate_rounds: bool = False
+    # residual collision term of the security argument, in units of 2^-n_e
+    residual_factor: float = 2.0
 
 
 class ProtocolError(Exception):
@@ -183,6 +146,64 @@ class ProtocolConfig:
     kem2_key_only_entropy: bool = False
     # negative-control switch: compute entropies without receiver identities
     include_receiver_identity: bool = True
+
+
+def kex2_elements(pka: bytes, pkb: bytes, key: SharedKey) -> list[tuple[str, bytes]]:
+    """Entropy input of the 2-pass exchange, over encoded public elements."""
+    return [("pka", pka), ("pkb", pkb), ("key", key.key)]
+
+
+def kem2_elements(
+    cfg: ProtocolConfig, pk: bytes, ct: bytes, key: SharedKey
+) -> list[tuple[str, bytes]]:
+    """Entropy input of the 2-pass encapsulation, over the encoded pk and ct."""
+    if cfg.kem2_key_only_entropy:
+        return [("key", key.key)]
+    return [("pk", pk), ("ct", ct), ("key", key.key)]
+
+
+def _open(c: Commitment, raw_opening: bytes) -> bytes:
+    value = open_commitment(c, Opening.decode(raw_opening))
+    if value is REJECT:
+        raise ProtocolError("commitment opening rejected")
+    return value
+
+
+class _Leg:
+    """One authenticated transfer of a value: the sender commits, the
+    receiver answers with a fresh challenge, the sender opens.
+
+    Wire labels carry the leg's suffixes (com_m, chal_b, open_m, ...); both
+    sides digest the same (com, chal, msg) elements once the leg is done.
+    """
+
+    def __init__(self, value_suffix: str = "", chal_suffix: str = ""):
+        self.labels = ("com" + value_suffix, "chal" + chal_suffix, "open" + value_suffix)
+
+    def commit(self, value: bytes, rng: HashDrbg) -> tuple[str, bytes]:
+        """Sender: commit to the value."""
+        self.value = value
+        self.c, self.d = commit(value, rng)
+        return self.labels[0], self.c.encode()
+
+    def challenge(self, raw_c: bytes, rng: HashDrbg) -> tuple[str, bytes]:
+        """Receiver: take the commitment and draw the challenge."""
+        self.c = Commitment(raw_c)
+        self.nonce = rng.randbytes(NONCE_SIZE)
+        return self.labels[1], self.nonce
+
+    def open(self, nonce: bytes) -> tuple[str, bytes]:
+        """Sender: take the challenge and reveal the opening."""
+        self.nonce = nonce
+        return self.labels[2], self.d.encode()
+
+    def receive(self, raw_opening: bytes) -> bytes:
+        """Receiver: the transferred value, or an abort if it does not open."""
+        self.value = _open(self.c, raw_opening)
+        return self.value
+
+    def elements(self, *extras: tuple[str, bytes]) -> list[tuple[str, bytes]]:
+        return [("com", self.c.digest), ("chal", self.nonce), ("msg", self.value), *extras]
 
 
 class Machine:
@@ -207,7 +228,6 @@ class Machine:
         self.message = message
         self.done = False
         self.aborted = False
-        self.abort_reason: str | None = None
         self.entropies: dict[str, EntropyValue] = {}
         self.key: SharedKey | None = None
         self.delivered_message: bytes | None = None
@@ -215,45 +235,23 @@ class Machine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _receiver_identity(self, receiver_side: Optional[Side]) -> bytes:
-        if receiver_side is None or not self.cfg.include_receiver_identity:
-            return b""
-        return self.self_id if receiver_side is self.side else self.peer_id
-
     def _entropy(self, label: str, elements: list[tuple[str, bytes]]) -> None:
-        receiver_side = ENTROPY_RECEIVER_SIDE[self.kind][label]
-        self.entropies[label] = entropy(
-            self._receiver_identity(receiver_side), elements, self.cfg.n_e
-        )
+        receiver_side = SPECS[self.kind].entropies[label].receiver
+        if receiver_side is None or not self.cfg.include_receiver_identity:
+            receiver = b""
+        else:
+            receiver = self.self_id if receiver_side is self.side else self.peer_id
+        self.entropies[label] = entropy(receiver, elements, self.cfg.n_e)
 
     def _fail(self, reason: str):
         self.aborted = True
-        self.abort_reason = reason
         raise ProtocolError(reason)
 
     def _expect(self, payload: bytes, labels: list[str]) -> list[bytes]:
         try:
             return expect_fields(payload, labels)
         except ValueError as exc:
-            self._fail(f"step {self._step}: {exc}")
-
-    def _decode_element(self, raw: bytes) -> int:
-        try:
-            return self.cfg.group.decode_element(raw)
-        except MalformedElementError as exc:
-            self._fail(str(exc))
-
-    def _decode_opening(self, raw: bytes) -> Opening:
-        try:
-            return Opening.decode(raw)
-        except ValueError as exc:
-            self._fail(str(exc))
-
-    def _open_or_abort(self, c: Commitment, d: Opening) -> bytes:
-        value = open_commitment(c, d)
-        if value is REJECT:
-            self._fail("commitment opening rejected")
-        return value
+            raise ProtocolError(f"step {self._step}: {exc}")
 
     # -- public surface ----------------------------------------------------
 
@@ -268,15 +266,17 @@ class Machine:
             raise ProtocolError("session already aborted")
         if self.done:
             self._fail("message delivered to a finished session")
-        if incoming is None and (self._step != 0 or self.side is not STARTING_SIDE[self.kind]):
+        starts = self._step == 0 and self.side is SPECS[self.kind].starting_side
+        if incoming is None and not starts:
             self._fail("unexpected start signal")
-        if incoming is not None and self._step == 0 and self.side is STARTING_SIDE[self.kind]:
+        if incoming is not None and starts:
             self._fail("starting side expected a start signal")
         try:
             out = self._advance(incoming)
         except ProtocolError:
+            self.aborted = True
             raise
-        except (MalformedElementError, SizeError, ValueError) as exc:
+        except ValueError as exc:  # malformed elements and oversized inputs too
             self._fail(str(exc))
         self._step += 1
         return out
@@ -288,7 +288,11 @@ class Machine:
         """Ephemeral session state, as exposed by a state-reveal query."""
         skip = {"cfg", "rng", "entropies"}
         out = {"kind": self.kind.value, "side": self.side.value, "step": self._step}
+        state = dict(self.__dict__)
         for name, value in self.__dict__.items():
+            if isinstance(value, _Leg):
+                state.update((f"{name}.{k}", v) for k, v in vars(value).items())
+        for name, value in state.items():
             if name in skip or name in out:
                 continue
             if isinstance(value, bytes):
@@ -298,46 +302,37 @@ class Machine:
         return out
 
 
-def _mt_entropy_elements(
-    c: Commitment, challenge: bytes, message: bytes, extras: list[tuple[str, bytes]] = ()
-) -> list[tuple[str, bytes]]:
-    """Canonical element list for one authenticated transfer."""
-    return [("com", c.digest), ("chal", challenge), ("msg", message)] + list(extras)
-
-
 # ---------------------------------------------------------------------------
 # mt-auth
 # ---------------------------------------------------------------------------
 
 class MtAuthMachine(Machine):
-    """Authenticated transfer of one message: commit, challenge, open."""
+    """Authenticated transfer of one message: a single leg."""
 
     kind = ProtocolKind.MT_AUTH
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._leg = _Leg()
+
     def _advance(self, incoming):
-        if self.side is Side.A:
-            if self._step == 0:
-                self._m = self.message if self.message is not None else self.rng.randbytes(NONCE_SIZE)
-                self._c, self._d = commit(self._m, self.rng)
-                return encode_fields([("com", self._c.encode())])
-            (raw_n,) = self._expect(incoming, ["chal"])
-            self._entropy("E_A", _mt_entropy_elements(self._c, raw_n, self._m))
-            self.key = message_key(self._m)
-            self.done = True
-            return encode_fields([("open", self._d.encode())])
-        # Side.B
         if self._step == 0:
+            if self.side is Side.A:
+                m = self.message if self.message is not None else self.rng.randbytes(NONCE_SIZE)
+                return encode_fields([self._leg.commit(m, self.rng)])
             (raw_c,) = self._expect(incoming, ["com"])
-            self._c = Commitment(raw_c)
-            self._n = self.rng.randbytes(NONCE_SIZE)
-            return encode_fields([("chal", self._n)])
-        (raw_d,) = self._expect(incoming, ["open"])
-        m = self._open_or_abort(self._c, self._decode_opening(raw_d))
-        self._entropy("E_A", _mt_entropy_elements(self._c, self._n, m))
-        self.delivered_message = m
-        self.key = message_key(m)
+            return encode_fields([self._leg.challenge(raw_c, self.rng)])
+        out = None
+        if self.side is Side.A:
+            (raw_n,) = self._expect(incoming, ["chal"])
+            out = encode_fields([self._leg.open(raw_n)])
+        else:
+            (raw_d,) = self._expect(incoming, ["open"])
+            self.delivered_message = self._leg.receive(raw_d)
+        self._entropy("E_A", self._leg.elements())
+        self.key = message_key(self._leg.value)
         self.done = True
-        return None
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +342,6 @@ class MtAuthMachine(Machine):
 class Kex2Machine(Machine):
     kind = ProtocolKind.KEX2
 
-    def _kex2_entropy(self, pka: int, pkb: int, key: SharedKey):
-        g = self.cfg.group
-        self._entropy(
-            "E",
-            [
-                ("pka", g.encode_element(pka)),
-                ("pkb", g.encode_element(pkb)),
-                ("key", key.key),
-            ],
-        )
-
     def _advance(self, incoming):
         g = self.cfg.group
         if self.side is Side.A:
@@ -365,18 +349,18 @@ class Kex2Machine(Machine):
                 self._pair = kex_keygen(g, self.rng)
                 return encode_fields([("pka", g.encode_element(self._pair.public))])
             (raw,) = self._expect(incoming, ["pkb"])
-            pkb = self._decode_element(raw)
-            self.key = kex_agree(self._pair, pkb, g)
-            self._kex2_entropy(self._pair.public, pkb, self.key)
+            self.key = kex_agree(self._pair, g.decode_element(raw), g)
+            self._entropy("E", kex2_elements(g.encode_element(self._pair.public), raw, self.key))
             self.done = True
             return None
         (raw,) = self._expect(incoming, ["pka"])
-        pka = self._decode_element(raw)
+        pka = g.decode_element(raw)
         self._pair = kex_keygen(g, self.rng)
+        pkb = g.encode_element(self._pair.public)
         self.key = kex_agree(self._pair, pka, g)
-        self._kex2_entropy(pka, self._pair.public, self.key)
+        self._entropy("E", kex2_elements(raw, pkb, self.key))
         self.done = True
-        return encode_fields([("pkb", g.encode_element(self._pair.public))])
+        return encode_fields([("pkb", pkb)])
 
 
 class Kex3Machine(Machine):
@@ -384,16 +368,8 @@ class Kex3Machine(Machine):
 
     kind = ProtocolKind.KEX3
 
-    def _kex3_entropy(self, pka: int, pkb: int, c: Commitment):
-        g = self.cfg.group
-        self._entropy(
-            "E_B",
-            [
-                ("pka", g.encode_element(pka)),
-                ("pkb", g.encode_element(pkb)),
-                ("com", c.digest),
-            ],
-        )
+    def _kex3_entropy(self, pka: bytes, pkb: bytes):
+        self._entropy("E_B", [("pka", pka), ("pkb", pkb), ("com", self._c.digest)])
 
     def _advance(self, incoming):
         g = self.cfg.group
@@ -403,9 +379,8 @@ class Kex3Machine(Machine):
                 self._c, self._d = commit(g.encode_element(self._pair.public), self.rng)
                 return encode_fields([("com", self._c.encode())])
             (raw,) = self._expect(incoming, ["pka"])
-            pka = self._decode_element(raw)
-            self.key = kex_agree(self._pair, pka, g)
-            self._kex3_entropy(pka, self._pair.public, self._c)
+            self.key = kex_agree(self._pair, g.decode_element(raw), g)
+            self._kex3_entropy(raw, g.encode_element(self._pair.public))
             self.done = True
             return encode_fields([("open", self._d.encode())])
         # Side.A
@@ -415,10 +390,9 @@ class Kex3Machine(Machine):
             self._pair = kex_keygen(g, self.rng)
             return encode_fields([("pka", g.encode_element(self._pair.public))])
         (raw_d,) = self._expect(incoming, ["open"])
-        pkb_raw = self._open_or_abort(self._c, self._decode_opening(raw_d))
-        pkb = self._decode_element(pkb_raw)
-        self.key = kex_agree(self._pair, pkb, g)
-        self._kex3_entropy(self._pair.public, pkb, self._c)
+        pkb = _open(self._c, raw_d)
+        self.key = kex_agree(self._pair, g.decode_element(pkb), g)
+        self._kex3_entropy(g.encode_element(self._pair.public), pkb)
         self.done = True
         return None
 
@@ -430,18 +404,6 @@ class Kex3Machine(Machine):
 class Kem2Machine(Machine):
     kind = ProtocolKind.KEM2
 
-    def _kem2_entropy(self, pk: int, ct: Encapsulation, key: SharedKey):
-        if self.cfg.kem2_key_only_entropy:
-            elements = [("key", key.key)]
-        else:
-            g = self.cfg.group
-            elements = [
-                ("pk", g.encode_element(pk)),
-                ("ct", ct.encode(g)),
-                ("key", key.key),
-            ]
-        self._entropy("E", elements)
-
     def _advance(self, incoming):
         g = self.cfg.group
         if self.side is Side.A:
@@ -449,17 +411,18 @@ class Kem2Machine(Machine):
                 self._pair = kem_keygen(g, self.rng)
                 return encode_fields([("pk", g.encode_element(self._pair.public))])
             (raw,) = self._expect(incoming, ["ct"])
-            ct = Encapsulation.decode(raw, g)
-            self.key = kem_decaps(self._pair.secret, ct, g)
-            self._kem2_entropy(self._pair.public, ct, self.key)
+            self.key = kem_decaps(self._pair.secret, Encapsulation.decode(raw, g), g)
+            pk = g.encode_element(self._pair.public)
+            self._entropy("E", kem2_elements(self.cfg, pk, raw, self.key))
             self.done = True
             return None
         (raw,) = self._expect(incoming, ["pk"])
-        pk = self._decode_element(raw)
+        pk = g.decode_element(raw)
         ct, self.key, self._x = kem_encaps(pk, g, self.cfg.kem_mode, self.rng)
-        self._kem2_entropy(pk, ct, self.key)
+        ct_raw = ct.encode(g)
+        self._entropy("E", kem2_elements(self.cfg, raw, ct_raw, self.key))
         self.done = True
-        return encode_fields([("ct", ct.encode(g))])
+        return encode_fields([("ct", ct_raw)])
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +434,13 @@ class Kem3TwoEntropyMachine(Machine):
 
     kind = ProtocolKind.KEM3_TWO_ENTROPY
 
-    def _entropy_pair(self, n: bytes, pk: int, c: Commitment, ct: Encapsulation, key: SharedKey):
+    def _entropy_pair(self, n: bytes, pk: int, ct: Encapsulation):
         g = self.cfg.group
         self._entropy(
             "E_B1",
-            [("nonce", n), ("pk", g.encode_element(pk)), ("com", c.digest)],
+            [("nonce", n), ("pk", g.encode_element(pk)), ("com", self._c.digest)],
         )
-        self._entropy("E_B2", [("ct", ct.encode(g)), ("key", key.key)])
+        self._entropy("E_B2", [("ct", ct.encode(g)), ("key", self.key.key)])
 
     def _advance(self, incoming):
         g = self.cfg.group
@@ -487,9 +450,9 @@ class Kem3TwoEntropyMachine(Machine):
                 self._c, self._d = commit(self._n, self.rng)
                 return encode_fields([("com", self._c.encode())])
             (raw,) = self._expect(incoming, ["pk"])
-            pk = self._decode_element(raw)
+            pk = g.decode_element(raw)
             ct, self.key, _ = kem_encaps(pk, g, self.cfg.kem_mode, self.rng)
-            self._entropy_pair(self._n, pk, self._c, ct, self.key)
+            self._entropy_pair(self._n, pk, ct)
             self.done = True
             return encode_fields([("ct", ct.encode(g)), ("open", self._d.encode())])
         # Side.A
@@ -501,8 +464,7 @@ class Kem3TwoEntropyMachine(Machine):
         raw_ct, raw_d = self._expect(incoming, ["ct", "open"])
         ct = Encapsulation.decode(raw_ct, g)
         self.key = kem_decaps(self._pair.secret, ct, g)
-        n = self._open_or_abort(self._c, self._decode_opening(raw_d))
-        self._entropy_pair(n, self._pair.public, self._c, ct, self.key)
+        self._entropy_pair(_open(self._c, raw_d), self._pair.public, ct)
         self.done = True
         return None
 
@@ -517,25 +479,25 @@ class Kem3CommitMachine(Machine):
 
     kind = ProtocolKind.KEM3_COMMIT
 
-    def _commit_entropy(self, pk: int, c: Commitment, key: SharedKey):
+    def _commit_entropy(self, pk: int):
         g = self.cfg.group
         self._entropy(
             "E",
-            [("pk", g.encode_element(pk)), ("com", c.digest), ("key", key.key)],
+            [("pk", g.encode_element(pk)), ("com", self._c.digest), ("key", self.key.key)],
         )
 
     def _advance(self, incoming):
         g = self.cfg.group
         if self.side is Side.B:
             if self._step == 0:
-                self._x = pow(g.g, self.rng.randrange(1, g.q + 1), g.p)
+                self._x = random_element(g, self.rng)
                 self._c, self._d = commit(g.encode_element(self._x), self.rng)
                 return encode_fields([("com", self._c.encode())])
             (raw,) = self._expect(incoming, ["pk"])
-            pk = self._decode_element(raw)
+            pk = g.decode_element(raw)
             ct, self.key = kem_encaps_star(pk, self._x, g, self.cfg.kem_mode, self.rng)
             ct_d = pke_encrypt(pk, g, self._d.blinder, self.rng)
-            self._commit_entropy(pk, self._c, self.key)
+            self._commit_entropy(pk)
             self.done = True
             return encode_fields([("ct", ct.encode(g)), ("ctd", ct_d)])
         # Side.A
@@ -549,142 +511,89 @@ class Kem3CommitMachine(Machine):
         ct = Encapsulation.decode(raw_ct, g)
         x, self.key = kem_decaps_star(self._pair.secret, ct, g)
         if len(blinder) != 32:
-            self._fail("recovered blinder has wrong length")
+            raise ProtocolError("recovered blinder has wrong length")
         reopened = open_commitment(self._c, Opening(g.encode_element(x), blinder))
         if reopened is REJECT:
-            self._fail("decapsulated secret does not reopen the commitment")
-        self._commit_entropy(self._pair.public, self._c, self.key)
+            raise ProtocolError("decapsulated secret does not reopen the commitment")
+        self._commit_entropy(self._pair.public)
         self.done = True
         return None
 
 
 # ---------------------------------------------------------------------------
-# kem4 / kem6
+# kem4 / kem6: two transfer legs, of a fresh value m from A (the public key
+# riding alongside in clear) and of the encapsulation from B
 # ---------------------------------------------------------------------------
 
-class Kem4Machine(Machine):
+class _KemLegs(Machine):
+    """The steps kem4 and kem6 share; they differ only in which steps
+    travel together in one wire message."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._m_leg, self._ct_leg = _Leg("_m", "_b"), _Leg("_ct", "_a")
+
+    def _send_pk(self) -> list[tuple[str, bytes]]:
+        """A: key pair, and a commitment to a fresh m to authenticate it."""
+        g = self.cfg.group
+        self._pair = kem_keygen(g, self.rng)
+        self._pk_raw = g.encode_element(self._pair.public)
+        m = self.rng.randbytes(NONCE_SIZE)
+        return [("pk", self._pk_raw), self._m_leg.commit(m, self.rng)]
+
+    def _receive_pk(self, incoming: bytes) -> tuple[str, bytes]:
+        """B: take the public key and challenge the commitment to m."""
+        self._pk_raw, raw_cm = self._expect(incoming, ["pk", "com_m"])
+        self._pk = self.cfg.group.decode_element(self._pk_raw)
+        return self._m_leg.challenge(raw_cm, self.rng)
+
+    def _m_entropy(self) -> None:
+        self._entropy("E_A", self._m_leg.elements(("pk", self._pk_raw)))
+
+    def _encapsulate(self) -> tuple[str, bytes]:
+        """B: encapsulate under the received key and commit to the result."""
+        g = self.cfg.group
+        ct, self.key, _ = kem_encaps(self._pk, g, self.cfg.kem_mode, self.rng)
+        return self._ct_leg.commit(ct.encode(g), self.rng)
+
+    def _finish(self) -> None:
+        self._entropy("E_B", self._ct_leg.elements())
+        self.done = True
+
+    def _decapsulate(self, incoming: bytes) -> None:
+        """A, last step: open the encapsulation and derive the key."""
+        g = self.cfg.group
+        (raw_dct,) = self._expect(incoming, ["open_ct"])
+        ct = Encapsulation.decode(self._ct_leg.receive(raw_dct), g)
+        self.key = kem_decaps(self._pair.secret, ct, g)
+        self._finish()
+
+
+class Kem4Machine(_KemLegs):
+    """Each leg's challenge rides with the other leg's commit or open."""
+
     kind = ProtocolKind.KEM4
 
     def _advance(self, incoming):
-        g = self.cfg.group
         if self.side is Side.A:
             if self._step == 0:
-                self._pair = kem_keygen(g, self.rng)
-                self._m = self.rng.randbytes(NONCE_SIZE)
-                self._cm, self._dm = commit(self._m, self.rng)
-                return encode_fields(
-                    [
-                        ("pk", g.encode_element(self._pair.public)),
-                        ("com_m", self._cm.encode()),
-                    ]
-                )
+                return encode_fields(self._send_pk())
             if self._step == 1:
                 raw_cct, raw_nb = self._expect(incoming, ["com_ct", "chal_b"])
-                self._cct = Commitment(raw_cct)
-                self._na = self.rng.randbytes(NONCE_SIZE)
-                self._entropy(
-                    "E_A",
-                    _mt_entropy_elements(
-                        self._cm, raw_nb, self._m,
-                        [("pk", g.encode_element(self._pair.public))],
-                    ),
-                )
-                return encode_fields([("open_m", self._dm.encode()), ("chal_a", self._na)])
-            (raw_dct,) = self._expect(incoming, ["open_ct"])
-            ct_raw = self._open_or_abort(self._cct, self._decode_opening(raw_dct))
-            ct = Encapsulation.decode(ct_raw, g)
-            self.key = kem_decaps(self._pair.secret, ct, g)
-            self._entropy("E_B", _mt_entropy_elements(self._cct, self._na, ct_raw))
-            self.done = True
-            return None
-        # Side.B
+                chal = self._ct_leg.challenge(raw_cct, self.rng)
+                opening = self._m_leg.open(raw_nb)
+                self._m_entropy()
+                return encode_fields([opening, chal])
+            return self._decapsulate(incoming)
         if self._step == 0:
-            raw_pk, raw_cm = self._expect(incoming, ["pk", "com_m"])
-            self._pk = self._decode_element(raw_pk)
-            self._cm = Commitment(raw_cm)
-            self._nb = self.rng.randbytes(NONCE_SIZE)
-            ct, self.key, _ = kem_encaps(self._pk, g, self.cfg.kem_mode, self.rng)
-            self._ct_raw = ct.encode(g)
-            self._cct, self._dct = commit(self._ct_raw, self.rng)
-            return encode_fields([("com_ct", self._cct.encode()), ("chal_b", self._nb)])
+            chal = self._receive_pk(incoming)
+            return encode_fields([self._encapsulate(), chal])
         raw_dm, raw_na = self._expect(incoming, ["open_m", "chal_a"])
-        m = self._open_or_abort(self._cm, self._decode_opening(raw_dm))
-        self._entropy(
-            "E_A",
-            _mt_entropy_elements(
-                self._cm, self._nb, m, [("pk", g.encode_element(self._pk))]
-            ),
-        )
-        self._entropy("E_B", _mt_entropy_elements(self._cct, raw_na, self._ct_raw))
-        self.done = True
-        return encode_fields([("open_ct", self._dct.encode())])
-
-
-class Kem6Machine(Machine):
-    """The kem4 exchange before message-piggybacking: two separate
-    3-message authenticated transfers sharing one session."""
-
-    kind = ProtocolKind.KEM6
-
-    def _advance(self, incoming):
-        g = self.cfg.group
-        if self.side is Side.A:
-            if self._step == 0:
-                self._pair = kem_keygen(g, self.rng)
-                self._m = self.rng.randbytes(NONCE_SIZE)
-                self._cm, self._dm = commit(self._m, self.rng)
-                return encode_fields(
-                    [
-                        ("pk", g.encode_element(self._pair.public)),
-                        ("com_m", self._cm.encode()),
-                    ]
-                )
-            if self._step == 1:
-                (raw_nb,) = self._expect(incoming, ["chal_b"])
-                self._entropy(
-                    "E_A",
-                    _mt_entropy_elements(
-                        self._cm, raw_nb, self._m,
-                        [("pk", g.encode_element(self._pair.public))],
-                    ),
-                )
-                return encode_fields([("open_m", self._dm.encode())])
-            if self._step == 2:
-                (raw_cct,) = self._expect(incoming, ["com_ct"])
-                self._cct = Commitment(raw_cct)
-                self._na = self.rng.randbytes(NONCE_SIZE)
-                return encode_fields([("chal_a", self._na)])
-            (raw_dct,) = self._expect(incoming, ["open_ct"])
-            ct_raw = self._open_or_abort(self._cct, self._decode_opening(raw_dct))
-            ct = Encapsulation.decode(ct_raw, g)
-            self.key = kem_decaps(self._pair.secret, ct, g)
-            self._entropy("E_B", _mt_entropy_elements(self._cct, self._na, ct_raw))
-            self.done = True
-            return None
-        # Side.B
-        if self._step == 0:
-            raw_pk, raw_cm = self._expect(incoming, ["pk", "com_m"])
-            self._pk = self._decode_element(raw_pk)
-            self._cm = Commitment(raw_cm)
-            self._nb = self.rng.randbytes(NONCE_SIZE)
-            return encode_fields([("chal_b", self._nb)])
-        if self._step == 1:
-            (raw_dm,) = self._expect(incoming, ["open_m"])
-            m = self._open_or_abort(self._cm, self._decode_opening(raw_dm))
-            self._entropy(
-                "E_A",
-                _mt_entropy_elements(
-                    self._cm, self._nb, m, [("pk", g.encode_element(self._pk))]
-                ),
-            )
-            ct, self.key, _ = kem_encaps(self._pk, g, self.cfg.kem_mode, self.rng)
-            self._ct_raw = ct.encode(g)
-            self._cct, self._dct = commit(self._ct_raw, self.rng)
-            return encode_fields([("com_ct", self._cct.encode())])
-        (raw_na,) = self._expect(incoming, ["chal_a"])
-        self._entropy("E_B", _mt_entropy_elements(self._cct, raw_na, self._ct_raw))
-        self.done = True
-        return encode_fields([("open_ct", self._dct.encode())])
+        self._m_leg.receive(raw_dm)
+        self._m_entropy()
+        opening = self._ct_leg.open(raw_na)
+        self._finish()
+        return encode_fields([opening])
 
 
 # ---------------------------------------------------------------------------
@@ -699,107 +608,111 @@ class CompiledProtocol:
     build: Callable[..., Machine] = field(repr=False)
 
 
-class _CompiledKem2Machine(Machine):
-    """Mechanical composition: one authenticated-transfer leg per inner
-    message, with the public key riding the first flight in clear and
-    folded into that leg's entropy."""
+class _CompiledKem2Machine(_KemLegs):
+    """One leg per kem2 message, three wire messages each: the public key
+    rides the first leg in clear, folded into that leg's entropy, and the
+    encapsulation is the value of the second."""
 
     kind = ProtocolKind.KEM6
 
     def _advance(self, incoming):
-        g = self.cfg.group
         if self.side is Side.A:
             if self._step == 0:
-                self._pair = kem_keygen(g, self.rng)
-                # artificial extra first-flight element: a random value is
-                # what actually gets committed, the key rides alongside
-                self._m = self.rng.randbytes(NONCE_SIZE)
-                self._leg1_c, self._leg1_d = commit(self._m, self.rng)
-                return encode_fields(
-                    [
-                        ("pk", g.encode_element(self._pair.public)),
-                        ("com_m", self._leg1_c.encode()),
-                    ]
-                )
+                return encode_fields(self._send_pk())
             if self._step == 1:
                 (raw_nb,) = self._expect(incoming, ["chal_b"])
-                self._entropy(
-                    "E_A",
-                    _mt_entropy_elements(
-                        self._leg1_c, raw_nb, self._m,
-                        [("pk", g.encode_element(self._pair.public))],
-                    ),
-                )
-                return encode_fields([("open_m", self._leg1_d.encode())])
+                opening = self._m_leg.open(raw_nb)
+                self._m_entropy()
+                return encode_fields([opening])
             if self._step == 2:
                 (raw_cct,) = self._expect(incoming, ["com_ct"])
-                self._leg2_c = Commitment(raw_cct)
-                self._na = self.rng.randbytes(NONCE_SIZE)
-                return encode_fields([("chal_a", self._na)])
-            (raw_dct,) = self._expect(incoming, ["open_ct"])
-            ct_raw = self._open_or_abort(self._leg2_c, self._decode_opening(raw_dct))
-            # inner protocol consumes the authenticated message
-            ct = Encapsulation.decode(ct_raw, g)
-            self.key = kem_decaps(self._pair.secret, ct, g)
-            self._entropy("E_B", _mt_entropy_elements(self._leg2_c, self._na, ct_raw))
-            self.done = True
-            return None
-        # Side.B
+                return encode_fields([self._ct_leg.challenge(raw_cct, self.rng)])
+            return self._decapsulate(incoming)
         if self._step == 0:
-            raw_pk, raw_cm = self._expect(incoming, ["pk", "com_m"])
-            self._pk = self._decode_element(raw_pk)
-            self._leg1_c = Commitment(raw_cm)
-            self._nb = self.rng.randbytes(NONCE_SIZE)
-            return encode_fields([("chal_b", self._nb)])
+            return encode_fields([self._receive_pk(incoming)])
         if self._step == 1:
             (raw_dm,) = self._expect(incoming, ["open_m"])
-            m = self._open_or_abort(self._leg1_c, self._decode_opening(raw_dm))
-            self._entropy(
-                "E_A",
-                _mt_entropy_elements(
-                    self._leg1_c, self._nb, m, [("pk", g.encode_element(self._pk))]
-                ),
-            )
-            # leg 1 delivered: inner protocol emits its reply, leg 2 wraps it
-            ct, self.key, _ = kem_encaps(self._pk, g, self.cfg.kem_mode, self.rng)
-            self._ct_raw = ct.encode(g)
-            self._leg2_c, self._leg2_d = commit(self._ct_raw, self.rng)
-            return encode_fields([("com_ct", self._leg2_c.encode())])
+            self._m_leg.receive(raw_dm)
+            self._m_entropy()
+            # leg 1 delivered: the inner protocol replies, leg 2 wraps it
+            return encode_fields([self._encapsulate()])
         (raw_na,) = self._expect(incoming, ["chal_a"])
-        self._entropy("E_B", _mt_entropy_elements(self._leg2_c, raw_na, self._ct_raw))
-        self.done = True
-        return encode_fields([("open_ct", self._leg2_d.encode())])
+        opening = self._ct_leg.open(raw_na)
+        self._finish()
+        return encode_fields([opening])
 
 
 def compile_mt(inner: ProtocolKind) -> CompiledProtocol:
     """Wrap each message of the inner protocol in an authenticated transfer.
 
     Ships for the 2-pass encapsulation protocol only; the result is the
-    6-message flow (3 messages per inner message).
+    6-message flow (3 messages per inner message), registered as kem6.
     """
     if inner is not ProtocolKind.KEM2:
         raise ValueError(f"compiler supports kem2 as inner protocol, not {inner.value}")
-
-    def build(cfg, side, self_id, peer_id, rng, message=None):
-        return _CompiledKem2Machine(cfg, side, self_id, peer_id, rng, message)
-
     return CompiledProtocol(
         inner=inner,
-        message_count=3 * MESSAGE_COUNTS[inner],
-        build=build,
+        message_count=3 * SPECS[inner].message_count,
+        build=_CompiledKem2Machine,
     )
 
 
-_MACHINES = {
-    ProtocolKind.MT_AUTH: MtAuthMachine,
-    ProtocolKind.KEX2: Kex2Machine,
-    ProtocolKind.KEX3: Kex3Machine,
-    ProtocolKind.KEM2: Kem2Machine,
-    ProtocolKind.KEM3_TWO_ENTROPY: Kem3TwoEntropyMachine,
-    ProtocolKind.KEM3_COMMIT: Kem3CommitMachine,
-    ProtocolKind.KEM4: Kem4Machine,
-    ProtocolKind.KEM6: Kem6Machine,
+# ---------------------------------------------------------------------------
+# the protocol catalogue
+# ---------------------------------------------------------------------------
+
+SPECS: dict[ProtocolKind, ProtocolSpec] = {
+    ProtocolKind.MT_AUTH: ProtocolSpec(
+        MtAuthMachine, 3, Side.A,
+        {"E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1})},
+    ),
+    ProtocolKind.KEX2: ProtocolSpec(
+        Kex2Machine, 2, Side.A,
+        {"E": EntropySpec(Side.B, {"pka": 1, "pkb": 2, "key": "derived"})},
+    ),
+    ProtocolKind.KEX3: ProtocolSpec(
+        Kex3Machine, 3, Side.B,
+        {"E_B": EntropySpec(Side.A, {"pka": 2, "pkb": 1, "com": 1})},
+    ),
+    ProtocolKind.KEM2: ProtocolSpec(
+        Kem2Machine, 2, Side.A,
+        {"E": EntropySpec(None, {"pk": 1, "ct": 2, "key": "derived"})},
+    ),
+    ProtocolKind.KEM3_TWO_ENTROPY: ProtocolSpec(
+        Kem3TwoEntropyMachine, 3, Side.B,
+        {
+            "E_B1": EntropySpec(Side.A, {"nonce": 1, "pk": 2, "com": 1}),
+            "E_B2": EntropySpec(Side.A, {"ct": 3, "key": "derived"}, main=False),
+        },
+        residual_factor=3.0,
+    ),
+    ProtocolKind.KEM3_COMMIT: ProtocolSpec(
+        Kem3CommitMachine, 3, Side.B,
+        {"E": EntropySpec(Side.A, {"pk": 2, "com": 1, "key": "derived"})},
+        residual_factor=1.0,
+    ),
+    ProtocolKind.KEM4: ProtocolSpec(
+        Kem4Machine, 4, Side.A,
+        {
+            "E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1, "pk": 1}),
+            "E_B": EntropySpec(Side.A, {"com": 2, "chal": 3, "msg": 2}),
+        },
+        separate_rounds=True,
+    ),
 }
+# kem6 is the compiler's output, registered once kem2, which it wraps, is in
+_KEM6 = compile_mt(ProtocolKind.KEM2)
+SPECS[ProtocolKind.KEM6] = ProtocolSpec(
+    _KEM6.build, _KEM6.message_count, Side.A,
+    {
+        "E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1, "pk": 1}),
+        "E_B": EntropySpec(Side.A, {"com": 4, "chal": 5, "msg": 4}),
+    },
+    separate_rounds=True,
+)
+
+# a derived view for callers that only need the starting side
+STARTING_SIDE = {kind: spec.starting_side for kind, spec in SPECS.items()}
 
 
 def build_machine(
@@ -811,4 +724,4 @@ def build_machine(
     rng: HashDrbg,
     message: bytes | None = None,
 ) -> Machine:
-    return _MACHINES[kind](cfg, side, self_id, peer_id, rng, message)
+    return SPECS[kind].machine(cfg, side, self_id, peer_id, rng, message)

@@ -67,7 +67,3 @@ class HashDrbg:
 
     def randbit(self) -> int:
         return self.randbytes(1)[0] & 1
-
-    def child(self, *context: bytes) -> "HashDrbg":
-        """Independent generator derived from this one's key and a context."""
-        return HashDrbg(derive_seed(self._key, *context))

@@ -4,28 +4,38 @@ import pytest
 
 from saslab.attacks import (
     DEFENDED_KINDS,
-    SUCCESS_CRITERIA,
+    STRATEGIES,
     AttackStrategy,
     attack_kem2_replica,
     attack_kem_same_key,
     attack_kex2_collision,
-    attack_random_forge,
-    attack_redirect,
+    redirect_trial,
 )
-from saslab.model import Model, World
+from saslab.harness import ConfigError, ExperimentConfig, run_experiment
+from saslab.model import Model, RuleViolationError, World
 from saslab.primitives import KemMode
 from saslab.protocols import ProtocolConfig, ProtocolKind
 
-THREE = (b"alice", b"bob", b"carol")
+# master seed of every run_experiment batch below
+SEED = 7
 
 
-def um_world(kind, seed, parties=(b"alice", b"bob"), **cfg):
-    return World(kind, ProtocolConfig(**cfg), Model.UM, seed, parties)
+def um_world(kind, seed, **cfg):
+    return World(kind, ProtocolConfig(**cfg), Model.UM, seed)
 
 
 def envelope(successes, trials, p, factor=2.0):
     """Success-rate envelope: factor * p plus three binomial sigmas."""
     return successes / trials <= factor * p + 3 * math.sqrt(p * (1 - p) / trials)
+
+
+def experiment(protocol, strategy, trials, **fields):
+    return run_experiment(
+        ExperimentConfig(
+            protocol=protocol.value, strategy=strategy, n_e=8, trials=trials, seed=SEED,
+            **fields,
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +151,16 @@ def test_replica_requires_full_entropy():
 @pytest.mark.parametrize("kind", DEFENDED_KINDS, ids=[k.value for k in DEFENDED_KINDS])
 def test_random_forge_held_to_residual_rate(kind):
     trials = 2000
-    world = um_world(kind, b"forge-" + kind.value.encode(), n_e=8)
-    agg = attack_random_forge(world, kind, trials)
-    assert agg.trials == trials
-    assert envelope(agg.successes, trials, 2**-8), agg.successes
+    summary = experiment(kind, "random-forge", trials)
+    assert summary.trials == trials
+    assert envelope(summary.successes, trials, 2**-8), summary.successes
     # the collision channel is real: at p = 2^-8 silence would be suspicious
-    assert agg.successes >= 1, "no residual collisions at all"
+    assert summary.successes >= 1, "no residual collisions at all"
 
 
 def test_random_forge_rejects_undefended_targets():
-    with pytest.raises(ValueError):
-        attack_random_forge(um_world(ProtocolKind.KEM2, 6), ProtocolKind.KEM2, 5)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(protocol="kem2", strategy="random-forge", trials=5).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +169,26 @@ def test_random_forge_rejects_undefended_targets():
 
 def test_redirect_mt_auth_caught_by_receiver_identity():
     trials = 2000
-    world = um_world(ProtocolKind.MT_AUTH, b"red-mt", THREE, n_e=8)
-    agg = attack_redirect(world, ProtocolKind.MT_AUTH, trials)
+    summary = experiment(ProtocolKind.MT_AUTH, "redirect", trials)
     p = 2**-8
     mu = trials * p
     sigma = math.sqrt(trials * p * (1 - p))
-    assert abs(agg.successes - mu) <= 3 * sigma, agg.successes
+    assert abs(summary.successes - mu) <= 3 * sigma, summary.successes
 
 
 def test_redirect_mt_auth_without_identity_always_lands():
-    world = um_world(
-        ProtocolKind.MT_AUTH, b"red-anon", THREE, n_e=8,
-        include_receiver_identity=False,
+    summary = experiment(
+        ProtocolKind.MT_AUTH, "redirect", 50, include_receiver_identity=False
     )
-    agg = attack_redirect(world, ProtocolKind.MT_AUTH, 50)
-    assert agg.rate == 1.0
+    assert summary.rate == 1.0
+    assert summary.expectation == "demonstration"
 
 
 def test_redirect_kem2_always_lands():
     # the 2-pass encapsulation entropy carries no receiver identity
-    world = um_world(ProtocolKind.KEM2, b"red-kem2", THREE, n_e=8)
-    agg = attack_redirect(world, ProtocolKind.KEM2, 50)
-    assert agg.rate == 1.0
+    summary = experiment(ProtocolKind.KEM2, "redirect", 50)
+    assert summary.rate == 1.0
+    assert summary.expectation == "demonstration"
 
 
 @pytest.mark.parametrize(
@@ -189,22 +196,21 @@ def test_redirect_kem2_always_lands():
 )
 def test_redirect_defended_protocols_hold(kind):
     trials = 1500
-    world = um_world(kind, b"red-" + kind.value.encode(), THREE, n_e=8)
-    agg = attack_redirect(world, kind, trials)
-    assert envelope(agg.successes, trials, 2**-8), agg.successes
+    summary = experiment(kind, "redirect", trials)
+    assert envelope(summary.successes, trials, 2**-8), summary.successes
 
 
 def test_redirect_needs_three_parties():
     world = um_world(ProtocolKind.MT_AUTH, 7, n_e=8)
-    with pytest.raises(ValueError):
-        attack_redirect(world, ProtocolKind.MT_AUTH, 5)
+    with pytest.raises(RuleViolationError):
+        redirect_trial(world)
 
 
 def test_success_criteria_fixed_per_strategy():
-    assert SUCCESS_CRITERIA[AttackStrategy.KEX2_ENTROPY_COLLISION] == "entropy-match"
-    assert SUCCESS_CRITERIA[AttackStrategy.KEM_SAME_KEY] == "same-key-three-parties"
-    assert SUCCESS_CRITERIA[AttackStrategy.KEM2_REPLICA] == "key-mismatch-undetected"
-    assert set(SUCCESS_CRITERIA) == set(AttackStrategy)
+    assert STRATEGIES[AttackStrategy.KEX2_ENTROPY_COLLISION].criterion == "entropy-match"
+    assert STRATEGIES[AttackStrategy.KEM_SAME_KEY].criterion == "same-key-three-parties"
+    assert STRATEGIES[AttackStrategy.KEM2_REPLICA].criterion == "key-mismatch-undetected"
+    assert set(STRATEGIES) == set(AttackStrategy)
 
 
 def test_attack_code_never_touches_party_private_state():

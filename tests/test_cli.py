@@ -148,6 +148,28 @@ def test_transcript_roundtrip_via_cli(tmp_path, capsys):
     assert "completed" in first and "kappa=" in first
 
 
+def test_replay_rejects_altered_recording(tmp_path, capsys):
+    from saslab.model import TRANSCRIPT_MAGIC
+
+    transcript = tmp_path / "run.bin"
+    assert run_cli(
+        "run", "--protocol", "kem3-commit", "--trials", "1", "--seed", "21",
+        "--transcript", str(transcript),
+    ) == 0
+    capsys.readouterr()
+    raw = transcript.read_bytes()
+    body = json.loads(raw[len(TRANSCRIPT_MAGIC) + 4 :])
+    alice = next(r for r in body["records"] if r["parties"][0] == "alice")
+    alice["kappa"] = ("1" if alice["kappa"][0] == "0" else "0") + alice["kappa"][1:]
+    alice["entropies"] = {}
+    forged = json.dumps(body, sort_keys=True).encode()
+    transcript.write_bytes(TRANSCRIPT_MAGIC + len(forged).to_bytes(4, "big") + forged)
+    assert run_cli("replay", str(transcript)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "diverges" in captured.err
+
+
 def test_replay_missing_file(capsys):
     code = run_cli("replay", "/nonexistent/path.bin")
     assert code == 1

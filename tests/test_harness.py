@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from saslab.attacks import STRATEGIES
 from saslab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -75,6 +76,22 @@ def test_parallel_execution_matches_sequential():
     sequential = run_experiment(config)
     parallel = run_experiment(dataclasses.replace(config, parallelism=4))
     assert sequential == parallel
+
+
+@pytest.mark.parametrize(
+    "strategy", [None, *STRATEGIES], ids=lambda s: s.value if s else "honest"
+)
+def test_parallel_matches_serial_for_every_strategy(strategy):
+    spec = STRATEGIES.get(strategy)
+    config = ExperimentConfig(
+        protocol=spec.targets[-1].value if spec else "kem6",
+        strategy=strategy.value if strategy else None,
+        kem_mode=spec.kem_mode.value if spec and spec.kem_mode else "det",
+        n_e=4, trials=6, seed=7,
+    )
+    serial = run_experiment(config)
+    parallel = run_experiment(dataclasses.replace(config, parallelism=2))
+    assert serial.to_dict() == parallel.to_dict()
 
 
 def test_report_bytes_reproducible():

@@ -337,3 +337,20 @@ def test_transcript_version_mismatch_detected():
     framed = TRANSCRIPT_MAGIC + len(forged).to_bytes(4, "big") + forged
     with pytest.raises(TranscriptError, match="version"):
         transcript_replay(framed)
+
+
+def test_transcript_replay_detects_a_diverging_recording():
+    import json
+
+    from saslab.model import TRANSCRIPT_MAGIC
+
+    world = make_world(seed=21)
+    run_honest(world)
+    blob = transcript_export(world)
+    body = json.loads(blob[len(TRANSCRIPT_MAGIC) + 4 :])
+    kappa = body["records"][0]["kappa"]
+    body["records"][0]["kappa"] = ("1" if kappa[0] == "0" else "0") + kappa[1:]
+    forged = json.dumps(body, sort_keys=True).encode()
+    framed = TRANSCRIPT_MAGIC + len(forged).to_bytes(4, "big") + forged
+    with pytest.raises(TranscriptError, match="diverges"):
+        transcript_replay(framed)

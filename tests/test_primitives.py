@@ -10,7 +10,7 @@ from saslab.primitives import (
     Encapsulation,
     GroupParams,
     KemMode,
-    KexKeyPair,
+    KeyPair,
     MalformedElementError,
     Opening,
     SizeError,
@@ -147,7 +147,7 @@ def test_kex_public_always_in_range():
 def test_kex_agree_matches_frozen_oracle():
     # a = 6 -> A = 8, b = 15 -> B = 19; shared element 19^6 = 8^15 = 2 mod 23
     alice = kex_keygen(SMALL, FixedSecretRng(6))
-    bob = KexKeyPair(secret=15, public=oracle_modexp(5, 15, 23))
+    bob = KeyPair(secret=15, public=oracle_modexp(5, 15, 23))
     assert bob.public == 19
     assert oracle_modexp(19, 6, 23) == oracle_modexp(8, 15, 23) == 2
     expected = derive_key(2, SMALL)

@@ -9,10 +9,7 @@ from saslab.primitives import (
     entropy,
 )
 from saslab.protocols import (
-    ENTROPY_PROVENANCE,
-    ENTROPY_RECEIVER_SIDE,
-    MESSAGE_COUNTS,
-    STARTING_SIDE,
+    SPECS,
     Machine,
     ProtocolConfig,
     ProtocolError,
@@ -31,7 +28,7 @@ def drive_pair(
     kind, cfg, seed_a=b"A", seed_b=b"B", message=None, machine_b_factory=None
 ):
     """Run both sides of a protocol directly, alternating messages."""
-    starter_side = STARTING_SIDE[kind]
+    starter_side = SPECS[kind].starting_side
     rng = {Side.A: HashDrbg(seed_a), Side.B: HashDrbg(seed_b)}
     build = lambda side, self_id, peer_id: build_machine(
         kind, cfg, side, self_id, peer_id, rng[side],
@@ -65,7 +62,7 @@ def test_honest_runs_complete_with_matching_outputs(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
 def test_message_counts_match_figures(kind):
     _, _, count = drive_pair(kind, ProtocolConfig())
-    assert count == MESSAGE_COUNTS[kind]
+    assert count == SPECS[kind].message_count
 
 
 @pytest.mark.parametrize("mode", [KemMode.PROBABILISTIC, KemMode.DETERMINISTIC])
@@ -217,6 +214,7 @@ def test_compile_mt_produces_six_messages():
     compiled = compile_mt(ProtocolKind.KEM2)
     assert compiled.message_count == 6
     assert compiled.inner is ProtocolKind.KEM2
+    assert SPECS[ProtocolKind.KEM6].machine is compiled.build  # kem6 is the compiler's output
 
 
 def test_compile_mt_rejects_other_inner_protocols():
@@ -283,20 +281,23 @@ def test_entropy_input_discipline():
         ProtocolKind.KEM3_COMMIT,
         ProtocolKind.KEM4,
     ):
-        final = MESSAGE_COUNTS[kind]
-        for label, info in ENTROPY_PROVENANCE[kind].items():
-            if not info["main"]:
+        final = SPECS[kind].message_count
+        for label, info in SPECS[kind].entropies.items():
+            if not info.main:
                 continue
-            for element, origin in info["elements"].items():
+            for element, origin in info.elements.items():
                 if origin in ("derived", "local"):
                     continue
                 assert origin < final, (kind, label, element)
 
 
 def test_entropy_receiver_metadata_covers_all_kinds():
+    # every kind declares its entropy values, and an honest run computes
+    # exactly the declared ones
     for kind in ALL_KINDS:
-        assert kind in ENTROPY_RECEIVER_SIDE
-        assert set(ENTROPY_PROVENANCE[kind]) == set(ENTROPY_RECEIVER_SIDE[kind])
+        assert kind in SPECS and SPECS[kind].entropies
+        a, b, _ = drive_pair(kind, ProtocolConfig())
+        assert set(a.entropies) == set(b.entropies) == set(SPECS[kind].entropies)
 
 
 def test_state_snapshot_redacts_nothing_needed():
