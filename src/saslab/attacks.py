@@ -42,6 +42,7 @@ from .primitives import (
     kex_agree,
     kex_keygen,
     pke_encrypt,
+    power_table,
     random_element,
 )
 from .protocols import SPECS, ProtocolConfig, ProtocolKind, kem2_elements, kex2_elements
@@ -181,7 +182,8 @@ def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
 
     env1 = view.pending()[0]
     (pka_raw,) = [v for _, v in decode_fields(env1.payload)]
-    pka = g.decode_element(pka_raw)
+    # every candidate is agreed against pka
+    pka = power_table(g, g.decode_element(pka_raw))
     receiver = env1.receiver if view.cfg.include_receiver_identity else b""
 
     toward_bob = kex_keygen(g, view.rng)
@@ -276,7 +278,8 @@ def attack_kem2_replica(
 
     env1 = view.pending()[0]
     (pka_raw,) = [v for _, v in decode_fields(env1.payload)]
-    pka = g.decode_element(pka_raw)
+    # every candidate is encapsulated under pka
+    pka = power_table(g, g.decode_element(pka_raw))
     own = kem_keygen(g, view.rng)
     own_raw = g.encode_element(own.public)
     view.modify(env1, encode_fields([("pk", own_raw)]))

@@ -19,6 +19,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     TrialSummary,
+    _trial_seed,
     build_report,
     exit_code_for,
     report_csv_text,
@@ -28,7 +29,6 @@ from .harness import (
 )
 from .model import Model, TranscriptError, World, run_honest, transcript_export, transcript_replay
 from .protocols import SPECS, ProtocolKind
-from .rng import derive_seed
 
 PROTOCOL_NAMES = [k.value for k in ProtocolKind]
 
@@ -176,10 +176,7 @@ def _cmd_run(args) -> int:
     summary = run_experiment(config)
     _print_summary(summary)
     if args.transcript is not None:
-        world = World(
-            config.kind(), config.protocol_config(), Model.AM,
-            derive_seed(config.seed, b"trial", (0).to_bytes(8, "big")),
-        )
+        world = World(config.kind(), config.protocol_config(), Model.AM, _trial_seed(config, 0))
         run_honest(world)
         args.transcript.write_bytes(transcript_export(world))
         print(f"transcript written to {args.transcript}")

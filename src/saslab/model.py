@@ -121,8 +121,6 @@ class SessionRecord:
 class OobVerification:
     """Outcome of one tamper-proof entropy comparison."""
 
-    initiator_entropy: dict
-    responder_entropy: dict
     verdict: str  # "accept" | "reject"
     override: bool = False
 
@@ -414,12 +412,7 @@ class World:
                 ) and set(first.machine.entropies) == set(second.machine.entropies)
                 rounds.append((labels, "accept" if ok else "reject"))
             verdict = "accept" if all(v == "accept" for _, v in rounds) else "reject"
-        outcome = OobVerification(
-            initiator_entropy=dict(first.machine.entropies),
-            responder_entropy=dict(second.machine.entropies),
-            verdict=verdict,
-            override=override,
-        )
+        outcome = OobVerification(verdict=verdict, override=override)
         for party_name, entry in ((initiator, first), (responder, second)):
             entry.record.entropies = dict(entry.machine.entropies)
             for labels, round_verdict in rounds:

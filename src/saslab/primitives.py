@@ -272,6 +272,86 @@ def group_by_name(name: str) -> GroupParams:
 
 
 # ---------------------------------------------------------------------------
+# Precomputed powers of a fixed base
+# ---------------------------------------------------------------------------
+
+# Exponent bits per table row. With Python 3.11 on a 2-core Xeon VM a
+# toy256 table takes 2.4 ms and 0.18 MB to build at width 6 and answers in
+# 37 us against 171 us for pow; width 8 answers in 27 us but takes 0.56 MB.
+TABLE_WIDTH = 6
+# Larger moduli keep the built-in pow: on the same machine a 2048-bit table
+# at width 4 takes 150 ms and 2.4 MB to build, which every run on such a
+# group would pay in set-up time and peak memory.
+TABLE_MAX_MODULUS_BITS = 256
+
+
+class PowerTable:
+    """Powers of one base modulo p, precomputed for fixed-base exponentiation.
+
+    Row i holds base^(d * 2^(width * i)) for every width-bit digit d, so an
+    exponent below limit costs one multiplication per row and no squaring
+    (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92). pow(e) equals
+    the built-in pow(base, e, p) for every integer e: exponents outside
+    [0, limit), negative ones included, go to the built-in. A table built
+    for 0 exponent bits has no rows and hands every exponent but 0 on.
+    """
+
+    __slots__ = ("base", "p", "width", "limit", "_rows")
+
+    def __init__(self, base: int, p: int, exponent_bits: int, width: int = TABLE_WIDTH):
+        self.base, self.p, self.width = base, p, width
+        count = -(-exponent_bits // width)
+        self.limit = 1 << (width * count)
+        rows = []
+        power = base % p
+        for _ in range(count):
+            row = [1]
+            for _ in range((1 << width) - 1):
+                row.append(row[-1] * power % p)
+            rows.append(row)
+            power = row[-1] * power % p
+        self._rows = rows
+
+    def pow(self, e: int) -> int:
+        if not 0 <= e < self.limit:
+            return pow(self.base, e, self.p)
+        p, width, mask = self.p, self.width, (1 << self.width) - 1
+        result = 1
+        for row in self._rows:
+            result = result * row[e & mask] % p
+            e >>= width
+        return result
+
+
+def power_table(params: GroupParams, base: int) -> PowerTable:
+    """A table of base covering the group's exponents [0, q]; an empty one
+    above TABLE_MAX_MODULUS_BITS."""
+    tabled = params.p.bit_length() <= TABLE_MAX_MODULUS_BITS
+    return PowerTable(base, params.p, params.q.bit_length() if tabled else 0)
+
+
+_GENERATOR_TABLES: dict[tuple[int, int], PowerTable] = {}
+
+
+def generator_table(params: GroupParams) -> PowerTable:
+    """The table of the group's generator, built on first use and kept per (p, g)."""
+    key = (params.p, params.g)
+    table = _GENERATOR_TABLES.get(key)
+    if table is None:
+        table = _GENERATOR_TABLES[key] = power_table(params, params.g)
+    return table
+
+
+def _as_table(element: int | PowerTable, params: GroupParams) -> PowerTable:
+    """A peer element as a table: the caller's own, or an empty one."""
+    if not isinstance(element, PowerTable):
+        return PowerTable(element, params.p, 0)
+    if element.p != params.p:
+        raise ValueError("power table built for another modulus")
+    return element
+
+
+# ---------------------------------------------------------------------------
 # Shared keys and key exchange
 # ---------------------------------------------------------------------------
 
@@ -310,12 +390,12 @@ class KeyPair:
 
 def _keygen(params: GroupParams, rng: HashDrbg) -> KeyPair:
     secret = rng.randrange(1, params.q)
-    return KeyPair(secret=secret, public=pow(params.g, secret, params.p))
+    return KeyPair(secret=secret, public=generator_table(params).pow(secret))
 
 
 def random_element(params: GroupParams, rng: HashDrbg) -> int:
     """Uniform element g^e of the order-q subgroup, e drawn from [1, q]."""
-    return pow(params.g, rng.randrange(1, params.q + 1), params.p)
+    return generator_table(params).pow(rng.randrange(1, params.q + 1))
 
 
 def kex_keygen(params: GroupParams, rng: HashDrbg) -> KeyPair:
@@ -323,15 +403,19 @@ def kex_keygen(params: GroupParams, rng: HashDrbg) -> KeyPair:
     return _keygen(params, rng)
 
 
-def kex_agree(own: KeyPair, peer_public: int, params: GroupParams) -> SharedKey:
-    """Derive the shared key from a peer's public element.
+def kex_agree(
+    own: KeyPair, peer_public: int | PowerTable, params: GroupParams
+) -> SharedKey:
+    """Derive the shared key from a peer's public element, given as an int
+    or as its power table.
 
     Raises MalformedElementError for elements outside [1, p-1]; both honest
     sides of an exchange derive bitwise-equal keys.
     """
-    if not params.contains(peer_public):
+    peer = _as_table(peer_public, params)
+    if not params.contains(peer.base):
         raise MalformedElementError("peer public element out of range")
-    return derive_key(pow(peer_public, own.secret, params.p), params)
+    return derive_key(peer.pow(own.secret), params)
 
 
 # ---------------------------------------------------------------------------
@@ -382,27 +466,29 @@ def _encaps_randomness(
 
 
 def kem_encaps_star(
-    pk: int,
+    pk: int | PowerTable,
     x: int,
     params: GroupParams,
     mode: KemMode = KemMode.DETERMINISTIC,
     rng: HashDrbg | None = None,
 ) -> tuple[Encapsulation, SharedKey]:
-    """Encapsulate a caller-supplied secret x under pk."""
-    if not params.contains(pk):
+    """Encapsulate a caller-supplied secret x under pk, given as an int or
+    as its power table."""
+    pk = _as_table(pk, params)
+    if not params.contains(pk.base):
         raise MalformedElementError("public key out of range")
     if not params.contains(x):
         raise MalformedElementError("secret element out of range")
-    r = _encaps_randomness(x, pk, params, mode, rng)
+    r = _encaps_randomness(x, pk.base, params, mode, rng)
     ct = Encapsulation(
-        c1=pow(params.g, r, params.p),
-        c2=(x * pow(pk, r, params.p)) % params.p,
+        c1=generator_table(params).pow(r),
+        c2=(x * pk.pow(r)) % params.p,
     )
     return ct, derive_key(x, params)
 
 
 def kem_encaps(
-    pk: int,
+    pk: int | PowerTable,
     params: GroupParams,
     mode: KemMode,
     rng: HashDrbg,

@@ -148,6 +148,26 @@ def test_transcript_roundtrip_via_cli(tmp_path, capsys):
     assert "completed" in first and "kappa=" in first
 
 
+def test_transcript_records_the_reports_trial_zero(tmp_path, capsys):
+    from saslab.harness import _trial_seed
+    from saslab.model import TRANSCRIPT_MAGIC, Model, World, run_honest, transcript_export
+
+    transcript = tmp_path / "run.bin"
+    assert run_cli(
+        "run", "--protocol", "kex3", "--ne", "8", "--trials", "2", "--seed", "5",
+        "--transcript", str(transcript),
+    ) == 0
+    capsys.readouterr()
+    config = ExperimentConfig(protocol="kex3", n_e=8, trials=2, seed=5)
+    world = World(config.kind(), config.protocol_config(), Model.AM, _trial_seed(config, 0))
+    run_honest(world)
+
+    def records(raw):
+        return json.loads(raw[len(TRANSCRIPT_MAGIC) + 4 :])["records"]
+
+    assert records(transcript.read_bytes()) == records(transcript_export(world))
+
+
 def test_replay_rejects_altered_recording(tmp_path, capsys):
     from saslab.model import TRANSCRIPT_MAGIC
 

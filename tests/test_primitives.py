@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from saslab import primitives
 from saslab.primitives import (
     BLINDER_SIZE,
     MODP2048,
@@ -13,6 +16,7 @@ from saslab.primitives import (
     KeyPair,
     MalformedElementError,
     Opening,
+    PowerTable,
     SizeError,
     commit,
     decode_fields,
@@ -20,6 +24,7 @@ from saslab.primitives import (
     encode_fields,
     entropy,
     expect_fields,
+    generator_table,
     group_by_name,
     kem_decaps,
     kem_decaps_star,
@@ -31,6 +36,8 @@ from saslab.primitives import (
     open_commitment,
     pke_decrypt,
     pke_encrypt,
+    power_table,
+    random_element,
 )
 from saslab.rng import HashDrbg
 
@@ -180,6 +187,95 @@ def test_kex_agree_rejects_malformed_elements():
     for bad in (0, 23, 24):
         with pytest.raises(MalformedElementError):
             kex_agree(a, bad, SMALL)
+
+
+# ---------------------------------------------------------------------------
+# precomputed power tables
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _tables():
+    """(params, table) pairs: toy256 at the shipped width for g and for a
+    peer key, and modp2048 at width 4, which no shipped path builds."""
+    peer = kex_keygen(TOY256, HashDrbg(30)).public
+    return (
+        (TOY256, power_table(TOY256, TOY256.g)),
+        (TOY256, power_table(TOY256, peer)),
+        (MODP2048, PowerTable(MODP2048.g, MODP2048.p, MODP2048.q.bit_length(), width=4)),
+    )
+
+
+def test_power_table_covers_the_group_exponents():
+    for params, table in _tables():
+        assert table.limit > params.q
+    # moduli above 256 bits keep the built-in pow
+    assert power_table(MODP2048, MODP2048.g).limit == 1
+
+
+@given(index=st.integers(0, 2), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_power_table_equals_pow(index, data):
+    params, table = _tables()[index]
+    e = data.draw(st.integers(min_value=-params.q, max_value=4 * table.limit - 1))
+    assert table.pow(e) == pow(table.base, e, params.p)
+
+
+def test_power_table_edge_exponents():
+    for params, table in _tables():
+        q, limit = params.q, table.limit
+        for e in (0, 1, q - 1, q, q + 1, limit - 1, limit, -1, -q):
+            assert table.pow(e) == pow(table.base, e, params.p), e
+
+
+def test_empty_power_table_hands_every_exponent_to_pow():
+    table = PowerTable(TOY256.g, TOY256.p, 0)
+    assert table.limit == 1
+    for e in (0, 1, TOY256.q, -3):
+        assert table.pow(e) == pow(TOY256.g, e, TOY256.p)
+
+
+def test_generator_table_built_once_per_modulus_and_generator(monkeypatch):
+    builds = []
+
+    def counting(params, base):
+        builds.append((params.p, base))
+        return power_table(params, base)
+
+    monkeypatch.setattr(primitives, "_GENERATOR_TABLES", {})
+    monkeypatch.setattr(primitives, "power_table", counting)
+    rng = HashDrbg(31)
+    renamed = GroupParams(p=TOY256.p, g=TOY256.g, q=TOY256.q, name="toy256-copy")
+    for params in (TOY256, renamed, SMALL):
+        pair = kex_keygen(params, rng)
+        assert pair.public == pow(params.g, pair.secret, params.p)
+        kem_keygen(params, rng)
+        random_element(params, rng)
+        kem_encaps(pair.public, params, KemMode.PROBABILISTIC, rng)
+    assert builds == [(TOY256.p, TOY256.g), (SMALL.p, SMALL.g)]
+    assert generator_table(renamed) is generator_table(TOY256)
+
+
+@pytest.mark.parametrize("mode", [KemMode.PROBABILISTIC, KemMode.DETERMINISTIC])
+def test_peer_table_gives_the_same_results_as_the_int(mode):
+    own = kex_keygen(TOY256, HashDrbg(32))
+    peer = kex_keygen(TOY256, HashDrbg(33)).public
+    table = power_table(TOY256, peer)
+    assert kex_agree(own, table, TOY256) == kex_agree(own, peer, TOY256)
+    x = random_element(TOY256, HashDrbg(34))
+    assert kem_encaps_star(table, x, TOY256, mode, HashDrbg(35)) == kem_encaps_star(
+        peer, x, TOY256, mode, HashDrbg(35)
+    )
+    assert kem_encaps(table, TOY256, mode, HashDrbg(36)) == kem_encaps(
+        peer, TOY256, mode, HashDrbg(36)
+    )
+
+
+def test_peer_table_checks_its_element_and_modulus():
+    own = kex_keygen(TOY256, HashDrbg(37))
+    with pytest.raises(MalformedElementError):
+        kex_agree(own, power_table(TOY256, 0), TOY256)
+    with pytest.raises(ValueError):
+        kex_agree(own, power_table(SMALL, 2), TOY256)
 
 
 # ---------------------------------------------------------------------------
