@@ -138,17 +138,21 @@ def _write_report(args, summaries, config, kind="experiment"):
     print(f"report written to {args.out}")
 
 
-def _config_from_args(args, strategy=None) -> ExperimentConfig:
-    trials = _parse_int_list(str(args.trials), "--trials")
-    if len(trials) != 1:
-        raise ConfigError("--trials expects a single integer here")
+def _config_from_args(args, strategy=None, n_e=None, trials=None) -> ExperimentConfig:
+    """The experiment the flags describe; n_e and trials, when given, stand
+    in for the flags (a sweep's first point)."""
+    if trials is None:
+        counts = _parse_int_list(str(args.trials), "--trials")
+        if len(counts) != 1:
+            raise ConfigError("--trials expects a single integer here")
+        trials = counts[0]
     return ExperimentConfig(
         protocol=args.protocol,
         strategy=strategy,
         group=args.group,
         kem_mode=args.kem_mode,
-        n_e=args.ne,
-        trials=trials[0],
+        n_e=args.ne if n_e is None else n_e,
+        trials=trials,
         budget=getattr(args, "budget", None),
         seed=args.seed,
         kem2_entropy=args.kem2_entropy,
@@ -206,17 +210,7 @@ def _cmd_sweep(args) -> int:
     if len(trials) == 1:
         trials = trials * len(widths)
     strategy = None if args.strategy == "honest" else args.strategy
-    base = ExperimentConfig(
-        protocol=args.protocol,
-        strategy=strategy,
-        group=args.group,
-        kem_mode=args.kem_mode,
-        n_e=widths[0],
-        trials=trials[0],
-        budget=args.budget,
-        seed=args.seed,
-        kem2_entropy=args.kem2_entropy,
-    )
+    base = _config_from_args(args, strategy, n_e=widths[0], trials=trials[0])
     summaries = sweep(base, widths, trials_per_point=trials)
     for summary in summaries:
         _print_summary(summary)

@@ -317,6 +317,10 @@ class World:
             record.log("created", kind=self.kind.value, role="responder")
             entry = _SessionEntry(machine, record)
             receiver.sessions[env.session] = entry
+        elif entry.record.status is SessionStatus.COMPLETED:
+            raise RuleViolationError(
+                f"session {env.session.label()} at {env.receiver!r} is already completed"
+            )
         entry.record.log(
             "received", seq=env.seq, sender=env.sender.decode(), modified=modified,
             **_payload_summary(payload),
@@ -364,10 +368,6 @@ class World:
         if isinstance(action, Test):
             return self.test(action.party, action.session)
         raise RuleViolationError(f"unknown action {action!r}")
-
-    # Alias for the adversary-query surface: every query goes through the
-    # same legality checks as message scheduling.
-    run_sk_query = schedule
 
     def _take(self, env: MessageEnvelope):
         try:

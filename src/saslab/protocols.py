@@ -1,9 +1,11 @@
 """Protocol state machines.
 
 Each machine implements one side (the figure's left or right column) of a
-message flow, advancing on incoming payloads and emitting outgoing ones.
-Payloads are strict TLV layouts; a schema mismatch or a rejected commitment
-opening aborts the session. Machines expose their session-entropy values and
+message flow as one straight-line generator that reads like the column:
+it yields each outgoing message with the labels it expects back, and the
+values it keeps between messages are its locals. Machine.advance drives it
+on incoming payloads. Payloads are strict TLV layouts; a schema mismatch or
+a rejected commitment opening aborts the session. Machines expose their session-entropy values and
 session key once computed; comparing entropies is the out-of-band
 verification executed by the scheduler, not by the machines.
 
@@ -52,6 +54,7 @@ from .primitives import (
     EntropyValue,
     GroupParams,
     KemMode,
+    KeyPair,
     Opening,
     REJECT,
     SharedKey,
@@ -207,7 +210,14 @@ class _Leg:
 
 
 class Machine:
-    """One party's state machine for a protocol run."""
+    """One party's side of a protocol run.
+
+    A subclass writes its side as one generator, _run(), that reads like the
+    figure's column: it yields (fields to send or None, labels expected
+    next), receives the decoded values of the next payload, and returns the
+    fields of its last message (None when the peer sends the last message).
+    Values kept between messages are the generator's locals.
+    """
 
     kind: ProtocolKind
 
@@ -232,8 +242,8 @@ class Machine:
         self.key: SharedKey | None = None
         self.delivered_message: bytes | None = None
         self._step = 0
-
-    # -- helpers -----------------------------------------------------------
+        self._flow = self._run()
+        self._expected: list[str] = []
 
     def _entropy(self, label: str, elements: list[tuple[str, bytes]]) -> None:
         receiver_side = SPECS[self.kind].entropies[label].receiver
@@ -247,13 +257,11 @@ class Machine:
         self.aborted = True
         raise ProtocolError(reason)
 
-    def _expect(self, payload: bytes, labels: list[str]) -> list[bytes]:
+    def _expect(self, payload: bytes) -> list[bytes]:
         try:
-            return expect_fields(payload, labels)
+            return expect_fields(payload, self._expected)
         except ValueError as exc:
             raise ProtocolError(f"step {self._step}: {exc}")
-
-    # -- public surface ----------------------------------------------------
 
     def advance(self, incoming: bytes | None = None) -> bytes | None:
         """Process a start signal (None) or an incoming payload.
@@ -272,34 +280,47 @@ class Machine:
         if incoming is not None and starts:
             self._fail("starting side expected a start signal")
         try:
-            out = self._advance(incoming)
+            if self._step == 0:
+                out, self._expected = next(self._flow)
+            if incoming is not None:
+                out, self._expected = self._flow.send(self._expect(incoming))
+        except StopIteration as finished:
+            out = finished.value
+            self.done = True
         except ProtocolError:
             self.aborted = True
             raise
         except ValueError as exc:  # malformed elements and oversized inputs too
             self._fail(str(exc))
         self._step += 1
-        return out
-
-    def _advance(self, incoming: bytes | None) -> bytes | None:
-        raise NotImplementedError
+        return None if out is None else encode_fields(out)
 
     def state_snapshot(self) -> dict:
-        """Ephemeral session state, as exposed by a state-reveal query."""
-        skip = {"cfg", "rng", "entropies"}
+        """Ephemeral session state, as exposed by a state-reveal query.
+
+        Holds the machine's byte and integer attributes and the locals of
+        its suspended column, with key pairs, commitments, openings and legs
+        flattened into dotted names. A column that has returned or aborted
+        holds no locals: session state is erased at completion.
+        """
         out = {"kind": self.kind.value, "side": self.side.value, "step": self._step}
-        state = dict(self.__dict__)
-        for name, value in self.__dict__.items():
-            if isinstance(value, _Leg):
-                state.update((f"{name}.{k}", v) for k, v in vars(value).items())
+        state = dict(vars(self))
+        if self._flow.gi_frame is not None:
+            state.update(self._flow.gi_frame.f_locals)
         for name, value in state.items():
-            if name in skip or name in out:
-                continue
-            if isinstance(value, bytes):
-                out[name] = value.hex()
-            elif isinstance(value, int) and not isinstance(value, bool):
-                out[name] = hex(value)
+            if name not in out:
+                _reveal(name, value, out)
         return out
+
+
+def _reveal(name: str, value, out: dict) -> None:
+    if isinstance(value, bytes):
+        out[name] = value.hex()
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out[name] = hex(value)
+    elif isinstance(value, (KeyPair, Commitment, Opening, _Leg)):
+        for key, inner in vars(value).items():
+            _reveal(f"{name}.{key}", inner, out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +332,19 @@ class MtAuthMachine(Machine):
 
     kind = ProtocolKind.MT_AUTH
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._leg = _Leg()
-
-    def _advance(self, incoming):
-        if self._step == 0:
-            if self.side is Side.A:
-                m = self.message if self.message is not None else self.rng.randbytes(NONCE_SIZE)
-                return encode_fields([self._leg.commit(m, self.rng)])
-            (raw_c,) = self._expect(incoming, ["com"])
-            return encode_fields([self._leg.challenge(raw_c, self.rng)])
-        out = None
+    def _run(self):
+        leg = _Leg()
         if self.side is Side.A:
-            (raw_n,) = self._expect(incoming, ["chal"])
-            out = encode_fields([self._leg.open(raw_n)])
+            m = self.message if self.message is not None else self.rng.randbytes(NONCE_SIZE)
+            (nonce,) = yield [leg.commit(m, self.rng)], ["chal"]
+            out = [leg.open(nonce)]
         else:
-            (raw_d,) = self._expect(incoming, ["open"])
-            self.delivered_message = self._leg.receive(raw_d)
-        self._entropy("E_A", self._leg.elements())
-        self.key = message_key(self._leg.value)
-        self.done = True
+            (raw_c,) = yield None, ["com"]
+            (raw_d,) = yield [leg.challenge(raw_c, self.rng)], ["open"]
+            self.delivered_message = leg.receive(raw_d)
+            out = None
+        self._entropy("E_A", leg.elements())
+        self.key = message_key(leg.value)
         return out
 
 
@@ -342,25 +355,23 @@ class MtAuthMachine(Machine):
 class Kex2Machine(Machine):
     kind = ProtocolKind.KEX2
 
-    def _advance(self, incoming):
+    def _run(self):
         g = self.cfg.group
         if self.side is Side.A:
-            if self._step == 0:
-                self._pair = kex_keygen(g, self.rng)
-                return encode_fields([("pka", g.encode_element(self._pair.public))])
-            (raw,) = self._expect(incoming, ["pkb"])
-            self.key = kex_agree(self._pair, g.decode_element(raw), g)
-            self._entropy("E", kex2_elements(g.encode_element(self._pair.public), raw, self.key))
-            self.done = True
-            return None
-        (raw,) = self._expect(incoming, ["pka"])
-        pka = g.decode_element(raw)
-        self._pair = kex_keygen(g, self.rng)
-        pkb = g.encode_element(self._pair.public)
-        self.key = kex_agree(self._pair, pka, g)
-        self._entropy("E", kex2_elements(raw, pkb, self.key))
-        self.done = True
-        return encode_fields([("pkb", pkb)])
+            pair = kex_keygen(g, self.rng)
+            pka = g.encode_element(pair.public)
+            (pkb,) = yield [("pka", pka)], ["pkb"]
+            self.key = kex_agree(pair, g.decode_element(pkb), g)
+            out = None
+        else:
+            (pka,) = yield None, ["pka"]
+            peer = g.decode_element(pka)
+            pair = kex_keygen(g, self.rng)
+            pkb = g.encode_element(pair.public)
+            self.key = kex_agree(pair, peer, g)
+            out = [("pkb", pkb)]
+        self._entropy("E", kex2_elements(pka, pkb, self.key))
+        return out
 
 
 class Kex3Machine(Machine):
@@ -368,33 +379,26 @@ class Kex3Machine(Machine):
 
     kind = ProtocolKind.KEX3
 
-    def _kex3_entropy(self, pka: bytes, pkb: bytes):
-        self._entropy("E_B", [("pka", pka), ("pkb", pkb), ("com", self._c.digest)])
-
-    def _advance(self, incoming):
+    def _run(self):
         g = self.cfg.group
         if self.side is Side.B:
-            if self._step == 0:
-                self._pair = kex_keygen(g, self.rng)
-                self._c, self._d = commit(g.encode_element(self._pair.public), self.rng)
-                return encode_fields([("com", self._c.encode())])
-            (raw,) = self._expect(incoming, ["pka"])
-            self.key = kex_agree(self._pair, g.decode_element(raw), g)
-            self._kex3_entropy(raw, g.encode_element(self._pair.public))
-            self.done = True
-            return encode_fields([("open", self._d.encode())])
-        # Side.A
-        if self._step == 0:
-            (raw_c,) = self._expect(incoming, ["com"])
-            self._c = Commitment(raw_c)
-            self._pair = kex_keygen(g, self.rng)
-            return encode_fields([("pka", g.encode_element(self._pair.public))])
-        (raw_d,) = self._expect(incoming, ["open"])
-        pkb = _open(self._c, raw_d)
-        self.key = kex_agree(self._pair, g.decode_element(pkb), g)
-        self._kex3_entropy(g.encode_element(self._pair.public), pkb)
-        self.done = True
-        return None
+            pair = kex_keygen(g, self.rng)
+            pkb = g.encode_element(pair.public)
+            c, d = commit(pkb, self.rng)
+            (pka,) = yield [("com", c.encode())], ["pka"]
+            self.key = kex_agree(pair, g.decode_element(pka), g)
+            out = [("open", d.encode())]
+        else:
+            (raw_c,) = yield None, ["com"]
+            c = Commitment(raw_c)
+            pair = kex_keygen(g, self.rng)
+            pka = g.encode_element(pair.public)
+            (raw_d,) = yield [("pka", pka)], ["open"]
+            pkb = _open(c, raw_d)
+            self.key = kex_agree(pair, g.decode_element(pkb), g)
+            out = None
+        self._entropy("E_B", [("pka", pka), ("pkb", pkb), ("com", c.digest)])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +408,21 @@ class Kex3Machine(Machine):
 class Kem2Machine(Machine):
     kind = ProtocolKind.KEM2
 
-    def _advance(self, incoming):
+    def _run(self):
         g = self.cfg.group
         if self.side is Side.A:
-            if self._step == 0:
-                self._pair = kem_keygen(g, self.rng)
-                return encode_fields([("pk", g.encode_element(self._pair.public))])
-            (raw,) = self._expect(incoming, ["ct"])
-            self.key = kem_decaps(self._pair.secret, Encapsulation.decode(raw, g), g)
-            pk = g.encode_element(self._pair.public)
-            self._entropy("E", kem2_elements(self.cfg, pk, raw, self.key))
-            self.done = True
-            return None
-        (raw,) = self._expect(incoming, ["pk"])
-        pk = g.decode_element(raw)
-        ct, self.key, self._x = kem_encaps(pk, g, self.cfg.kem_mode, self.rng)
-        ct_raw = ct.encode(g)
-        self._entropy("E", kem2_elements(self.cfg, raw, ct_raw, self.key))
-        self.done = True
-        return encode_fields([("ct", ct_raw)])
+            pair = kem_keygen(g, self.rng)
+            pk = g.encode_element(pair.public)
+            (ct,) = yield [("pk", pk)], ["ct"]
+            self.key = kem_decaps(pair.secret, Encapsulation.decode(ct, g), g)
+            out = None
+        else:
+            (pk,) = yield None, ["pk"]
+            encap, self.key, _ = kem_encaps(g.decode_element(pk), g, self.cfg.kem_mode, self.rng)
+            ct = encap.encode(g)
+            out = [("ct", ct)]
+        self._entropy("E", kem2_elements(self.cfg, pk, ct, self.key))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,39 +434,27 @@ class Kem3TwoEntropyMachine(Machine):
 
     kind = ProtocolKind.KEM3_TWO_ENTROPY
 
-    def _entropy_pair(self, n: bytes, pk: int, ct: Encapsulation):
-        g = self.cfg.group
-        self._entropy(
-            "E_B1",
-            [("nonce", n), ("pk", g.encode_element(pk)), ("com", self._c.digest)],
-        )
-        self._entropy("E_B2", [("ct", ct.encode(g)), ("key", self.key.key)])
-
-    def _advance(self, incoming):
+    def _run(self):
         g = self.cfg.group
         if self.side is Side.B:
-            if self._step == 0:
-                self._n = self.rng.randbytes(NONCE_SIZE)
-                self._c, self._d = commit(self._n, self.rng)
-                return encode_fields([("com", self._c.encode())])
-            (raw,) = self._expect(incoming, ["pk"])
-            pk = g.decode_element(raw)
-            ct, self.key, _ = kem_encaps(pk, g, self.cfg.kem_mode, self.rng)
-            self._entropy_pair(self._n, pk, ct)
-            self.done = True
-            return encode_fields([("ct", ct.encode(g)), ("open", self._d.encode())])
-        # Side.A
-        if self._step == 0:
-            (raw_c,) = self._expect(incoming, ["com"])
-            self._c = Commitment(raw_c)
-            self._pair = kem_keygen(g, self.rng)
-            return encode_fields([("pk", g.encode_element(self._pair.public))])
-        raw_ct, raw_d = self._expect(incoming, ["ct", "open"])
-        ct = Encapsulation.decode(raw_ct, g)
-        self.key = kem_decaps(self._pair.secret, ct, g)
-        self._entropy_pair(_open(self._c, raw_d), self._pair.public, ct)
-        self.done = True
-        return None
+            n = self.rng.randbytes(NONCE_SIZE)
+            c, d = commit(n, self.rng)
+            (pk,) = yield [("com", c.encode())], ["pk"]
+            encap, self.key, _ = kem_encaps(g.decode_element(pk), g, self.cfg.kem_mode, self.rng)
+            ct = encap.encode(g)
+            out = [("ct", ct), ("open", d.encode())]
+        else:
+            (raw_c,) = yield None, ["com"]
+            c = Commitment(raw_c)
+            pair = kem_keygen(g, self.rng)
+            pk = g.encode_element(pair.public)
+            ct, raw_d = yield [("pk", pk)], ["ct", "open"]
+            self.key = kem_decaps(pair.secret, Encapsulation.decode(ct, g), g)
+            n = _open(c, raw_d)
+            out = None
+        self._entropy("E_B1", [("nonce", n), ("pk", pk), ("com", c.digest)])
+        self._entropy("E_B2", [("ct", ct), ("key", self.key.key)])
+        return out
 
 
 class Kem3CommitMachine(Machine):
@@ -479,121 +467,71 @@ class Kem3CommitMachine(Machine):
 
     kind = ProtocolKind.KEM3_COMMIT
 
-    def _commit_entropy(self, pk: int):
-        g = self.cfg.group
-        self._entropy(
-            "E",
-            [("pk", g.encode_element(pk)), ("com", self._c.digest), ("key", self.key.key)],
-        )
-
-    def _advance(self, incoming):
+    def _run(self):
         g = self.cfg.group
         if self.side is Side.B:
-            if self._step == 0:
-                self._x = random_element(g, self.rng)
-                self._c, self._d = commit(g.encode_element(self._x), self.rng)
-                return encode_fields([("com", self._c.encode())])
-            (raw,) = self._expect(incoming, ["pk"])
-            pk = g.decode_element(raw)
-            ct, self.key = kem_encaps_star(pk, self._x, g, self.cfg.kem_mode, self.rng)
-            ct_d = pke_encrypt(pk, g, self._d.blinder, self.rng)
-            self._commit_entropy(pk)
-            self.done = True
-            return encode_fields([("ct", ct.encode(g)), ("ctd", ct_d)])
-        # Side.A
-        if self._step == 0:
-            (raw_c,) = self._expect(incoming, ["com"])
-            self._c = Commitment(raw_c)
-            self._pair = kem_keygen(g, self.rng)
-            return encode_fields([("pk", g.encode_element(self._pair.public))])
-        raw_ct, raw_ctd = self._expect(incoming, ["ct", "ctd"])
-        blinder = pke_decrypt(self._pair.secret, g, raw_ctd)
-        ct = Encapsulation.decode(raw_ct, g)
-        x, self.key = kem_decaps_star(self._pair.secret, ct, g)
-        if len(blinder) != 32:
-            raise ProtocolError("recovered blinder has wrong length")
-        reopened = open_commitment(self._c, Opening(g.encode_element(x), blinder))
-        if reopened is REJECT:
-            raise ProtocolError("decapsulated secret does not reopen the commitment")
-        self._commit_entropy(self._pair.public)
-        self.done = True
-        return None
+            x = random_element(g, self.rng)
+            c, d = commit(g.encode_element(x), self.rng)
+            (pk,) = yield [("com", c.encode())], ["pk"]
+            peer = g.decode_element(pk)
+            encap, self.key = kem_encaps_star(peer, x, g, self.cfg.kem_mode, self.rng)
+            ctd = pke_encrypt(peer, g, d.blinder, self.rng)
+            out = [("ct", encap.encode(g)), ("ctd", ctd)]
+        else:
+            (raw_c,) = yield None, ["com"]
+            c = Commitment(raw_c)
+            pair = kem_keygen(g, self.rng)
+            pk = g.encode_element(pair.public)
+            ct, ctd = yield [("pk", pk)], ["ct", "ctd"]
+            blinder = pke_decrypt(pair.secret, g, ctd)
+            x, self.key = kem_decaps_star(pair.secret, Encapsulation.decode(ct, g), g)
+            if len(blinder) != 32:
+                raise ProtocolError("recovered blinder has wrong length")
+            if open_commitment(c, Opening(g.encode_element(x), blinder)) is REJECT:
+                raise ProtocolError("decapsulated secret does not reopen the commitment")
+            out = None
+        self._entropy("E", [("pk", pk), ("com", c.digest), ("key", self.key.key)])
+        return out
 
 
 # ---------------------------------------------------------------------------
 # kem4 / kem6: two transfer legs, of a fresh value m from A (the public key
-# riding alongside in clear) and of the encapsulation from B
+# riding alongside in clear) and of the encapsulation from B; they differ
+# only in which leg steps travel together in one wire message
 # ---------------------------------------------------------------------------
 
-class _KemLegs(Machine):
-    """The steps kem4 and kem6 share; they differ only in which steps
-    travel together in one wire message."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._m_leg, self._ct_leg = _Leg("_m", "_b"), _Leg("_ct", "_a")
-
-    def _send_pk(self) -> list[tuple[str, bytes]]:
-        """A: key pair, and a commitment to a fresh m to authenticate it."""
-        g = self.cfg.group
-        self._pair = kem_keygen(g, self.rng)
-        self._pk_raw = g.encode_element(self._pair.public)
-        m = self.rng.randbytes(NONCE_SIZE)
-        return [("pk", self._pk_raw), self._m_leg.commit(m, self.rng)]
-
-    def _receive_pk(self, incoming: bytes) -> tuple[str, bytes]:
-        """B: take the public key and challenge the commitment to m."""
-        self._pk_raw, raw_cm = self._expect(incoming, ["pk", "com_m"])
-        self._pk = self.cfg.group.decode_element(self._pk_raw)
-        return self._m_leg.challenge(raw_cm, self.rng)
-
-    def _m_entropy(self) -> None:
-        self._entropy("E_A", self._m_leg.elements(("pk", self._pk_raw)))
-
-    def _encapsulate(self) -> tuple[str, bytes]:
-        """B: encapsulate under the received key and commit to the result."""
-        g = self.cfg.group
-        ct, self.key, _ = kem_encaps(self._pk, g, self.cfg.kem_mode, self.rng)
-        return self._ct_leg.commit(ct.encode(g), self.rng)
-
-    def _finish(self) -> None:
-        self._entropy("E_B", self._ct_leg.elements())
-        self.done = True
-
-    def _decapsulate(self, incoming: bytes) -> None:
-        """A, last step: open the encapsulation and derive the key."""
-        g = self.cfg.group
-        (raw_dct,) = self._expect(incoming, ["open_ct"])
-        ct = Encapsulation.decode(self._ct_leg.receive(raw_dct), g)
-        self.key = kem_decaps(self._pair.secret, ct, g)
-        self._finish()
-
-
-class Kem4Machine(_KemLegs):
+class Kem4Machine(Machine):
     """Each leg's challenge rides with the other leg's commit or open."""
 
     kind = ProtocolKind.KEM4
 
-    def _advance(self, incoming):
+    def _run(self):
+        g = self.cfg.group
+        m_leg, ct_leg = _Leg("_m", "_b"), _Leg("_ct", "_a")
         if self.side is Side.A:
-            if self._step == 0:
-                return encode_fields(self._send_pk())
-            if self._step == 1:
-                raw_cct, raw_nb = self._expect(incoming, ["com_ct", "chal_b"])
-                chal = self._ct_leg.challenge(raw_cct, self.rng)
-                opening = self._m_leg.open(raw_nb)
-                self._m_entropy()
-                return encode_fields([opening, chal])
-            return self._decapsulate(incoming)
-        if self._step == 0:
-            chal = self._receive_pk(incoming)
-            return encode_fields([self._encapsulate(), chal])
-        raw_dm, raw_na = self._expect(incoming, ["open_m", "chal_a"])
-        self._m_leg.receive(raw_dm)
-        self._m_entropy()
-        opening = self._ct_leg.open(raw_na)
-        self._finish()
-        return encode_fields([opening])
+            pair = kem_keygen(g, self.rng)
+            pk = g.encode_element(pair.public)
+            com_m = m_leg.commit(self.rng.randbytes(NONCE_SIZE), self.rng)
+            raw_cct, nonce_b = yield [("pk", pk), com_m], ["com_ct", "chal_b"]
+            chal_a = ct_leg.challenge(raw_cct, self.rng)
+            open_m = m_leg.open(nonce_b)
+            self._entropy("E_A", m_leg.elements(("pk", pk)))
+            (raw_dct,) = yield [open_m, chal_a], ["open_ct"]
+            encap = Encapsulation.decode(ct_leg.receive(raw_dct), g)
+            self.key = kem_decaps(pair.secret, encap, g)
+            out = None
+        else:
+            pk, raw_cm = yield None, ["pk", "com_m"]
+            peer = g.decode_element(pk)
+            chal_b = m_leg.challenge(raw_cm, self.rng)
+            encap, self.key, _ = kem_encaps(peer, g, self.cfg.kem_mode, self.rng)
+            com_ct = ct_leg.commit(encap.encode(g), self.rng)
+            raw_dm, nonce_a = yield [com_ct, chal_b], ["open_m", "chal_a"]
+            m_leg.receive(raw_dm)
+            self._entropy("E_A", m_leg.elements(("pk", pk)))
+            out = [ct_leg.open(nonce_a)]
+        self._entropy("E_B", ct_leg.elements())
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -608,38 +546,40 @@ class CompiledProtocol:
     build: Callable[..., Machine] = field(repr=False)
 
 
-class _CompiledKem2Machine(_KemLegs):
+class _CompiledKem2Machine(Machine):
     """One leg per kem2 message, three wire messages each: the public key
     rides the first leg in clear, folded into that leg's entropy, and the
     encapsulation is the value of the second."""
 
     kind = ProtocolKind.KEM6
 
-    def _advance(self, incoming):
+    def _run(self):
+        g = self.cfg.group
+        m_leg, ct_leg = _Leg("_m", "_b"), _Leg("_ct", "_a")
         if self.side is Side.A:
-            if self._step == 0:
-                return encode_fields(self._send_pk())
-            if self._step == 1:
-                (raw_nb,) = self._expect(incoming, ["chal_b"])
-                opening = self._m_leg.open(raw_nb)
-                self._m_entropy()
-                return encode_fields([opening])
-            if self._step == 2:
-                (raw_cct,) = self._expect(incoming, ["com_ct"])
-                return encode_fields([self._ct_leg.challenge(raw_cct, self.rng)])
-            return self._decapsulate(incoming)
-        if self._step == 0:
-            return encode_fields([self._receive_pk(incoming)])
-        if self._step == 1:
-            (raw_dm,) = self._expect(incoming, ["open_m"])
-            self._m_leg.receive(raw_dm)
-            self._m_entropy()
+            pair = kem_keygen(g, self.rng)
+            pk = g.encode_element(pair.public)
+            com_m = m_leg.commit(self.rng.randbytes(NONCE_SIZE), self.rng)
+            (nonce_b,) = yield [("pk", pk), com_m], ["chal_b"]
+            open_m = m_leg.open(nonce_b)
+            self._entropy("E_A", m_leg.elements(("pk", pk)))
+            (raw_cct,) = yield [open_m], ["com_ct"]
+            (raw_dct,) = yield [ct_leg.challenge(raw_cct, self.rng)], ["open_ct"]
+            encap = Encapsulation.decode(ct_leg.receive(raw_dct), g)
+            self.key = kem_decaps(pair.secret, encap, g)
+            out = None
+        else:
+            pk, raw_cm = yield None, ["pk", "com_m"]
+            peer = g.decode_element(pk)
+            (raw_dm,) = yield [m_leg.challenge(raw_cm, self.rng)], ["open_m"]
+            m_leg.receive(raw_dm)
+            self._entropy("E_A", m_leg.elements(("pk", pk)))
             # leg 1 delivered: the inner protocol replies, leg 2 wraps it
-            return encode_fields([self._encapsulate()])
-        (raw_na,) = self._expect(incoming, ["chal_a"])
-        opening = self._ct_leg.open(raw_na)
-        self._finish()
-        return encode_fields([opening])
+            encap, self.key, _ = kem_encaps(peer, g, self.cfg.kem_mode, self.rng)
+            (nonce_a,) = yield [ct_leg.commit(encap.encode(g), self.rng)], ["chal_a"]
+            out = [ct_leg.open(nonce_a)]
+        self._entropy("E_B", ct_leg.elements())
+        return out
 
 
 def compile_mt(inner: ProtocolKind) -> CompiledProtocol:

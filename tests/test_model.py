@@ -160,53 +160,66 @@ def completed_session(seed=6):
 def test_reveal_key_returns_kappa_and_logs():
     world, sid = completed_session()
     record = world.session_record(b"alice", sid)
-    key = world.run_sk_query(RevealKey(b"alice", sid))
+    key = world.schedule(RevealKey(b"alice", sid))
     assert key.key == record.kappa
     assert "key-revealed" in record.event_types()
 
 
 def test_reveal_state_returns_snapshot():
     world, sid = completed_session()
-    state = world.run_sk_query(RevealState(b"bob", sid))
+    state = world.schedule(RevealState(b"bob", sid))
     assert state["kind"] == "kex3"
     assert "state-revealed" in world.session_record(b"bob", sid).event_types()
 
 
 def test_expire_deletes_key():
     world, sid = completed_session()
-    world.run_sk_query(Expire(b"alice", sid))
+    world.schedule(Expire(b"alice", sid))
     with pytest.raises(RuleViolationError):
-        world.run_sk_query(RevealKey(b"alice", sid))
+        world.schedule(RevealKey(b"alice", sid))
     assert "expired" in world.session_record(b"alice", sid).event_types()
+
+
+def test_late_message_leaves_a_completed_session_alone():
+    world = make_world(kind=ProtocolKind.KEX2, model=Model.UM, seed=10)
+    init, _ = run_honest(world)
+    sid = init.session
+    events = list(init.events)
+    late = MessageEnvelope(b"bob", b"alice", sid, 9, b"junk")
+    with pytest.raises(RuleViolationError):
+        world.schedule(Inject(late))
+    assert init.status is SessionStatus.COMPLETED
+    assert init.kappa == world.parties[b"alice"].live_keys[sid].key
+    assert init.events == events
 
 
 def test_test_query_returns_a_key_once():
     world, sid = completed_session()
-    key = world.run_sk_query(Test(b"alice", sid))
+    key = world.schedule(Test(b"alice", sid))
     assert len(key.key) == 32
     with pytest.raises(RuleViolationError):
-        world.run_sk_query(Test(b"bob", sid))
+        world.schedule(Test(b"bob", sid))
 
 
 def test_test_query_disqualified_by_reveal():
     world, sid = completed_session()
-    world.run_sk_query(RevealKey(b"alice", sid))
+    world.schedule(RevealKey(b"alice", sid))
     with pytest.raises(RuleViolationError):
-        world.run_sk_query(Test(b"alice", sid))
+        world.schedule(Test(b"alice", sid))
 
 
 def test_test_query_disqualified_by_corruption():
     world, sid = completed_session()
-    world.run_sk_query(Corrupt(b"bob"))
+    world.schedule(Corrupt(b"bob"))
     with pytest.raises(RuleViolationError):
-        world.run_sk_query(Test(b"alice", sid))
+        world.schedule(Test(b"alice", sid))
 
 
 def test_test_query_requires_completed_session():
     world = make_world(kind=ProtocolKind.KEX2, seed=8)
     sid = world.start_session(b"alice", b"bob")
     with pytest.raises(RuleViolationError):
-        world.run_sk_query(Test(b"alice", sid))
+        world.schedule(Test(b"alice", sid))
 
 
 def test_challenge_bit_behaviour_is_seed_determined():
@@ -214,8 +227,8 @@ def test_challenge_bit_behaviour_is_seed_determined():
     # returns the live key or always a fresh uniform key.
     world1, sid1 = completed_session(seed=9)
     world2, sid2 = completed_session(seed=9)
-    k1 = world1.run_sk_query(Test(b"alice", sid1))
-    k2 = world2.run_sk_query(Test(b"alice", sid2))
+    k1 = world1.schedule(Test(b"alice", sid1))
+    k2 = world2.schedule(Test(b"alice", sid2))
     assert k1 == k2
     real = world1.session_record(b"alice", sid1).kappa
     assert (k1.key == real) == (world1._challenge_bit == 1)

@@ -1,5 +1,7 @@
 import pytest
 
+from saslab import protocols
+from saslab.attacks import DEFENDED_KINDS
 from saslab.model import Model, SessionStatus, World, run_honest
 from saslab.primitives import (
     GroupParams,
@@ -7,6 +9,7 @@ from saslab.primitives import (
     derive_key,
     encode_fields,
     entropy,
+    expect_fields,
 )
 from saslab.protocols import (
     SPECS,
@@ -275,12 +278,7 @@ def test_commitment_precedes_opening_in_transcripts(kind):
 def test_entropy_input_discipline():
     # main entropy values never depend on anything first fixed by the final
     # message; derived keys and locally held values are the only exceptions
-    for kind in (
-        ProtocolKind.KEX3,
-        ProtocolKind.KEM3_TWO_ENTROPY,
-        ProtocolKind.KEM3_COMMIT,
-        ProtocolKind.KEM4,
-    ):
+    for kind in DEFENDED_KINDS:
         final = SPECS[kind].message_count
         for label, info in SPECS[kind].entropies.items():
             if not info.main:
@@ -291,19 +289,43 @@ def test_entropy_input_discipline():
                 assert origin < final, (kind, label, element)
 
 
-def test_entropy_receiver_metadata_covers_all_kinds():
-    # every kind declares its entropy values, and an honest run computes
-    # exactly the declared ones
+def test_entropy_receiver_metadata_covers_all_kinds(monkeypatch):
+    # every kind declares its entropy values, an honest run computes exactly
+    # the declared ones, and each value hashes exactly its declared elements
+    real = protocols.entropy
+    hashed = {}
+
+    def recording(receiver, elements, n_e):
+        value = real(receiver, elements, n_e)
+        hashed[id(value)] = [label for label, _ in elements]
+        return value
+
+    monkeypatch.setattr(protocols, "entropy", recording)
     for kind in ALL_KINDS:
         assert kind in SPECS and SPECS[kind].entropies
         a, b, _ = drive_pair(kind, ProtocolConfig())
         assert set(a.entropies) == set(b.entropies) == set(SPECS[kind].entropies)
+        for machine in (a, b):
+            for label, value in machine.entropies.items():
+                declared = list(SPECS[kind].entropies[label].elements)
+                assert hashed[id(value)] == declared, (kind, machine.side, label)
 
 
 def test_state_snapshot_redacts_nothing_needed():
-    a = build_machine(
-        ProtocolKind.KEX2, ProtocolConfig(), Side.A, b"alice", b"bob", HashDrbg(25)
-    )
-    a.advance(None)
+    # the suspended side exposes its ephemeral secret; a finished one nothing
+    cfg = ProtocolConfig()
+    g = cfg.group
+    a = build_machine(ProtocolKind.KEX2, cfg, Side.A, b"alice", b"bob", HashDrbg(25))
+    b = build_machine(ProtocolKind.KEX2, cfg, Side.B, b"bob", b"alice", HashDrbg(26))
+    first = a.advance(None)
+    (pka,) = expect_fields(first, ["pka"])
+
+    def secrets(snapshot):
+        ints = [int(v, 16) for v in snapshot.values() if str(v).startswith("0x")]
+        return [s for s in ints if pow(g.g, s, g.p) == g.decode_element(pka)]
+
     snapshot = a.state_snapshot()
     assert snapshot["kind"] == "kex2" and snapshot["step"] == 1
+    assert secrets(snapshot)
+    a.advance(b.advance(first))
+    assert a.done and not secrets(a.state_snapshot())
