@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .primitives import SUITE_HEADER, SharedKey, decode_fields, group_by_name
@@ -100,7 +101,14 @@ class SessionStatus(Enum):
 @dataclass
 class SessionRecord:
     """A party's local view of one session: (P_i, P_j, s, key) plus status,
-    entropies, and an ordered event log."""
+    entropies, and an ordered event log.
+
+    `log` keeps each event's name, details and, for "sent" and "received",
+    the raw payload. The payload's summary (labels, digest, size) is computed
+    when `events` is first read, and each event dict is built once: bulk
+    trials that never read the log never pay for it. Equality and repr cover
+    the raw log, so they do not depend on whether it has been read.
+    """
 
     parties: tuple[bytes, bytes]  # (self, peer)
     session: SessionId
@@ -108,13 +116,23 @@ class SessionRecord:
     status: SessionStatus = SessionStatus.IN_PROCESS
     kappa: Optional[bytes] = None
     entropies: dict = field(default_factory=dict)
-    events: list = field(default_factory=list)
+    _log: list = field(default_factory=list, init=False)  # (event, details, payload)
+    _events: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def log(self, event: str, **details):
-        self.events.append({"index": len(self.events), "event": event, **details})
+    def log(self, event: str, payload: bytes | None = None, **details):
+        self._log.append((event, details, payload))
+
+    @property
+    def events(self) -> list[dict]:
+        for event, details, payload in self._log[len(self._events):]:
+            summary = _payload_summary(payload) if payload is not None else {}
+            self._events.append(
+                {"index": len(self._events), "event": event, **details, **summary}
+            )
+        return self._events
 
     def event_types(self) -> list[str]:
-        return [e["event"] for e in self.events]
+        return [event for event, _, _ in self._log]
 
 
 @dataclass
@@ -240,13 +258,26 @@ class World:
             name: _Party(name, HashDrbg(derive_seed(seed, b"party", name)))
             for name in self.party_names
         }
-        self.adversary_rng = HashDrbg(derive_seed(seed, b"adversary"))
         self._sid_rng = HashDrbg(derive_seed(seed, b"session"))
-        self._hidden_rng = HashDrbg(derive_seed(seed, b"challenge"))
-        self._challenge_bit = self._hidden_rng.randbit()
         self._test_used = False
         self.undelivered: list[MessageEnvelope] = []
         self._seq: dict[tuple[SessionId, bytes], int] = {}
+
+    # Built on first use, once per world: honest and redirect trials never
+    # draw from these. Each stream depends on (seed, label) alone, so it
+    # draws the same bytes whenever it is built.
+
+    @cached_property
+    def adversary_rng(self) -> HashDrbg:
+        return HashDrbg(derive_seed(self.seed, b"adversary"))
+
+    @cached_property
+    def _hidden_rng(self) -> HashDrbg:
+        return HashDrbg(derive_seed(self.seed, b"challenge"))
+
+    @cached_property
+    def _challenge_bit(self) -> int:
+        return self._hidden_rng.randbit()
 
     # -- session management --------------------------------------------------
 
@@ -294,7 +325,7 @@ class World:
         self._seq[key] = seq + 1
         env = MessageEnvelope(sender, receiver, sid, seq, payload)
         self.undelivered.append(env)
-        record.log("sent", seq=seq, **_payload_summary(payload))
+        record.log("sent", payload, seq=seq)
         return env
 
     def _receive(self, env: MessageEnvelope, payload: bytes, modified: bool):
@@ -322,8 +353,7 @@ class World:
                 f"session {env.session.label()} at {env.receiver!r} is already completed"
             )
         entry.record.log(
-            "received", seq=env.seq, sender=env.sender.decode(), modified=modified,
-            **_payload_summary(payload),
+            "received", payload, seq=env.seq, sender=env.sender.decode(), modified=modified
         )
         try:
             out = entry.machine.advance(payload)

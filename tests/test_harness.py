@@ -94,6 +94,30 @@ def test_parallel_matches_serial_for_every_strategy(strategy):
     assert serial.to_dict() == parallel.to_dict()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(protocol="mt-auth"),
+        dict(protocol="mt-auth", strategy="redirect"),
+        dict(protocol="kem4", strategy="random-forge"),
+    ],
+    ids=["mt-auth-honest", "mt-auth-redirect", "kem4-random-forge"],
+)
+def test_bulk_trials_build_no_payload_summaries(fields, monkeypatch):
+    # a trial reads only (success, iterations), so it must never summarise
+    # a logged message
+    config = ExperimentConfig(n_e=8, trials=4, seed=7, **fields)
+    expected = build_report([run_experiment(config)], config=config)["content_sha256"]
+
+    def refuse(payload):
+        raise AssertionError("a bulk trial summarised a logged message")
+
+    monkeypatch.setattr("saslab.model._payload_summary", refuse)
+    summary = run_experiment(config)
+    assert summary.trials == 4
+    assert build_report([summary], config=config)["content_sha256"] == expected
+
+
 def test_report_bytes_reproducible():
     config = ExperimentConfig(protocol="kem2", strategy="kem2-replica", n_e=8, trials=10, seed=9)
     a = build_report([run_experiment(config)], config=config)

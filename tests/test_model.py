@@ -271,6 +271,59 @@ def test_completion_soundness():
             )
 
 
+def _run_kem6_in_steps(seed, read):
+    world = make_world(kind=ProtocolKind.KEM6, model=Model.UM, seed=seed)
+    sid = world.start_session(b"alice", b"bob")
+    while world.undelivered:
+        world.schedule(Deliver(world.undelivered[0]))
+        if read:
+            for record in world.records():
+                record.events
+    world.i_f_verify(b"alice", sid, b"bob", sid)
+    world.schedule(RevealKey(b"bob", sid))
+    return world
+
+
+def test_incremental_reads_give_one_log():
+    read = _run_kem6_in_steps(seed=15, read=True)
+    unread = _run_kem6_in_steps(seed=15, read=False)
+    assert read.records() == unread.records()
+    assert repr(read.records()) == repr(unread.records())
+    for record, fresh in zip(read.records(), unread.records()):
+        events = record.events
+        assert events == fresh.events
+        assert [e["index"] for e in events] == list(range(len(events)))
+        assert record.event_types() == [e["event"] for e in events]
+    sent = [e for e in read.records()[0].events if e["event"] == "sent"]
+    assert sent and set(sent[0]) == {"index", "event", "seq", "labels", "digest", "size"}
+
+
+# computed before the streams were made lazy: (seed, key Test returns, bit)
+TEST_QUERY_PINS = [
+    (9, "2050c20f9ac203d70e7f016556c15b9bff5d31a1904588752f5bedd141c390e3", 1),
+    (10, "09181630b1314ed96ec35ff087a5b0f278a852bc3721f35eec653ec0552a8823", 1),
+    (11, "4444c180cc3d007e625a525ebd92f394175d85a27bb43d52c7de09aedee0528c", 0),
+]
+ADVERSARY_BYTES_SEED_7 = (
+    "4d8104962827473e646bdbb1d1284014681f895bc79d030661e908558b3cdcdd"
+    "522bc8bf10e19fec35ff55750cfe032ee1d01c4a5a7eca6f55d384dc7cd6f3c0"
+)
+
+
+@pytest.mark.parametrize("seed, key, bit", TEST_QUERY_PINS)
+def test_lazy_challenge_stream_draws_the_same_bytes(seed, key, bit):
+    world, sid = completed_session(seed=seed)
+    assert world.schedule(Test(b"alice", sid)).key.hex() == key
+    assert world._challenge_bit == bit
+
+
+def test_lazy_adversary_stream_draws_the_same_bytes():
+    world = make_world(kind=ProtocolKind.KEX2, model=Model.UM, seed=7)
+    view = AdversaryView(world)
+    assert view.rng is view.rng  # one stream per world, not one per access
+    assert view.rng.randbytes(32).hex() + view.rng.randbytes(32).hex() == ADVERSARY_BYTES_SEED_7
+
+
 # ---------------------------------------------------------------------------
 # adversary view facade
 # ---------------------------------------------------------------------------
