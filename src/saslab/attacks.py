@@ -12,8 +12,8 @@ Two families:
                    only at the residual n_e-bit collision rate
 
 Each strategy is declared once, in STRATEGIES: its targets, trial runner,
-success criterion, parties, and the rule that labels a combination defended
-or a demonstration.
+parties, and the rule that labels a combination defended or a
+demonstration.
 
 Every adversarial decision is made through the AdversaryView facade, i.e.
 from wire traffic, public parameters, and values the attacker computed
@@ -25,16 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable
 
-from .model import AdversaryView, MessageEnvelope, Model, SessionId, SessionStatus, World
+from .model import AdversaryView, MessageEnvelope, Model, SessionId, World
 from .primitives import (
     Encapsulation,
     KemMode,
     commit,
     decode_fields,
     encode_fields,
-    entropy,
     kem_decaps_star,
     kem_encaps,
     kem_encaps_star,
@@ -45,7 +45,7 @@ from .primitives import (
     power_table,
     random_element,
 )
-from .protocols import SPECS, ProtocolConfig, ProtocolKind, kem2_elements, kex2_elements
+from .protocols import SPECS, ProtocolConfig, ProtocolKind, session_entropy
 
 DEFENDED_KINDS = (
     ProtocolKind.KEX3,
@@ -68,7 +68,6 @@ class AttackStrategy(Enum):
 @dataclass
 class AttackOutcome:
     success: bool
-    criterion: str
     iterations: int
     detail: dict = field(default_factory=dict)
 
@@ -84,7 +83,6 @@ class StrategySpec:
 
     targets: tuple[ProtocolKind, ...]
     run: Callable[[World, int], AttackOutcome]
-    criterion: str
     demonstration: Callable[[ProtocolKind, ProtocolConfig], bool]
     parties: tuple[bytes, ...] = (b"alice", b"bob")
     full_entropy: bool = False  # needs the public values in the kem2 entropy
@@ -103,40 +101,36 @@ def _no_receiver_identity(kind: ProtocolKind, cfg: ProtocolConfig) -> bool:
     )
 
 
-# Success criteria: collision attacks break the entropy check, the replica
-# completes a run whose two ends hold different keys, and the same-key family
-# leaves one key shared by all three parties. The runners look the attack
-# functions up when called, so a function replaced on this module is the one
-# that runs.
+# The runners look the attack functions up when called, so a function
+# replaced on this module is the one that runs.
 STRATEGIES = {
     AttackStrategy.KEX2_ENTROPY_COLLISION: StrategySpec(
         (ProtocolKind.KEX2,),
         lambda world, budget: attack_kex2_collision(world, budget),
-        "entropy-match", lambda kind, cfg: True,
+        lambda kind, cfg: True,
     ),
     AttackStrategy.KEM_SAME_KEY: StrategySpec(
         (ProtocolKind.KEM2,),
         lambda world, budget: attack_kem_same_key(world),
-        "same-key-three-parties", lambda kind, cfg: cfg.kem2_key_only_entropy,
+        lambda kind, cfg: cfg.kem2_key_only_entropy,
     ),
     AttackStrategy.KEM2_REPLICA: StrategySpec(
         (ProtocolKind.KEM2,),
         lambda world, budget: attack_kem2_replica(world, budget),
-        "key-mismatch-undetected", lambda kind, cfg: True, full_entropy=True,
+        lambda kind, cfg: True, full_entropy=True,
     ),
     AttackStrategy.KEM2_COMBINED: StrategySpec(
         (ProtocolKind.KEM2,),
         lambda world, budget: attack_kem2_replica(world, budget, reuse_secret=True),
-        "same-key-three-parties", lambda kind, cfg: True, full_entropy=True,
+        lambda kind, cfg: True, full_entropy=True,
         kem_mode=KemMode.PROBABILISTIC,
     ),
     AttackStrategy.RANDOM_FORGE: StrategySpec(
-        DEFENDED_KINDS, lambda world, budget: forge_trial(world),
-        "entropy-match", lambda kind, cfg: False,
+        DEFENDED_KINDS, lambda world, budget: forge_trial(world), lambda kind, cfg: False,
     ),
     AttackStrategy.REDIRECT: StrategySpec(
         tuple(ProtocolKind), lambda world, budget: redirect_trial(world),
-        "entropy-match", _no_receiver_identity, parties=(b"alice", b"bob", b"carol"),
+        _no_receiver_identity, parties=(b"alice", b"bob", b"carol"),
     ),
 }
 
@@ -174,7 +168,6 @@ def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
     """Substitute both public elements and loop over keypairs toward the
     initiator until the two sides' short digests collide."""
     _require(AttackStrategy.KEX2_ENTROPY_COLLISION, world)
-    criterion = STRATEGIES[AttackStrategy.KEX2_ENTROPY_COLLISION].criterion
 
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
@@ -184,7 +177,6 @@ def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
     (pka_raw,) = [v for _, v in decode_fields(env1.payload)]
     # every candidate is agreed against pka
     pka = power_table(g, g.decode_element(pka_raw))
-    receiver = env1.receiver if view.cfg.include_receiver_identity else b""
 
     toward_bob = kex_keygen(g, view.rng)
     toward_bob_raw = g.encode_element(toward_bob.public)
@@ -194,8 +186,8 @@ def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
     (pkb_raw,) = [v for _, v in decode_fields(env2.payload)]
     pkb = g.decode_element(pkb_raw)
     key_eb = kex_agree(toward_bob, pkb, g)
-    n_e = view.cfg.n_e
-    e_bob = entropy(receiver, kex2_elements(toward_bob_raw, pkb_raw, key_eb), n_e)
+    digest = partial(session_entropy, ProtocolKind.KEX2, view.cfg, "E", env1.receiver)
+    e_bob = digest({"pka": toward_bob_raw, "pkb": pkb_raw, "key": key_eb.key})
 
     found = None
     iterations = 0
@@ -204,16 +196,16 @@ def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
         candidate = kex_keygen(g, view.rng)
         candidate_raw = g.encode_element(candidate.public)
         key_ea = kex_agree(candidate, pka, g)
-        if entropy(receiver, kex2_elements(pka_raw, candidate_raw, key_ea), n_e) == e_bob:
+        if digest({"pka": pka_raw, "pkb": candidate_raw, "key": key_ea.key}) == e_bob:
             found = candidate_raw
             break
     if found is None:
         view.drop(env2)
-        return AttackOutcome(False, criterion, iterations)
+        return AttackOutcome(False, iterations)
 
     view.modify(env2, encode_fields([("pkb", found)]))
     verdict = view.verify(b"alice", sid, b"bob", sid)
-    return AttackOutcome(verdict == "accept", criterion, iterations)
+    return AttackOutcome(verdict == "accept", iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +216,6 @@ def attack_kem_same_key(world: World) -> AttackOutcome:
     """Swap in the attacker's public key, decapsulate the responder's secret,
     and re-encapsulate the exact same secret toward the initiator."""
     _require(AttackStrategy.KEM_SAME_KEY, world)
-    criterion = STRATEGIES[AttackStrategy.KEM_SAME_KEY].criterion
 
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
@@ -251,7 +242,6 @@ def attack_kem_same_key(world: World) -> AttackOutcome:
     )
     return AttackOutcome(
         verdict == "accept" and all_equal,
-        criterion,
         iterations=1,
         detail={"all_three_keys_equal": all_equal},
     )
@@ -270,7 +260,6 @@ def attack_kem2_replica(
     leaves both ends with the same key."""
     strategy = AttackStrategy.KEM2_COMBINED if reuse_secret else AttackStrategy.KEM2_REPLICA
     _require(strategy, world)
-    criterion = STRATEGIES[strategy].criterion
 
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
@@ -287,8 +276,8 @@ def attack_kem2_replica(
     env2 = view.pending()[0]
     (ct_raw,) = [v for _, v in decode_fields(env2.payload)]
     x_b, key_be = kem_decaps_star(own.secret, Encapsulation.decode(ct_raw, g), g)
-    # the 2-pass encapsulation entropy binds no receiver identity
-    e_bob = entropy(b"", kem2_elements(view.cfg, own_raw, ct_raw, key_be), view.cfg.n_e)
+    digest = partial(session_entropy, ProtocolKind.KEM2, view.cfg, "E", env1.receiver)
+    e_bob = digest({"pk": own_raw, "ct": ct_raw, "key": key_be.key})
 
     found = None
     iterations = 0
@@ -298,13 +287,12 @@ def attack_kem2_replica(
             ct_e, key_ea = kem_encaps_star(pka, x_b, g, KemMode.PROBABILISTIC, view.rng)
         else:
             ct_e, key_ea, _ = kem_encaps(pka, g, view.cfg.kem_mode, view.rng)
-        elements = kem2_elements(view.cfg, pka_raw, ct_e.encode(g), key_ea)
-        if entropy(b"", elements, view.cfg.n_e) == e_bob:
+        if digest({"pk": pka_raw, "ct": ct_e.encode(g), "key": key_ea.key}) == e_bob:
             found = ct_e
             break
     if found is None:
         view.drop(env2)
-        return AttackOutcome(False, criterion, iterations)
+        return AttackOutcome(False, iterations)
 
     view.modify(env2, encode_fields([("ct", found.encode(g))]))
     verdict = view.verify(b"alice", sid, b"bob", sid)
@@ -312,7 +300,6 @@ def attack_kem2_replica(
     bob = world.session_record(b"bob", sid)
     return AttackOutcome(
         verdict == "accept",
-        criterion,
         iterations,
         detail={
             "initiator_key_equals_responder_key": (
@@ -341,7 +328,6 @@ def forge_trial(world: World) -> AttackOutcome:
     """Substitute a coherent forgery at the one undetermined point of the
     flow and hope the n_e-bit digests collide."""
     kind = world.kind
-    criterion = STRATEGIES[AttackStrategy.RANDOM_FORGE].criterion
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
     g = view.cfg.group
@@ -383,12 +369,8 @@ def forge_trial(world: World) -> AttackOutcome:
         raise ValueError(f"no forge strategy for {kind.value}")
 
     _relay(view, forged)
-    initiator = world.session_record(b"alice", sid)
-    responder = world.session_record(b"bob", sid)
-    if SessionStatus.ABORTED in (initiator.status, responder.status):
-        return AttackOutcome(False, criterion, iterations=1, detail={"aborted": True})
     verdict = view.verify(b"alice", sid, b"bob", sid)
-    return AttackOutcome(verdict == "accept", criterion, iterations=1)
+    return AttackOutcome(verdict == "accept", iterations=1)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +380,6 @@ def forge_trial(world: World) -> AttackOutcome:
 def redirect_trial(world: World) -> AttackOutcome:
     """Deliver the starter's flow, unmodified, to a third party instead of
     the intended peer, relabeling envelopes so both ends stay in-session."""
-    criterion = STRATEGIES[AttackStrategy.REDIRECT].criterion
     sid = world.start_session(b"alice", b"bob")
     redirected = SessionId(b"alice", b"carol", sid.nonce)
     view = AdversaryView(world)
@@ -413,9 +394,5 @@ def redirect_trial(world: World) -> AttackOutcome:
             view.inject(MessageEnvelope(b"bob", b"alice", sid, env.seq, env.payload))
         view.drop(env)
 
-    alice = world.session_record(b"alice", sid)
-    carol = world.session_record(b"carol", redirected)
-    if SessionStatus.ABORTED in (alice.status, carol.status):
-        return AttackOutcome(False, criterion, iterations=1, detail={"aborted": True})
     verdict = view.verify(b"alice", sid, b"carol", redirected)
-    return AttackOutcome(verdict == "accept", criterion, iterations=1)
+    return AttackOutcome(verdict == "accept", iterations=1)

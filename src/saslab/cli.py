@@ -28,6 +28,7 @@ from .harness import (
     sweep,
 )
 from .model import Model, TranscriptError, World, run_honest, transcript_export, transcript_replay
+from .primitives import GROUPS, MAX_ENTROPY_BITS, MIN_ENTROPY_BITS
 from .protocols import SPECS, ProtocolKind
 
 PROTOCOL_NAMES = [k.value for k in ProtocolKind]
@@ -49,11 +50,14 @@ def _add_common_flags(parser, with_budget=True, ne_list=False):
             "--ne", default="16", help="comma-separated entropy widths, e.g. 4,8,12"
         )
     else:
-        parser.add_argument("--ne", type=int, default=16, help="entropy width in bits (4..64)")
+        parser.add_argument(
+            "--ne", type=int, default=16,
+            help=f"entropy width in bits ({MIN_ENTROPY_BITS}..{MAX_ENTROPY_BITS})",
+        )
     parser.add_argument("--trials", default="1", help="number of independent trials")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
-        "--group", choices=["toy256", "modp2048"], default="toy256",
+        "--group", choices=sorted(GROUPS), default="toy256",
         help="prime group (toy256 keeps attack loops fast)",
     )
     parser.add_argument("--kem-mode", choices=["det", "prob"], default="det")

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 from .attacks import STRATEGIES, AttackStrategy, unmet_requirement
 from .model import Model, SessionStatus, World, run_honest
-from .primitives import SUITE_HEADER, KemMode, group_by_name
+from .primitives import MAX_ENTROPY_BITS, MIN_ENTROPY_BITS, SUITE_HEADER, KemMode, group_by_name
 from .protocols import SPECS, ProtocolConfig, ProtocolKind
 from .rng import derive_seed
 
@@ -90,8 +90,8 @@ class ExperimentConfig:
         self.mode()
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if not 4 <= self.n_e <= 64:
-            raise ConfigError("n_e must be within [4, 64]")
+        if not MIN_ENTROPY_BITS <= self.n_e <= MAX_ENTROPY_BITS:
+            raise ConfigError(f"n_e must be within [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}]")
         if self.kem2_entropy not in ("full", "key-only"):
             raise ConfigError("kem2 entropy profile must be full or key-only")
         if self.kem2_entropy == "key-only" and kind is not ProtocolKind.KEM2:

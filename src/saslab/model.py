@@ -61,15 +61,6 @@ class TranscriptError(Exception):
 
 
 @dataclass(frozen=True)
-class PartyId:
-    name: bytes
-
-    def __post_init__(self):
-        if not self.name or len(self.name) > MAX_PARTY_NAME:
-            raise ValueError("party name must be 1..64 bytes")
-
-
-@dataclass(frozen=True)
 class SessionId:
     initiator: bytes
     responder: bytes
@@ -133,6 +124,12 @@ class SessionRecord:
 
     def event_types(self) -> list[str]:
         return [event for event, _, _ in self._log]
+
+    def conversation(self) -> tuple[list[bytes], list[bytes]]:
+        """The raw payloads this session sent and received, in order."""
+        sent = [payload for event, _, payload in self._log if event == "sent"]
+        received = [payload for event, _, payload in self._log if event == "received"]
+        return sent, received
 
 
 @dataclass
@@ -250,8 +247,8 @@ class World:
         self.model = model
         self.seed = seed
         self.party_names = tuple(party_names)
-        for name in self.party_names:
-            PartyId(name)  # validates length
+        if any(not name or len(name) > MAX_PARTY_NAME for name in self.party_names):
+            raise ValueError("party name must be 1..64 bytes")
         if len(set(self.party_names)) != len(self.party_names):
             raise ValueError("party names must be unique")
         self.parties = {
@@ -509,9 +506,13 @@ class World:
         entry = self._entry(party, sid)
         if entry.record.status is not SessionStatus.COMPLETED:
             raise RuleViolationError("test requires a completed session")
-        events = entry.record.event_types()
-        if "key-revealed" in events or "state-revealed" in events:
-            raise RuleViolationError("session was revealed; test disallowed")
+        # freshness covers the partners too: any session with the matching
+        # conversation, which received what this one sent and the reverse
+        sent, received = entry.record.conversation()
+        for record in self.records():
+            if record is entry.record or record.conversation() == (received, sent):
+                if {"key-revealed", "state-revealed"} & set(record.event_types()):
+                    raise RuleViolationError("session or its partner was revealed; test disallowed")
         peer = entry.record.parties[1]
         if p.corrupted or (peer in self.parties and self._party(peer).corrupted):
             raise RuleViolationError("a participant is corrupted; test disallowed")
@@ -633,7 +634,7 @@ def _record_to_dict(record: SessionRecord) -> dict:
     }
 
 
-def transcript_export(world: World, run: dict | None = None) -> bytes:
+def transcript_export(world: World) -> bytes:
     """Serialize a finished honest run into a replayable byte transcript.
 
     The header pins the format version, the hash-suite header, the group,
@@ -656,7 +657,7 @@ def transcript_export(world: World, run: dict | None = None) -> bytes:
         "seed": seed.hex() if isinstance(seed, bytes) else seed,
         "seed_is_hex": isinstance(seed, bytes),
         "parties": [p.decode() for p in world.party_names],
-        "run": run or {"driver": "honest", "initiator": "alice", "responder": "bob"},
+        "run": {"driver": "honest", "initiator": "alice", "responder": "bob"},
         "records": [_record_to_dict(r) for r in world.records()],
     }
     blob = json.dumps(body, sort_keys=True).encode()
@@ -695,10 +696,7 @@ def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRe
         tuple(p.encode() for p in body["parties"]),
     )
     run = body["run"]
-    message = bytes.fromhex(run["message"]) if run.get("message") else None
-    records = run_honest(
-        world, run["initiator"].encode(), run["responder"].encode(), message
-    )
+    records = run_honest(world, run["initiator"].encode(), run["responder"].encode())
     # compare in the recorded form, as the JSON round trip leaves it
     replayed = json.loads(json.dumps([_record_to_dict(r) for r in world.records()]))
     if replayed != body.get("records"):

@@ -566,7 +566,6 @@ class Commitment:
     """Commitment digest c = H(tag || len(m) || m || r)."""
 
     digest: bytes
-    tag: str = COMMIT_TAG
 
     def __post_init__(self):
         if len(self.digest) != DIGEST_SIZE:
@@ -606,20 +605,18 @@ def _commitment_digest(tag: str, message: bytes, blinder: bytes) -> bytes:
     )
 
 
-def commit(
-    message: bytes, rng: HashDrbg, tag: str = COMMIT_TAG
-) -> tuple[Commitment, Opening]:
+def commit(message: bytes, rng: HashDrbg) -> tuple[Commitment, Opening]:
     """Commit to a message with a fresh 32-byte uniform blinder."""
     if len(message) > MAX_MESSAGE_SIZE:
         raise SizeError("message too long to commit")
     blinder = rng.randbytes(BLINDER_SIZE)
-    digest = _commitment_digest(tag, message, blinder)
-    return Commitment(digest=digest, tag=tag), Opening(message=message, blinder=blinder)
+    digest = _commitment_digest(COMMIT_TAG, message, blinder)
+    return Commitment(digest), Opening(message=message, blinder=blinder)
 
 
 def open_commitment(c: Commitment, d: Opening):
     """Return the committed message, or REJECT if (c, d) do not match."""
-    if _commitment_digest(c.tag, d.message, d.blinder) == c.digest:
+    if _commitment_digest(COMMIT_TAG, d.message, d.blinder) == c.digest:
         return d.message
     return REJECT
 

@@ -39,12 +39,15 @@ Flows (arrows show wire messages; entropy receivers in brackets):
                      clear (6 msgs, the kem4 entropies)
 
 mt-auth, kem4 and kem6 are built from one commit / challenge / open leg.
-Everything the rest of the package knows about a kind is in its SPECS entry.
+Everything the rest of the package knows about a kind is in its SPECS entry,
+kem6's included: which elements each entropy value hashes, in which order,
+and whose identity it binds. session_entropy computes a value from that
+entry, for the machines and the attacks alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -108,11 +111,11 @@ class EntropySpec:
     """One entropy value of a flow.
 
     receiver is the side whose identity the value binds (None: the flow
-    carries no receiver identity). elements maps each input element to the
-    message index (1-based) at which it becomes determined, or "derived" for
-    values computed from earlier ones. A main value must not depend on
-    anything determined only by the final message; secondary values exist
-    precisely to cover the final message.
+    carries no receiver identity). elements maps each input element, in hash
+    order, to the message index (1-based) at which it becomes determined, or
+    "derived" for values computed from earlier ones. A main value must not
+    depend on anything determined only by the final message; secondary
+    values exist precisely to cover the final message.
     """
 
     receiver: Optional[Side]
@@ -124,7 +127,7 @@ class EntropySpec:
 class ProtocolSpec:
     """Everything the package declares about one protocol kind."""
 
-    machine: Callable[..., "Machine"]
+    build: Callable[..., "Machine"]
     message_count: int
     starting_side: Side  # which side sends the first wire message
     entropies: dict[str, EntropySpec]
@@ -151,18 +154,19 @@ class ProtocolConfig:
     include_receiver_identity: bool = True
 
 
-def kex2_elements(pka: bytes, pkb: bytes, key: SharedKey) -> list[tuple[str, bytes]]:
-    """Entropy input of the 2-pass exchange, over encoded public elements."""
-    return [("pka", pka), ("pkb", pkb), ("key", key.key)]
-
-
-def kem2_elements(
-    cfg: ProtocolConfig, pk: bytes, ct: bytes, key: SharedKey
-) -> list[tuple[str, bytes]]:
-    """Entropy input of the 2-pass encapsulation, over the encoded pk and ct."""
-    if cfg.kem2_key_only_entropy:
-        return [("key", key.key)]
-    return [("pk", pk), ("ct", ct), ("key", key.key)]
+def session_entropy(
+    kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
+) -> EntropyValue:
+    """The entropy value `label` of a kind's flow over `values`: its declared
+    elements in declared order (the key alone under kem2's key-only profile),
+    bound to `receiver` where the value binds one and identities are on."""
+    spec = SPECS[kind].entropies[label]
+    names = spec.elements
+    if cfg.kem2_key_only_entropy and kind is ProtocolKind.KEM2:
+        names = ("key",)
+    if spec.receiver is None or not cfg.include_receiver_identity:
+        receiver = b""
+    return entropy(receiver, [(name, values[name]) for name in names], cfg.n_e)
 
 
 def _open(c: Commitment, raw_opening: bytes) -> bytes:
@@ -205,8 +209,8 @@ class _Leg:
         self.value = _open(self.c, raw_opening)
         return self.value
 
-    def elements(self, *extras: tuple[str, bytes]) -> list[tuple[str, bytes]]:
-        return [("com", self.c.digest), ("chal", self.nonce), ("msg", self.value), *extras]
+    def elements(self) -> dict[str, bytes]:
+        return {"com": self.c.digest, "chal": self.nonce, "msg": self.value}
 
 
 class Machine:
@@ -245,13 +249,10 @@ class Machine:
         self._flow = self._run()
         self._expected: list[str] = []
 
-    def _entropy(self, label: str, elements: list[tuple[str, bytes]]) -> None:
+    def _entropy(self, label: str, **values: bytes) -> None:
         receiver_side = SPECS[self.kind].entropies[label].receiver
-        if receiver_side is None or not self.cfg.include_receiver_identity:
-            receiver = b""
-        else:
-            receiver = self.self_id if receiver_side is self.side else self.peer_id
-        self.entropies[label] = entropy(receiver, elements, self.cfg.n_e)
+        receiver = self.self_id if receiver_side is self.side else self.peer_id
+        self.entropies[label] = session_entropy(self.kind, self.cfg, label, receiver, values)
 
     def _fail(self, reason: str):
         self.aborted = True
@@ -343,7 +344,7 @@ class MtAuthMachine(Machine):
             (raw_d,) = yield [leg.challenge(raw_c, self.rng)], ["open"]
             self.delivered_message = leg.receive(raw_d)
             out = None
-        self._entropy("E_A", leg.elements())
+        self._entropy("E_A", **leg.elements())
         self.key = message_key(leg.value)
         return out
 
@@ -370,7 +371,7 @@ class Kex2Machine(Machine):
             pkb = g.encode_element(pair.public)
             self.key = kex_agree(pair, peer, g)
             out = [("pkb", pkb)]
-        self._entropy("E", kex2_elements(pka, pkb, self.key))
+        self._entropy("E", pka=pka, pkb=pkb, key=self.key.key)
         return out
 
 
@@ -397,7 +398,7 @@ class Kex3Machine(Machine):
             pkb = _open(c, raw_d)
             self.key = kex_agree(pair, g.decode_element(pkb), g)
             out = None
-        self._entropy("E_B", [("pka", pka), ("pkb", pkb), ("com", c.digest)])
+        self._entropy("E_B", pka=pka, pkb=pkb, com=c.digest)
         return out
 
 
@@ -421,7 +422,7 @@ class Kem2Machine(Machine):
             encap, self.key, _ = kem_encaps(g.decode_element(pk), g, self.cfg.kem_mode, self.rng)
             ct = encap.encode(g)
             out = [("ct", ct)]
-        self._entropy("E", kem2_elements(self.cfg, pk, ct, self.key))
+        self._entropy("E", pk=pk, ct=ct, key=self.key.key)
         return out
 
 
@@ -452,8 +453,8 @@ class Kem3TwoEntropyMachine(Machine):
             self.key = kem_decaps(pair.secret, Encapsulation.decode(ct, g), g)
             n = _open(c, raw_d)
             out = None
-        self._entropy("E_B1", [("nonce", n), ("pk", pk), ("com", c.digest)])
-        self._entropy("E_B2", [("ct", ct), ("key", self.key.key)])
+        self._entropy("E_B1", nonce=n, pk=pk, com=c.digest)
+        self._entropy("E_B2", ct=ct, key=self.key.key)
         return out
 
 
@@ -490,7 +491,7 @@ class Kem3CommitMachine(Machine):
             if open_commitment(c, Opening(g.encode_element(x), blinder)) is REJECT:
                 raise ProtocolError("decapsulated secret does not reopen the commitment")
             out = None
-        self._entropy("E", [("pk", pk), ("com", c.digest), ("key", self.key.key)])
+        self._entropy("E", pk=pk, com=c.digest, key=self.key.key)
         return out
 
 
@@ -515,7 +516,7 @@ class Kem4Machine(Machine):
             raw_cct, nonce_b = yield [("pk", pk), com_m], ["com_ct", "chal_b"]
             chal_a = ct_leg.challenge(raw_cct, self.rng)
             open_m = m_leg.open(nonce_b)
-            self._entropy("E_A", m_leg.elements(("pk", pk)))
+            self._entropy("E_A", **m_leg.elements(), pk=pk)
             (raw_dct,) = yield [open_m, chal_a], ["open_ct"]
             encap = Encapsulation.decode(ct_leg.receive(raw_dct), g)
             self.key = kem_decaps(pair.secret, encap, g)
@@ -528,9 +529,9 @@ class Kem4Machine(Machine):
             com_ct = ct_leg.commit(encap.encode(g), self.rng)
             raw_dm, nonce_a = yield [com_ct, chal_b], ["open_m", "chal_a"]
             m_leg.receive(raw_dm)
-            self._entropy("E_A", m_leg.elements(("pk", pk)))
+            self._entropy("E_A", **m_leg.elements(), pk=pk)
             out = [ct_leg.open(nonce_a)]
-        self._entropy("E_B", ct_leg.elements())
+        self._entropy("E_B", **ct_leg.elements())
         return out
 
 
@@ -538,13 +539,6 @@ class Kem4Machine(Machine):
 # compiler: wrap each message of the 2-pass encapsulation protocol in an
 # authenticated transfer
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CompiledProtocol:
-    inner: ProtocolKind
-    message_count: int
-    build: Callable[..., Machine] = field(repr=False)
-
 
 class _CompiledKem2Machine(Machine):
     """One leg per kem2 message, three wire messages each: the public key
@@ -562,7 +556,7 @@ class _CompiledKem2Machine(Machine):
             com_m = m_leg.commit(self.rng.randbytes(NONCE_SIZE), self.rng)
             (nonce_b,) = yield [("pk", pk), com_m], ["chal_b"]
             open_m = m_leg.open(nonce_b)
-            self._entropy("E_A", m_leg.elements(("pk", pk)))
+            self._entropy("E_A", **m_leg.elements(), pk=pk)
             (raw_cct,) = yield [open_m], ["com_ct"]
             (raw_dct,) = yield [ct_leg.challenge(raw_cct, self.rng)], ["open_ct"]
             encap = Encapsulation.decode(ct_leg.receive(raw_dct), g)
@@ -573,28 +567,24 @@ class _CompiledKem2Machine(Machine):
             peer = g.decode_element(pk)
             (raw_dm,) = yield [m_leg.challenge(raw_cm, self.rng)], ["open_m"]
             m_leg.receive(raw_dm)
-            self._entropy("E_A", m_leg.elements(("pk", pk)))
+            self._entropy("E_A", **m_leg.elements(), pk=pk)
             # leg 1 delivered: the inner protocol replies, leg 2 wraps it
             encap, self.key, _ = kem_encaps(peer, g, self.cfg.kem_mode, self.rng)
             (nonce_a,) = yield [ct_leg.commit(encap.encode(g), self.rng)], ["chal_a"]
             out = [ct_leg.open(nonce_a)]
-        self._entropy("E_B", ct_leg.elements())
+        self._entropy("E_B", **ct_leg.elements())
         return out
 
 
-def compile_mt(inner: ProtocolKind) -> CompiledProtocol:
+def compile_mt(inner: ProtocolKind) -> ProtocolSpec:
     """Wrap each message of the inner protocol in an authenticated transfer.
 
     Ships for the 2-pass encapsulation protocol only; the result is the
-    6-message flow (3 messages per inner message), registered as kem6.
+    6-message flow (3 messages per inner message), kem6.
     """
     if inner is not ProtocolKind.KEM2:
         raise ValueError(f"compiler supports kem2 as inner protocol, not {inner.value}")
-    return CompiledProtocol(
-        inner=inner,
-        message_count=3 * SPECS[inner].message_count,
-        build=_CompiledKem2Machine,
-    )
+    return SPECS[ProtocolKind.KEM6]
 
 
 # ---------------------------------------------------------------------------
@@ -639,17 +629,16 @@ SPECS: dict[ProtocolKind, ProtocolSpec] = {
         },
         separate_rounds=True,
     ),
+    # the compiler's output: compile_mt(KEM2) returns this entry
+    ProtocolKind.KEM6: ProtocolSpec(
+        _CompiledKem2Machine, 6, Side.A,
+        {
+            "E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1, "pk": 1}),
+            "E_B": EntropySpec(Side.A, {"com": 4, "chal": 5, "msg": 4}),
+        },
+        separate_rounds=True,
+    ),
 }
-# kem6 is the compiler's output, registered once kem2, which it wraps, is in
-_KEM6 = compile_mt(ProtocolKind.KEM2)
-SPECS[ProtocolKind.KEM6] = ProtocolSpec(
-    _KEM6.build, _KEM6.message_count, Side.A,
-    {
-        "E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1, "pk": 1}),
-        "E_B": EntropySpec(Side.A, {"com": 4, "chal": 5, "msg": 4}),
-    },
-    separate_rounds=True,
-)
 
 # a derived view for callers that only need the starting side
 STARTING_SIDE = {kind: spec.starting_side for kind, spec in SPECS.items()}
@@ -664,4 +653,4 @@ def build_machine(
     rng: HashDrbg,
     message: bytes | None = None,
 ) -> Machine:
-    return SPECS[kind].machine(cfg, side, self_id, peer_id, rng, message)
+    return SPECS[kind].build(cfg, side, self_id, peer_id, rng, message)

@@ -50,10 +50,19 @@ def test_kex2_collision_succeeds_with_geometric_iterations():
         world = um_world(ProtocolKind.KEX2, b"kex2c-%d" % i, n_e=n_e)
         outcome = attack_kex2_collision(world, budget)
         assert outcome.success
-        assert outcome.criterion == "entropy-match"
         iterations.append(outcome.iterations)
     mean = sum(iterations) / len(iterations)
     assert 2 ** (n_e - 1) <= mean <= 2 ** (n_e + 1), mean
+
+
+def test_kex2_collision_lands_without_receiver_identities():
+    # the loop must blank the receiver exactly where the machines do, or the
+    # collision it finds is against the wrong digest and verification rejects
+    for i in range(30):
+        world = um_world(
+            ProtocolKind.KEX2, b"kex2n-%d" % i, n_e=6, include_receiver_identity=False
+        )
+        assert attack_kex2_collision(world, 1 << 12).success
 
 
 def test_kex2_collision_zero_budget_fails_immediately():
@@ -88,7 +97,6 @@ def test_same_key_wins_when_entropy_is_key_only():
         outcome = attack_kem_same_key(world)
         assert outcome.success
         assert outcome.detail["all_three_keys_equal"]
-        assert outcome.criterion == "same-key-three-parties"
 
 
 def test_same_key_blocked_by_public_values_in_entropy():
@@ -117,7 +125,6 @@ def test_replica_deterministic_mode_keys_always_differ():
         world = um_world(ProtocolKind.KEM2, b"rep-%d" % i, n_e=8)
         outcome = attack_kem2_replica(world, 1 << 12)
         assert outcome.success
-        assert outcome.criterion == "key-mismatch-undetected"
         assert not outcome.detail["initiator_key_equals_responder_key"]
 
 
@@ -129,7 +136,6 @@ def test_combined_attack_reuses_secret_and_matches_keys():
         outcome = attack_kem2_replica(world, 1 << 12, reuse_secret=True)
         assert outcome.success
         assert outcome.detail["initiator_key_equals_responder_key"]
-        assert outcome.criterion == "same-key-three-parties"
 
 
 def test_combined_attack_requires_probabilistic_mode():
@@ -206,10 +212,7 @@ def test_redirect_needs_three_parties():
         redirect_trial(world)
 
 
-def test_success_criteria_fixed_per_strategy():
-    assert STRATEGIES[AttackStrategy.KEX2_ENTROPY_COLLISION].criterion == "entropy-match"
-    assert STRATEGIES[AttackStrategy.KEM_SAME_KEY].criterion == "same-key-three-parties"
-    assert STRATEGIES[AttackStrategy.KEM2_REPLICA].criterion == "key-mismatch-undetected"
+def test_every_strategy_is_declared():
     assert set(STRATEGIES) == set(AttackStrategy)
 
 

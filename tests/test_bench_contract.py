@@ -89,4 +89,4 @@ def test_honest_trials_call_run_honest_through_the_harness(monkeypatch):
 
 def test_trial_outcomes_carry_a_detail_dict():
     # tracing counts aborted trials through outcome.detail["aborted"]
-    assert attacks.AttackOutcome(False, "entropy-match", 1).detail == {}
+    assert attacks.AttackOutcome(False, 1).detail == {}

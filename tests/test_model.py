@@ -208,6 +208,25 @@ def test_test_query_disqualified_by_reveal():
         world.schedule(Test(b"alice", sid))
 
 
+@pytest.mark.parametrize("reveal", [RevealKey, RevealState], ids=["key", "state"])
+def test_test_query_disqualified_by_partner_reveal(reveal):
+    # bob's session has alice's matching conversation: revealing it reveals
+    # alice's key (or the state that derives it), so alice's is not fresh
+    for seed in range(20):
+        world, sid = completed_session(seed=200 + seed)
+        world.schedule(reveal(b"bob", sid))
+        with pytest.raises(RuleViolationError):
+            world.schedule(Test(b"alice", sid))
+
+
+def test_test_query_answers_beside_an_unrelated_reveal():
+    world, sid = completed_session()
+    other, _ = run_honest(world)  # a second alice-bob session
+    world.schedule(RevealKey(b"bob", other.session))
+    world.schedule(RevealState(b"bob", other.session))
+    assert len(world.schedule(Test(b"alice", sid)).key) == 32
+
+
 def test_test_query_disqualified_by_corruption():
     world, sid = completed_session()
     world.schedule(Corrupt(b"bob"))

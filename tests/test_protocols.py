@@ -216,8 +216,7 @@ def test_kem6_equals_kem4_under_shared_rng_schedule():
 def test_compile_mt_produces_six_messages():
     compiled = compile_mt(ProtocolKind.KEM2)
     assert compiled.message_count == 6
-    assert compiled.inner is ProtocolKind.KEM2
-    assert SPECS[ProtocolKind.KEM6].machine is compiled.build  # kem6 is the compiler's output
+    assert compiled is SPECS[ProtocolKind.KEM6]  # kem6 is the compiler's output
 
 
 def test_compile_mt_rejects_other_inner_protocols():
