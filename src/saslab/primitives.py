@@ -20,6 +20,7 @@ Canonical serialization (bit-exact across runs):
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -279,55 +280,71 @@ def group_by_name(name: str) -> GroupParams:
 # toy256 table takes 2.4 ms and 0.18 MB to build at width 6 and answers in
 # 37 us against 171 us for pow; width 8 answers in 27 us but takes 0.56 MB.
 TABLE_WIDTH = 6
-# Larger moduli keep the built-in pow: on the same machine a 2048-bit table
-# at width 4 takes 150 ms and 2.4 MB to build, which every run on such a
-# group would pay in set-up time and peak memory.
-TABLE_MAX_MODULUS_BITS = 256
+# Memory allowed for one table, counted as its rows x 2^width entries of
+# sys.getsizeof(p) bytes each, so that a generator table and one peer table
+# stay under 0.4 MB together. toy256 fits at stride 1 (43 rows); modp2048
+# needs stride 35 (10 rows, 0.18 MB for g and 0.2 MB for a peer key).
+TABLE_MAX_BYTES = 200_000
 
 
 class PowerTable:
     """Powers of one base modulo p, precomputed for fixed-base exponentiation.
 
-    Row i holds base^(d * 2^(width * i)) for every width-bit digit d, so an
-    exponent below limit costs one multiplication per row and no squaring
-    (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92). pow(e) equals
-    the built-in pow(base, e, p) for every integer e: exponents outside
-    [0, limit), negative ones included, go to the built-in. A table built
-    for 0 exponent bits has no rows and hands every exponent but 0 on.
+    Row i holds base^(d * 2^(width * stride * i)) for every width-bit digit
+    d. pow(e) makes stride passes over the rows, each one multiplication per
+    row, with width squarings between passes (Brickell, Gordon, McCurley and
+    Wilson, EUROCRYPT '92; Lim and Lee, CRYPTO '94). At stride 1 that is one
+    pass and no squaring; a larger stride trades squarings for fewer rows.
+    pow(e) equals the built-in pow(base, e, p) for every integer e:
+    exponents outside [0, limit), negative ones included, go to the
+    built-in. A table built for 0 exponent bits has no rows and hands every
+    exponent but 0 on.
     """
 
-    __slots__ = ("base", "p", "width", "limit", "_rows")
+    __slots__ = ("base", "p", "width", "stride", "limit", "_rows", "_shifts")
 
-    def __init__(self, base: int, p: int, exponent_bits: int, width: int = TABLE_WIDTH):
-        self.base, self.p, self.width = base, p, width
-        count = -(-exponent_bits // width)
-        self.limit = 1 << (width * count)
+    def __init__(
+        self, base: int, p: int, exponent_bits: int, width: int = TABLE_WIDTH, stride: int = 1
+    ):
+        self.base, self.p, self.width, self.stride = base, p, width, stride
+        count = -(-exponent_bits // (width * stride))
+        self.limit = 1 << (width * stride * count)
         rows = []
         power = base % p
         for _ in range(count):
+            if rows:
+                power = pow(rows[-1][-1] * power, 1 << (width * (stride - 1)), p)
             row = [1]
             for _ in range((1 << width) - 1):
                 row.append(row[-1] * power % p)
             rows.append(row)
-            power = row[-1] * power % p
         self._rows = rows
+        # the bit offset of each pass's digits, highest pass first
+        self._shifts = range(width * (stride - 1), -1, -width)
 
     def pow(self, e: int) -> int:
         if not 0 <= e < self.limit:
             return pow(self.base, e, self.p)
         p, width, mask = self.p, self.width, (1 << self.width) - 1
+        step = width * self.stride
         result = 1
-        for row in self._rows:
-            result = result * row[e & mask] % p
-            e >>= width
+        for shift in self._shifts:
+            digits = e >> shift
+            for row in self._rows:
+                result = result * row[digits & mask] % p
+                digits >>= step
+            if shift:
+                result = pow(result, 1 << width, p)
         return result
 
 
 def power_table(params: GroupParams, base: int) -> PowerTable:
-    """A table of base covering the group's exponents [0, q]; an empty one
-    above TABLE_MAX_MODULUS_BITS."""
-    tabled = params.p.bit_length() <= TABLE_MAX_MODULUS_BITS
-    return PowerTable(base, params.p, params.q.bit_length() if tabled else 0)
+    """A table of base covering the group's exponents [0, q], at the smallest
+    stride that keeps it within TABLE_MAX_BYTES."""
+    digit_count = -(-params.q.bit_length() // TABLE_WIDTH)
+    max_rows = max(1, TABLE_MAX_BYTES // ((1 << TABLE_WIDTH) * sys.getsizeof(params.p)))
+    stride = -(-digit_count // max_rows)
+    return PowerTable(base, params.p, params.q.bit_length(), stride=stride)
 
 
 _GENERATOR_TABLES: dict[tuple[int, int], PowerTable] = {}
@@ -513,7 +530,7 @@ def kem_decaps_star(
     """
     if not (params.contains(ct.c1) and params.contains(ct.c2)):
         raise MalformedElementError("malformed encapsulation")
-    x = (ct.c2 * pow(pow(ct.c1, sk, params.p), -1, params.p)) % params.p
+    x = (ct.c2 * pow(ct.c1, -sk, params.p)) % params.p
     if x == 0:
         raise MalformedElementError("degenerate encapsulation")
     return x, derive_key(x, params)

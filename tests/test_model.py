@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from saslab import primitives
 from saslab.model import (
     AdversaryView,
     Corrupt,
@@ -21,10 +22,12 @@ from saslab.model import (
     Test,
     TranscriptError,
     World,
+    _record_to_dict,
     run_honest,
     transcript_export,
     transcript_replay,
 )
+from saslab.primitives import MODP2048, KemMode, PowerTable
 from saslab.protocols import ProtocolConfig, ProtocolKind
 from saslab.rng import HashDrbg
 
@@ -369,6 +372,36 @@ def test_adversary_view_round_trip():
 # ---------------------------------------------------------------------------
 # transcripts
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "kind, mode",
+    [
+        (ProtocolKind.KEX3, KemMode.DETERMINISTIC),
+        (ProtocolKind.KEM3_COMMIT, KemMode.DETERMINISTIC),
+        (ProtocolKind.KEM3_COMMIT, KemMode.PROBABILISTIC),
+        (ProtocolKind.KEM4, KemMode.DETERMINISTIC),
+        (ProtocolKind.KEM4, KemMode.PROBABILISTIC),
+        (ProtocolKind.KEM6, KemMode.DETERMINISTIC),
+        (ProtocolKind.KEM6, KemMode.PROBABILISTIC),
+    ],
+    ids=lambda value: value.value,
+)
+def test_modp2048_runs_are_the_same_bytes_with_and_without_the_generator_table(
+    kind, mode, monkeypatch
+):
+    def run():
+        world = make_world(kind=kind, seed=22, group=MODP2048, kem_mode=mode)
+        run_honest(world)
+        return [_record_to_dict(r) for r in world.records()], transcript_export(world)
+
+    assert primitives.generator_table(MODP2048).stride > 1
+    tabled = run()
+    empty = PowerTable(MODP2048.g, MODP2048.p, 0)
+    monkeypatch.setattr(primitives, "_GENERATOR_TABLES", {(MODP2048.p, MODP2048.g): empty})
+    assert primitives.generator_table(MODP2048) is empty
+    assert run() == tabled
+    assert all(record["status"] == "completed" for record in tabled[0])
+
 
 def test_transcript_roundtrip_is_identity():
     world = make_world(kind=ProtocolKind.KEM3_TWO_ENTROPY, seed=15)

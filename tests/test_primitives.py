@@ -196,23 +196,51 @@ def test_kex_agree_rejects_malformed_elements():
 @functools.cache
 def _tables():
     """(params, table) pairs: toy256 at the shipped width for g and for a
-    peer key, and modp2048 at width 4, which no shipped path builds."""
+    peer key, and modp2048 for g at width 4 and stride 1 and as shipped
+    (strided)."""
     peer = kex_keygen(TOY256, HashDrbg(30)).public
     return (
         (TOY256, power_table(TOY256, TOY256.g)),
         (TOY256, power_table(TOY256, peer)),
         (MODP2048, PowerTable(MODP2048.g, MODP2048.p, MODP2048.q.bit_length(), width=4)),
+        (MODP2048, power_table(MODP2048, MODP2048.g)),
     )
 
 
 def test_power_table_covers_the_group_exponents():
     for params, table in _tables():
         assert table.limit > params.q
-    # moduli above 256 bits keep the built-in pow
-    assert power_table(MODP2048, MODP2048.g).limit == 1
+    assert power_table(MODP2048, MODP2048.g).limit > MODP2048.q
 
 
-@given(index=st.integers(0, 2), data=st.data())
+def test_power_table_stride_follows_the_modulus_size():
+    # toy256 keeps the unstrided table; modp2048 is strided to stay small
+    assert power_table(TOY256, TOY256.g).stride == 1
+    table = power_table(MODP2048, MODP2048.g)
+    assert table.stride > 1
+    entries = len(table._rows) << table.width
+    assert entries * MODP2048.element_size <= 250_000
+
+
+def test_power_table_rows_hold_the_strided_powers():
+    for params, table in (_tables()[0], _tables()[3]):
+        step = table.width * table.stride
+        for i, row in enumerate(table._rows):
+            assert len(row) == 1 << table.width
+            for d in (0, 1, 2, len(row) - 1):
+                assert row[d] == pow(table.base, d << (step * i), params.p), (i, d)
+
+
+@pytest.mark.parametrize("width, stride", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 2), (1, 5), (5, 1)])
+def test_power_table_equals_pow_for_every_small_exponent(width, stride):
+    for base in (SMALL.g, 2, SMALL.p - 1):
+        table = PowerTable(base, SMALL.p, SMALL.q.bit_length(), width=width, stride=stride)
+        assert table.limit > SMALL.q
+        for e in range(-SMALL.q, 2 * table.limit):
+            assert table.pow(e) == pow(base, e, SMALL.p), (base, e)
+
+
+@given(index=st.integers(0, 3), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_power_table_equals_pow(index, data):
     params, table = _tables()[index]
@@ -255,18 +283,19 @@ def test_generator_table_built_once_per_modulus_and_generator(monkeypatch):
     assert generator_table(renamed) is generator_table(TOY256)
 
 
+@pytest.mark.parametrize("params", [TOY256, MODP2048], ids=["toy256", "modp2048"])
 @pytest.mark.parametrize("mode", [KemMode.PROBABILISTIC, KemMode.DETERMINISTIC])
-def test_peer_table_gives_the_same_results_as_the_int(mode):
-    own = kex_keygen(TOY256, HashDrbg(32))
-    peer = kex_keygen(TOY256, HashDrbg(33)).public
-    table = power_table(TOY256, peer)
-    assert kex_agree(own, table, TOY256) == kex_agree(own, peer, TOY256)
-    x = random_element(TOY256, HashDrbg(34))
-    assert kem_encaps_star(table, x, TOY256, mode, HashDrbg(35)) == kem_encaps_star(
-        peer, x, TOY256, mode, HashDrbg(35)
+def test_peer_table_gives_the_same_results_as_the_int(mode, params):
+    own = kex_keygen(params, HashDrbg(32))
+    peer = kex_keygen(params, HashDrbg(33)).public
+    table = power_table(params, peer)
+    assert kex_agree(own, table, params) == kex_agree(own, peer, params)
+    x = random_element(params, HashDrbg(34))
+    assert kem_encaps_star(table, x, params, mode, HashDrbg(35)) == kem_encaps_star(
+        peer, x, params, mode, HashDrbg(35)
     )
-    assert kem_encaps(table, TOY256, mode, HashDrbg(36)) == kem_encaps(
-        peer, TOY256, mode, HashDrbg(36)
+    assert kem_encaps(table, params, mode, HashDrbg(36)) == kem_encaps(
+        peer, params, mode, HashDrbg(36)
     )
 
 
