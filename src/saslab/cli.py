@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .acceptance import ACCEPTANCE_SEED, run_criteria
+from .acceptance import ACCEPTANCE_SEED, CRITERIA, run_criteria
 from .attacks import STRATEGIES, AttackStrategy
 from .harness import (
     ConfigError,
@@ -223,7 +223,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if not 0 <= args.seed < 1 << 64:
+        raise ConfigError("seed must be within [0, 2^64)")
     numbers = _parse_int_list(args.only, "--only") if args.only else None
+    unknown = sorted(set(numbers or ()) - set(CRITERIA))
+    if unknown:
+        raise ConfigError(f"no criterion {unknown[0]}; criteria are 1..{max(CRITERIA)}")
     results = run_criteria(numbers, seed=args.seed)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")

@@ -90,6 +90,8 @@ class ExperimentConfig:
         self.mode()
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError("seed must be within [0, 2^64)")
         if not MIN_ENTROPY_BITS <= self.n_e <= MAX_ENTROPY_BITS:
             raise ConfigError(f"n_e must be within [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}]")
         if self.kem2_entropy not in ("full", "key-only"):
@@ -172,31 +174,28 @@ def _trial_seed(config: ExperimentConfig, index: int) -> bytes:
     return derive_seed(config.seed, b"trial", index.to_bytes(8, "big"))
 
 
-def _run_one_trial(config: ExperimentConfig, index: int) -> tuple[bool, int]:
-    """One independent trial; returns (success, iterations used)."""
-    strategy = config.strategy_enum()
-    if strategy is None:
-        world = World(config.kind(), config.protocol_config(), Model.AM, _trial_seed(config, index))
-        init, resp = run_honest(world)
-        ok = (
-            init.status is SessionStatus.COMPLETED
-            and resp.status is SessionStatus.COMPLETED
-            and init.kappa == resp.kappa
-            and init.entropies == resp.entropies
-        )
-        return ok, 1
-    spec = STRATEGIES[strategy]
-    world = World(
-        config.kind(), config.protocol_config(), Model.UM,
-        _trial_seed(config, index), spec.parties,
-    )
-    outcome = spec.run(world, config.effective_budget())
-    return outcome.success, outcome.iterations
-
-
-def _trial_batch(config_dict: dict, indices: list[int]) -> list[tuple[int, bool, int]]:
+def _trial_batch(config_dict: dict, indices: list[int]) -> list[tuple[bool, int]]:
+    """(success, iterations used) for each of the given trials of one
+    experiment. What the trials share is resolved once per batch; each trial
+    builds only its world. run_honest is looked up when called, so a
+    replacement on this module is the one that runs."""
     config = ExperimentConfig(**config_dict)
-    return [(i, *_run_one_trial(config, i)) for i in indices]
+    kind, cfg, strategy = config.kind(), config.protocol_config(), config.strategy_enum()
+    results = []
+    if strategy is None:
+        for i in indices:
+            init, resp = run_honest(World(kind, cfg, Model.AM, _trial_seed(config, i)))
+            ok = (
+                init.status is resp.status is SessionStatus.COMPLETED
+                and init.kappa == resp.kappa and init.entropies == resp.entropies
+            )
+            results.append((ok, 1))
+        return results
+    spec, budget = STRATEGIES[strategy], config.effective_budget()
+    for i in indices:
+        outcome = spec.run(World(kind, cfg, Model.UM, _trial_seed(config, i), spec.parties), budget)
+        results.append((outcome.success, outcome.iterations))
+    return results
 
 
 def run_experiment(config: ExperimentConfig) -> TrialSummary:
@@ -207,22 +206,18 @@ def run_experiment(config: ExperimentConfig) -> TrialSummary:
     """
     config.validate()
     started = time.perf_counter()
-    results: list[tuple[int, bool, int]] = []
     if config.parallelism > 1 and config.trials > 1:
         workers = min(config.parallelism, config.trials)
-        chunks = [list(range(w, config.trials, workers)) for w in range(workers)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_trial_batch, config.to_dict(), chunk)
-                for chunk in chunks if chunk
-            ]
-            for future in concurrent.futures.as_completed(futures):
-                results.extend(future.result())
+            batches = list(pool.map(
+                _trial_batch, [config.to_dict()] * workers,
+                [list(range(w, config.trials, workers)) for w in range(workers)],
+            ))
     else:
-        results = _trial_batch(config.to_dict(), list(range(config.trials)))
-    results.sort(key=lambda item: item[0])
-    successes = sum(1 for _, ok, _ in results if ok)
-    iterations = [its for _, _, its in results]
+        batches = [_trial_batch(config.to_dict(), list(range(config.trials)))]
+    results = [result for batch in batches for result in batch]
+    successes = sum(1 for ok, _ in results if ok)
+    iterations = [its for _, its in results]
     rate = successes / config.trials
     low, high = wilson_interval(successes, config.trials)
     bound = config.theoretical_bound()

@@ -210,12 +210,20 @@ class _SessionEntry:
 
 
 class _Party:
-    def __init__(self, name: bytes, rng: HashDrbg):
+    def __init__(self, name: bytes, world_seed: bytes | int):
         self.name = name
-        self.rng = rng
+        self._world_seed = world_seed
+        self._rng = None
         self.corrupted = False
         self.sessions: dict[SessionId, _SessionEntry] = {}
         self.live_keys: dict[SessionId, SharedKey] = {}
+
+    @property
+    def rng(self) -> HashDrbg:
+        # built on first use (a redirect's bypassed peer never draws from it)
+        if self._rng is None:
+            self._rng = HashDrbg(derive_seed(self._world_seed, b"party", self.name))
+        return self._rng
 
 
 def _payload_summary(payload: bytes) -> dict:
@@ -251,10 +259,7 @@ class World:
             raise ValueError("party name must be 1..64 bytes")
         if len(set(self.party_names)) != len(self.party_names):
             raise ValueError("party names must be unique")
-        self.parties = {
-            name: _Party(name, HashDrbg(derive_seed(seed, b"party", name)))
-            for name in self.party_names
-        }
+        self.parties = {name: _Party(name, seed) for name in self.party_names}
         self._sid_rng = HashDrbg(derive_seed(seed, b"session"))
         self._test_used = False
         self.undelivered: list[MessageEnvelope] = []
@@ -303,17 +308,25 @@ class World:
             sid = SessionId(initiator, responder, self._sid_rng.randbytes(8))
             if sid not in init.sessions:
                 break
-        machine = build_machine(
-            self.kind, self.cfg, SPECS[self.kind].starting_side,
-            initiator, responder, init.rng, message,
-        )
-        record = SessionRecord(parties=(initiator, responder), session=sid, role="initiator")
-        record.log("created", kind=self.kind.value, role="initiator")
-        init.sessions[sid] = _SessionEntry(machine, record)
-        out = machine.advance(None)
+        entry = self._new_session(init, responder, sid, "initiator", message)
+        out = entry.machine.advance(None)
         if out is not None:
-            self._emit(initiator, responder, sid, out, record)
+            self._emit(initiator, responder, sid, out, entry.record)
         return sid
+
+    def _new_session(self, party: _Party, peer: bytes, sid: SessionId, role: str,
+                     message: bytes | None = None) -> _SessionEntry:
+        """A new session at `party`: the machine of its role's figure column
+        and an empty record."""
+        side = SPECS[self.kind].starting_side
+        machine = build_machine(
+            self.kind, self.cfg, side if role == "initiator" else side.other,
+            party.name, peer, party.rng, message,
+        )
+        record = SessionRecord(parties=(party.name, peer), session=sid, role=role)
+        record.log("created", kind=self.kind.value, role=role)
+        entry = party.sessions[sid] = _SessionEntry(machine, record)
+        return entry
 
     def _emit(self, sender: bytes, receiver: bytes, sid: SessionId, payload: bytes,
               record: SessionRecord):
@@ -333,18 +346,7 @@ class World:
                 raise RuleViolationError(
                     f"{env.receiver!r} is not the responder of {env.session.label()}"
                 )
-            side = SPECS[self.kind].starting_side.other
-            machine = build_machine(
-                self.kind, self.cfg, side, env.receiver, env.session.initiator, receiver.rng
-            )
-            record = SessionRecord(
-                parties=(env.receiver, env.session.initiator),
-                session=env.session,
-                role="responder",
-            )
-            record.log("created", kind=self.kind.value, role="responder")
-            entry = _SessionEntry(machine, record)
-            receiver.sessions[env.session] = entry
+            entry = self._new_session(receiver, env.session.initiator, env.session, "responder")
         elif entry.record.status is SessionStatus.COMPLETED:
             raise RuleViolationError(
                 f"session {env.session.label()} at {env.receiver!r} is already completed"
@@ -369,13 +371,13 @@ class World:
 
     def schedule(self, action: AdversaryAction):
         """Apply one adversary action under the active delivery model."""
+        if isinstance(action, Deliver):
+            self._take(action.envelope)
+            return self._receive(action.envelope, action.envelope.payload, modified=False)
         if isinstance(action, (Modify, Inject)) and self.model is Model.AM:
             raise ModelViolationError(
                 f"{type(action).__name__} is not available in the authenticated model"
             )
-        if isinstance(action, Deliver):
-            self._take(action.envelope)
-            return self._receive(action.envelope, action.envelope.payload, modified=False)
         if isinstance(action, Modify):
             self._take(action.envelope)
             return self._receive(action.envelope, action.payload, modified=True)
@@ -427,18 +429,21 @@ class World:
             verdict = "accept"
             rounds = [(sorted(first.machine.entropies), "accept")]
         else:
+            ours, theirs = first.machine.entropies, second.machine.entropies
             if SPECS[self.kind].separate_rounds:
-                groups = [[label] for label in sorted(first.machine.entropies)]
+                groups = [[label] for label in sorted(ours)]
             else:
-                groups = [sorted(first.machine.entropies)]
-            rounds = []
-            for labels in groups:
-                ok = all(
-                    first.machine.entropies.get(lbl) == second.machine.entropies.get(lbl)
-                    for lbl in labels
-                ) and set(first.machine.entropies) == set(second.machine.entropies)
-                rounds.append((labels, "accept" if ok else "reject"))
-            verdict = "accept" if all(v == "accept" for _, v in rounds) else "reject"
+                groups = [sorted(ours)]
+            verdict = "accept" if ours == theirs else "reject"
+            if verdict == "reject" and ours.keys() == theirs.keys():
+                # the same labels: a round accepts when its own values agree
+                rounds = [
+                    (labels, "accept" if all(ours[lbl] == theirs[lbl] for lbl in labels)
+                     else "reject")
+                    for labels in groups
+                ]
+            else:  # every round shares the verdict
+                rounds = [(labels, verdict) for labels in groups]
         outcome = OobVerification(verdict=verdict, override=override)
         for party_name, entry in ((initiator, first), (responder, second)):
             entry.record.entropies = dict(entry.machine.entropies)

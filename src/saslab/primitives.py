@@ -111,37 +111,34 @@ def hash_to_range(tag: str, data: bytes, upper: int) -> int:
 # Canonical TLV serialization
 # ---------------------------------------------------------------------------
 
-def tlv_field(label: str, value: bytes) -> bytes:
-    raw = label.encode("ascii")
-    if not 0 < len(raw) < 256:
-        raise ValueError("label must be 1..255 ASCII bytes")
-    if len(value) >= 1 << 32:
-        raise SizeError("value too long for TLV encoding")
-    return bytes([len(raw)]) + raw + len(value).to_bytes(4, "big") + value
-
-
 def encode_fields(fields: Sequence[tuple[str, bytes]]) -> bytes:
-    return b"".join(tlv_field(label, value) for label, value in fields)
+    parts = []
+    for label, value in fields:
+        raw = label.encode("ascii")
+        if not 0 < len(raw) < 256:
+            raise ValueError("label must be 1..255 ASCII bytes")
+        if len(value) >= 1 << 32:
+            raise SizeError("value too long for TLV encoding")
+        parts += (len(raw).to_bytes(1, "big"), raw, len(value).to_bytes(4, "big"), value)
+    return b"".join(parts)
 
 
 def decode_fields(payload: bytes) -> list[tuple[str, bytes]]:
     """Strict TLV parse; trailing or truncated bytes raise ValueError."""
+    if type(payload) is not bytes:  # slices of a bytearray or view are not bytes
+        payload = bytes(memoryview(payload))
     fields = []
-    view = memoryview(payload)
+    end = len(payload)
     pos = 0
-    while pos < len(view):
-        label_len = view[pos]
-        pos += 1
-        if label_len == 0 or pos + label_len + 4 > len(view):
+    while pos < end:
+        label_len = payload[pos]
+        start = pos + 1 + label_len  # where the value length begins
+        if label_len == 0 or start + 4 > end:
             raise ValueError("truncated TLV field")
-        label = bytes(view[pos : pos + label_len]).decode("ascii")
-        pos += label_len
-        value_len = int.from_bytes(view[pos : pos + 4], "big")
-        pos += 4
-        if pos + value_len > len(view):
+        pos = start + 4 + int.from_bytes(payload[start : start + 4], "big")
+        if pos > end:
             raise ValueError("truncated TLV value")
-        fields.append((label, bytes(view[pos : pos + value_len])))
-        pos += value_len
+        fields.append((payload[start - label_len : start].decode("ascii"), payload[start + 4 : pos]))
     return fields
 
 

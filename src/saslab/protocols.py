@@ -236,6 +236,7 @@ class Machine:
     ):
         self.cfg = cfg
         self.side = side
+        self._starts = side is SPECS[self.kind].starting_side  # sends the first message
         self.self_id = self_id
         self.peer_id = peer_id
         self.rng = rng
@@ -275,11 +276,9 @@ class Machine:
             raise ProtocolError("session already aborted")
         if self.done:
             self._fail("message delivered to a finished session")
-        starts = self._step == 0 and self.side is SPECS[self.kind].starting_side
-        if incoming is None and not starts:
-            self._fail("unexpected start signal")
-        if incoming is not None and starts:
-            self._fail("starting side expected a start signal")
+        if (incoming is None) != (self._step == 0 and self._starts):
+            self._fail("unexpected start signal" if incoming is None
+                       else "starting side expected a start signal")
         try:
             if self._step == 0:
                 out, self._expected = next(self._flow)

@@ -14,9 +14,8 @@ import hashlib
 def derive_seed(seed: bytes | int, *context: bytes) -> bytes:
     """Derive a 32-byte child seed from a parent seed and context labels."""
     if isinstance(seed, int):
-        seed = seed.to_bytes(8, "big", signed=False)
-    h = hashlib.sha256()
-    h.update(b"SEED/v1")
+        seed = seed.to_bytes(8, "big")
+    h = hashlib.sha256(b"SEED/v1")
     h.update(len(seed).to_bytes(4, "big"))
     h.update(seed)
     for part in context:

@@ -54,6 +54,24 @@ def test_invalid_combination_exits_one(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--protocol", "kex3", "--seed", "-1"),
+        ("run", "--protocol", "kex3", "--seed", str(1 << 64)),
+        ("selftest", "--only", "11"),
+        ("selftest", "--only", "10", "--seed", "-1"),
+    ],
+    ids=["negative-seed", "seed-2^64", "criterion-11", "selftest-negative-seed"],
+)
+def test_out_of_range_input_exits_one_with_one_line(argv, capsys):
+    code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1 and "configuration error" in captured.err
+    assert captured.out == ""  # nothing ran
+
+
 def test_defended_violation_exits_two(capsys):
     # find a seed whose single forge trial at n_e=4 lands the 2^-4 collision;
     # a 1-trial rate of 1.0 exceeds the bound envelope and must gate

@@ -181,6 +181,8 @@ def test_sweep_empty_list_rejected():
         dict(protocol="kem2", strategy="kem2-combined", kem_mode="det"),
         dict(protocol="kem2", strategy="kem2-replica", kem2_entropy="key-only"),
         dict(protocol="kex3", group="toy512"),
+        dict(protocol="kex3", seed=-1),
+        dict(protocol="kex3", seed=1 << 64),
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -201,3 +203,23 @@ def test_budget_defaults_to_entropy_scaled():
     config = ExperimentConfig(protocol="kex2", strategy="kex2-collision", n_e=8)
     assert config.effective_budget() == 1 << 12
     assert dataclasses.replace(config, budget=77).effective_budget() == 77
+
+
+@pytest.mark.parametrize("strategy", [None, "random-forge", "redirect"])
+def test_trial_settings_resolved_once_per_batch(strategy, monkeypatch):
+    # the protocol config is built per batch, not per trial
+    real = ExperimentConfig.protocol_config
+    calls = []
+
+    def counted(self):
+        calls.append(self.trials)
+        return real(self)
+
+    monkeypatch.setattr(ExperimentConfig, "protocol_config", counted)
+    counts = {}
+    for trials in (1, 20):
+        calls.clear()
+        config = ExperimentConfig(protocol="kex3", strategy=strategy, n_e=8, trials=trials, seed=7)
+        assert run_experiment(config).trials == trials
+        counts[trials] = len(calls)
+    assert counts[20] == counts[1] <= 3

@@ -503,6 +503,98 @@ def test_tlv_roundtrip(fields):
     assert decode_fields(encode_fields(fields)) == fields
 
 
+@given(data=st.binary(max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_decode_fields_on_arbitrary_bytes(data):
+    # either a strict rejection or a parse that re-encodes to the same bytes
+    try:
+        fields = decode_fields(data)
+    except ValueError:
+        return
+    assert all(type(value) is bytes for _, value in fields)
+    assert encode_fields(fields) == data
+
+
+@given(
+    fields=st.lists(
+        st.tuples(st.text(alphabet="abc_", min_size=1, max_size=4), st.binary(max_size=12)),
+        min_size=1, max_size=4,
+    ),
+    cut=st.integers(min_value=1),
+    flip=st.integers(min_value=0),
+)
+@settings(max_examples=200, deadline=None)
+def test_decode_fields_on_damaged_encodings(fields, cut, flip):
+    payload = encode_fields(fields)
+    # a cut inside the last field, keeping at least its label-length byte
+    last = len(encode_fields(fields[:-1]))
+    truncated = payload[: last + 1 + cut % (len(payload) - last - 1)]
+    with pytest.raises(ValueError, match="truncated TLV"):
+        decode_fields(truncated)
+    damaged = bytearray(payload)
+    damaged[flip % len(payload)] ^= 0x80
+    try:
+        parsed = decode_fields(damaged)
+    except ValueError:
+        return
+    assert encode_fields(parsed) == bytes(damaged)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"\x00\x00\x00\x00\x00", "truncated TLV field"),  # zero-length label
+        (b"\x02pk\x00\x00\x00", "truncated TLV field"),  # header cut short
+        (b"\x02pk", "truncated TLV field"),  # no value length at all
+        (b"\x05pk", "truncated TLV field"),  # label runs past the end
+        (b"\x02pk\x00\x00\x00\x03ab", "truncated TLV value"),  # value runs past the end
+        (b"\x02pk\x00\x00\x00\x00\x01", "truncated TLV field"),  # trailing byte
+    ],
+)
+def test_decode_fields_rejects_malformed(payload, message):
+    with pytest.raises(ValueError, match=message):
+        decode_fields(payload)
+
+
+def test_decode_fields_rejects_non_ascii_label():
+    with pytest.raises(ValueError):
+        decode_fields(b"\x02p\xe9\x00\x00\x00\x00")
+
+
+def test_decode_fields_edge_layouts():
+    assert decode_fields(b"") == []
+    assert decode_fields(b"\x01a\x00\x00\x00\x00") == [("a", b"")]
+    label = "x" * 255
+    payload = bytes([255]) + label.encode() + (3).to_bytes(4, "big") + b"abc"
+    assert decode_fields(payload) == [(label, b"abc")]
+
+
+@pytest.mark.parametrize("label", ["", "x" * 256, "p\u00e9"])
+def test_encode_fields_rejects_bad_labels(label):
+    with pytest.raises(ValueError):
+        encode_fields([("ok", b"1"), (label, b"2")])
+
+
+def test_encode_fields_layout():
+    assert encode_fields([]) == b""
+    assert encode_fields([("pk", b"\x01\x02"), ("c", b"")]) == (
+        b"\x02pk\x00\x00\x00\x02\x01\x02" b"\x01c\x00\x00\x00\x00"
+    )
+    label = "y" * 255
+    assert encode_fields([(label, b"v")])[:256] == bytes([255]) + label.encode()
+    # any bytes-like value encodes as its bytes
+    assert encode_fields([("v", bytearray(b"ab"))]) == encode_fields([("v", b"ab")])
+    assert encode_fields([("v", memoryview(b"ab"))]) == encode_fields([("v", b"ab")])
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+def test_decode_fields_accepts_bytes_like_input(wrap):
+    fields = [("pk", b"\x01" * 3), ("com", b"")]
+    decoded = decode_fields(wrap(encode_fields(fields)))
+    assert decoded == fields
+    assert all(type(value) is bytes for _, value in decoded)
+
+
 def test_expect_fields_enforces_schema():
     payload = encode_fields([("pk", b"\x01"), ("com", b"\x02")])
     assert expect_fields(payload, ["pk", "com"]) == [b"\x01", b"\x02"]
