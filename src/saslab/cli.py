@@ -180,7 +180,6 @@ def _cmd_list_protocols() -> int:
 
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
-    config.validate()
     summary = run_experiment(config)
     _print_summary(summary)
     if args.transcript is not None:
@@ -199,7 +198,6 @@ def _cmd_attack(args) -> int:
             raise ConfigError(f"--protocol is required for {args.strategy}")
         args.protocol = target.value
     config = _config_from_args(args, strategy=args.strategy)
-    config.validate()
     summary = run_experiment(config)
     _print_summary(summary)
     _write_report(args, [summary], config)

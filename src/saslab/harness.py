@@ -90,6 +90,8 @@ class ExperimentConfig:
         self.mode()
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.budget is not None and self.budget < 1:
+            raise ConfigError("budget must be at least 1")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must be within [0, 2^64)")
         if not MIN_ENTROPY_BITS <= self.n_e <= MAX_ENTROPY_BITS:

@@ -132,19 +132,7 @@ class SessionRecord:
         return sent, received
 
 
-@dataclass
-class OobVerification:
-    """Outcome of one tamper-proof entropy comparison."""
-
-    verdict: str  # "accept" | "reject"
-    override: bool = False
-
-    @property
-    def accepted(self) -> bool:
-        return self.verdict == "accept"
-
-
-# -- adversary actions -------------------------------------------------------
+# -- wire actions: what the adversary does with messages ---------------------
 
 @dataclass(frozen=True)
 class Deliver:
@@ -167,46 +155,12 @@ class Drop:
     envelope: MessageEnvelope
 
 
-@dataclass(frozen=True)
-class Corrupt:
-    party: bytes
-
-
-@dataclass(frozen=True)
-class RevealKey:
-    party: bytes
-    session: SessionId
-
-
-@dataclass(frozen=True)
-class RevealState:
-    party: bytes
-    session: SessionId
-
-
-@dataclass(frozen=True)
-class Expire:
-    party: bytes
-    session: SessionId
-
-
-@dataclass(frozen=True)
-class Test:
-    __test__ = False  # keep pytest from collecting the query class
-
-    party: bytes
-    session: SessionId
-
-
-AdversaryAction = (
-    Deliver | Modify | Inject | Drop | Corrupt | RevealKey | RevealState | Expire | Test
-)
-
-
 @dataclass
 class _SessionEntry:
     machine: Machine
     record: SessionRecord
+    sent: int = 0  # the seq of this session's next outgoing message
+    live_key: SharedKey | None = None  # set when verification accepts, cleared by expire
 
 
 class _Party:
@@ -216,7 +170,6 @@ class _Party:
         self._rng = None
         self.corrupted = False
         self.sessions: dict[SessionId, _SessionEntry] = {}
-        self.live_keys: dict[SessionId, SharedKey] = {}
 
     @property
     def rng(self) -> HashDrbg:
@@ -263,7 +216,6 @@ class World:
         self._sid_rng = HashDrbg(derive_seed(seed, b"session"))
         self._test_used = False
         self.undelivered: list[MessageEnvelope] = []
-        self._seq: dict[tuple[SessionId, bytes], int] = {}
 
     # Built on first use, once per world: honest and redirect trials never
     # draw from these. Each stream depends on (seed, label) alone, so it
@@ -311,7 +263,7 @@ class World:
         entry = self._new_session(init, responder, sid, "initiator", message)
         out = entry.machine.advance(None)
         if out is not None:
-            self._emit(initiator, responder, sid, out, entry.record)
+            self._emit(entry, out)
         return sid
 
     def _new_session(self, party: _Party, peer: bytes, sid: SessionId, role: str,
@@ -328,12 +280,12 @@ class World:
         entry = party.sessions[sid] = _SessionEntry(machine, record)
         return entry
 
-    def _emit(self, sender: bytes, receiver: bytes, sid: SessionId, payload: bytes,
-              record: SessionRecord):
-        key = (sid, sender)
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        env = MessageEnvelope(sender, receiver, sid, seq, payload)
+    def _emit(self, entry: _SessionEntry, payload: bytes) -> MessageEnvelope:
+        """Send `payload` from the entry's party to its peer, numbered by the
+        entry's own counter."""
+        record, seq = entry.record, entry.sent
+        entry.sent = seq + 1
+        env = MessageEnvelope(*record.parties, record.session, seq, payload)
         self.undelivered.append(env)
         record.log("sent", payload, seq=seq)
         return env
@@ -363,14 +315,14 @@ class World:
             entry.record.log("aborted", reason=str(exc))
             return None
         if out is not None:
-            peer = entry.record.parties[1]
-            return self._emit(env.receiver, peer, env.session, out, entry.record)
+            return self._emit(entry, out)
         return None
 
     # -- the scheduler --------------------------------------------------------
 
-    def schedule(self, action: AdversaryAction):
-        """Apply one adversary action under the active delivery model."""
+    def schedule(self, action: Deliver | Modify | Inject | Drop):
+        """Apply one wire action under the active delivery model. The other
+        adversary queries (corrupt, reveal, expire, test) are methods below."""
         if isinstance(action, Deliver):
             self._take(action.envelope)
             return self._receive(action.envelope, action.envelope.payload, modified=False)
@@ -386,16 +338,6 @@ class World:
         if isinstance(action, Drop):
             self._take(action.envelope)
             return None
-        if isinstance(action, Corrupt):
-            return self.corrupt(action.party)
-        if isinstance(action, RevealKey):
-            return self.reveal_key(action.party, action.session)
-        if isinstance(action, RevealState):
-            return self.reveal_state(action.party, action.session)
-        if isinstance(action, Expire):
-            return self.expire(action.party, action.session)
-        if isinstance(action, Test):
-            return self.test(action.party, action.session)
         raise RuleViolationError(f"unknown action {action!r}")
 
     def _take(self, env: MessageEnvelope):
@@ -413,9 +355,10 @@ class World:
         responder: bytes,
         responder_sid: SessionId,
         override: bool = False,
-    ) -> OobVerification:
+    ) -> str:
         """Compare the two sessions' entropy values over the tamper-proof
-        channel and complete or abort both sessions accordingly."""
+        channel, complete or abort both sessions accordingly, and return the
+        verdict, "accept" or "reject"."""
         first = self._entry(initiator, initiator_sid)
         second = self._entry(responder, responder_sid)
         for entry in (first, second):
@@ -444,18 +387,17 @@ class World:
                 ]
             else:  # every round shares the verdict
                 rounds = [(labels, verdict) for labels in groups]
-        outcome = OobVerification(verdict=verdict, override=override)
-        for party_name, entry in ((initiator, first), (responder, second)):
+        for entry in (first, second):
             entry.record.entropies = dict(entry.machine.entropies)
             for labels, round_verdict in rounds:
                 entry.record.log(
                     "verified", labels=list(labels), verdict=round_verdict,
                     override=override,
                 )
-            if outcome.accepted:
+            if verdict == "accept":
                 entry.record.status = SessionStatus.COMPLETED
                 entry.record.kappa = entry.machine.key.key
-                self._party(party_name).live_keys[entry.record.session] = entry.machine.key
+                entry.live_key = entry.machine.key
                 if entry.machine.delivered_message is not None:
                     entry.record.log(
                         "mt-delivered",
@@ -465,7 +407,7 @@ class World:
             else:
                 entry.record.status = SessionStatus.ABORTED
                 entry.record.kappa = None
-        return outcome
+        return verdict
 
     # -- adversary queries ------------------------------------------------------
 
@@ -479,15 +421,13 @@ class World:
         return state
 
     def reveal_key(self, party: bytes, sid: SessionId) -> SharedKey:
-        p = self._party(party)
         entry = self._entry(party, sid)
         if entry.record.status is not SessionStatus.COMPLETED:
             raise RuleViolationError("no accepted key to reveal")
-        key = p.live_keys.get(sid)
-        if key is None:
+        if entry.live_key is None:
             raise RuleViolationError("session key deleted")
         entry.record.log("key-revealed")
-        return key
+        return entry.live_key
 
     def reveal_state(self, party: bytes, sid: SessionId) -> dict:
         entry = self._entry(party, sid)
@@ -495,13 +435,12 @@ class World:
         return entry.machine.state_snapshot()
 
     def expire(self, party: bytes, sid: SessionId):
-        p = self._party(party)
         entry = self._entry(party, sid)
         if entry.record.status is not SessionStatus.COMPLETED:
             raise RuleViolationError("only completed sessions expire")
-        if sid not in p.live_keys:
+        if entry.live_key is None:
             raise RuleViolationError("session already expired")
-        del p.live_keys[sid]
+        entry.live_key = None
         entry.record.log("expired")
 
     def test(self, party: bytes, sid: SessionId) -> SharedKey:
@@ -521,7 +460,7 @@ class World:
         peer = entry.record.parties[1]
         if p.corrupted or (peer in self.parties and self._party(peer).corrupted):
             raise RuleViolationError("a participant is corrupted; test disallowed")
-        key = p.live_keys.get(sid)
+        key = entry.live_key
         if key is None:
             raise RuleViolationError("session key deleted")
         self._test_used = True
@@ -586,17 +525,16 @@ class AdversaryView:
         return self._world.schedule(Drop(env))
 
     def corrupt(self, party: bytes):
-        return self._world.schedule(Corrupt(party))
+        return self._world.corrupt(party)
 
     def verify(
         self, initiator: bytes, initiator_sid: SessionId,
         responder: bytes, responder_sid: SessionId, override: bool = False,
     ) -> str:
         """Run the out-of-band comparison; the adversary observes the verdict."""
-        outcome = self._world.i_f_verify(
+        return self._world.i_f_verify(
             initiator, initiator_sid, responder, responder_sid, override
         )
-        return outcome.verdict
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_attack_code_never_touches_party_private_state():
 
     source = inspect.getsource(attacks_module)
     for forbidden in (
-        "live_keys", ".machine", "_entry(", "state_snapshot",
+        "live_key", ".machine", "_entry(", "state_snapshot",
         "_hidden_rng", "_challenge_bit", "machine.key", "machine.entropies",
     ):
         assert forbidden not in source, forbidden

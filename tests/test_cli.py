@@ -61,8 +61,11 @@ def test_invalid_combination_exits_one(capsys):
         ("run", "--protocol", "kex3", "--seed", str(1 << 64)),
         ("selftest", "--only", "11"),
         ("selftest", "--only", "10", "--seed", "-1"),
+        ("attack", "--strategy", "kex2-collision", "--ne", "8", "--budget", "-4",
+         "--trials", "2"),
     ],
-    ids=["negative-seed", "seed-2^64", "criterion-11", "selftest-negative-seed"],
+    ids=["negative-seed", "seed-2^64", "criterion-11", "selftest-negative-seed",
+         "negative-budget"],
 )
 def test_out_of_range_input_exits_one_with_one_line(argv, capsys):
     code = run_cli(*argv)

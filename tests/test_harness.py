@@ -183,6 +183,8 @@ def test_sweep_empty_list_rejected():
         dict(protocol="kex3", group="toy512"),
         dict(protocol="kex3", seed=-1),
         dict(protocol="kex3", seed=1 << 64),
+        dict(protocol="kex2", strategy="kex2-collision", budget=0),
+        dict(protocol="kex2", strategy="kex2-collision", budget=-4),
     ],
 )
 def test_invalid_configs_rejected(kwargs):

@@ -3,23 +3,19 @@ import math
 import pytest
 
 from saslab import primitives
+from saslab.attacks import redirect_trial
 from saslab.model import (
     AdversaryView,
-    Corrupt,
     Deliver,
     Drop,
-    Expire,
     Inject,
     MessageEnvelope,
     Model,
     ModelViolationError,
     Modify,
-    RevealKey,
-    RevealState,
     RuleViolationError,
     SequencingError,
     SessionStatus,
-    Test,
     TranscriptError,
     World,
     _record_to_dict,
@@ -85,8 +81,7 @@ def test_um_modify_leads_to_reject_and_abort():
     forged = pow(g.g, 12345, g.p)
     from saslab.primitives import encode_fields
     world.schedule(Modify(env, encode_fields([("pkb", g.encode_element(forged))])))
-    outcome = world.i_f_verify(b"alice", sid, b"bob", sid)
-    assert outcome.verdict == "reject"
+    assert world.i_f_verify(b"alice", sid, b"bob", sid) == "reject"
     assert world.session_record(b"alice", sid).status is SessionStatus.ABORTED
     assert world.session_record(b"bob", sid).status is SessionStatus.ABORTED
     assert world.session_record(b"alice", sid).kappa is None
@@ -107,7 +102,7 @@ def test_tampered_runs_accept_at_collision_rate():
         g = world.cfg.group
         forged = pow(g.g, adv.randrange(1, g.q), g.p)
         world.schedule(Modify(env, encode_fields([("pkb", g.encode_element(forged))])))
-        if world.i_f_verify(b"alice", sid, b"bob", sid).accepted:
+        if world.i_f_verify(b"alice", sid, b"bob", sid) == "accept":
             accepted += 1
     p = 2**-8
     mu, sigma = trials * p, math.sqrt(trials * p * (1 - p))
@@ -126,9 +121,13 @@ def test_corruption_override_forces_acceptance():
     )
     with pytest.raises(RuleViolationError):
         world.i_f_verify(b"alice", sid, b"bob", sid, override=True)
-    world.schedule(Corrupt(b"alice"))
-    outcome = world.i_f_verify(b"alice", sid, b"bob", sid, override=True)
-    assert outcome.accepted and outcome.override
+    world.corrupt(b"alice")
+    assert world.i_f_verify(b"alice", sid, b"bob", sid, override=True) == "accept"
+    for party in (b"alice", b"bob"):
+        verified = [
+            e for e in world.session_record(party, sid).events if e["event"] == "verified"
+        ]
+        assert verified and all(e["override"] is True for e in verified)
     record = world.session_record(b"alice", sid)
     assert record.status is SessionStatus.COMPLETED
     assert "corrupted" in record.event_types()
@@ -163,23 +162,25 @@ def completed_session(seed=6):
 def test_reveal_key_returns_kappa_and_logs():
     world, sid = completed_session()
     record = world.session_record(b"alice", sid)
-    key = world.schedule(RevealKey(b"alice", sid))
+    key = world.reveal_key(b"alice", sid)
     assert key.key == record.kappa
     assert "key-revealed" in record.event_types()
 
 
 def test_reveal_state_returns_snapshot():
     world, sid = completed_session()
-    state = world.schedule(RevealState(b"bob", sid))
+    state = world.reveal_state(b"bob", sid)
     assert state["kind"] == "kex3"
     assert "state-revealed" in world.session_record(b"bob", sid).event_types()
 
 
 def test_expire_deletes_key():
     world, sid = completed_session()
-    world.schedule(Expire(b"alice", sid))
-    with pytest.raises(RuleViolationError):
-        world.schedule(RevealKey(b"alice", sid))
+    world.expire(b"alice", sid)
+    with pytest.raises(RuleViolationError, match="session key deleted"):
+        world.reveal_key(b"alice", sid)
+    with pytest.raises(RuleViolationError, match="session key deleted"):
+        world.test(b"alice", sid)
     assert "expired" in world.session_record(b"alice", sid).event_types()
 
 
@@ -192,56 +193,56 @@ def test_late_message_leaves_a_completed_session_alone():
     with pytest.raises(RuleViolationError):
         world.schedule(Inject(late))
     assert init.status is SessionStatus.COMPLETED
-    assert init.kappa == world.parties[b"alice"].live_keys[sid].key
     assert init.events == events
+    assert init.kappa == world.reveal_key(b"alice", sid).key
 
 
 def test_test_query_returns_a_key_once():
     world, sid = completed_session()
-    key = world.schedule(Test(b"alice", sid))
+    key = world.test(b"alice", sid)
     assert len(key.key) == 32
     with pytest.raises(RuleViolationError):
-        world.schedule(Test(b"bob", sid))
+        world.test(b"bob", sid)
 
 
 def test_test_query_disqualified_by_reveal():
     world, sid = completed_session()
-    world.schedule(RevealKey(b"alice", sid))
+    world.reveal_key(b"alice", sid)
     with pytest.raises(RuleViolationError):
-        world.schedule(Test(b"alice", sid))
+        world.test(b"alice", sid)
 
 
-@pytest.mark.parametrize("reveal", [RevealKey, RevealState], ids=["key", "state"])
+@pytest.mark.parametrize("reveal", ["reveal_key", "reveal_state"], ids=["key", "state"])
 def test_test_query_disqualified_by_partner_reveal(reveal):
     # bob's session has alice's matching conversation: revealing it reveals
     # alice's key (or the state that derives it), so alice's is not fresh
     for seed in range(20):
         world, sid = completed_session(seed=200 + seed)
-        world.schedule(reveal(b"bob", sid))
+        getattr(world, reveal)(b"bob", sid)
         with pytest.raises(RuleViolationError):
-            world.schedule(Test(b"alice", sid))
+            world.test(b"alice", sid)
 
 
 def test_test_query_answers_beside_an_unrelated_reveal():
     world, sid = completed_session()
     other, _ = run_honest(world)  # a second alice-bob session
-    world.schedule(RevealKey(b"bob", other.session))
-    world.schedule(RevealState(b"bob", other.session))
-    assert len(world.schedule(Test(b"alice", sid)).key) == 32
+    world.reveal_key(b"bob", other.session)
+    world.reveal_state(b"bob", other.session)
+    assert len(world.test(b"alice", sid).key) == 32
 
 
 def test_test_query_disqualified_by_corruption():
     world, sid = completed_session()
-    world.schedule(Corrupt(b"bob"))
+    world.corrupt(b"bob")
     with pytest.raises(RuleViolationError):
-        world.schedule(Test(b"alice", sid))
+        world.test(b"alice", sid)
 
 
 def test_test_query_requires_completed_session():
     world = make_world(kind=ProtocolKind.KEX2, seed=8)
     sid = world.start_session(b"alice", b"bob")
     with pytest.raises(RuleViolationError):
-        world.schedule(Test(b"alice", sid))
+        world.test(b"alice", sid)
 
 
 def test_challenge_bit_behaviour_is_seed_determined():
@@ -249,8 +250,8 @@ def test_challenge_bit_behaviour_is_seed_determined():
     # returns the live key or always a fresh uniform key.
     world1, sid1 = completed_session(seed=9)
     world2, sid2 = completed_session(seed=9)
-    k1 = world1.schedule(Test(b"alice", sid1))
-    k2 = world2.schedule(Test(b"alice", sid2))
+    k1 = world1.test(b"alice", sid1)
+    k2 = world2.test(b"alice", sid2)
     assert k1 == k2
     real = world1.session_record(b"alice", sid1).kappa
     assert (k1.key == real) == (world1._challenge_bit == 1)
@@ -273,6 +274,45 @@ def test_am_faithfulness_received_matches_sent():
         for e in record.events:
             if e["event"] == "received":
                 assert (e["seq"], e["digest"]) in sent
+
+
+def _logged_seqs(record, event):
+    return [e["seq"] for e in record.events if e["event"] == event]
+
+
+def test_each_session_numbers_its_own_messages():
+    # two concurrent alice-bob sessions, their deliveries interleaved: each
+    # session's sends count 0, 1, ... whatever the other session sent between
+    world = make_world(kind=ProtocolKind.KEM4, model=Model.UM, seed=23)
+    first = world.start_session(b"alice", b"bob")
+    second = world.start_session(b"alice", b"bob")
+    delivered = []
+    while world.undelivered:
+        env = world.undelivered[0]
+        delivered.append(env.session)
+        world.schedule(Deliver(env))
+    assert delivered == [first, second] * 4
+    for sid in (first, second):
+        alice = world.session_record(b"alice", sid)
+        bob = world.session_record(b"bob", sid)
+        assert _logged_seqs(alice, "sent") == _logged_seqs(bob, "received") == [0, 1]
+        assert _logged_seqs(bob, "sent") == _logged_seqs(alice, "received") == [0, 1]
+        assert world.i_f_verify(b"alice", sid, b"bob", sid) == "accept"
+
+
+def test_redirected_sessions_number_their_messages_apart():
+    # alice's session with "bob" and carol's relabeled one share a nonce but
+    # not a counter: each side's sends count from 0
+    world = World(
+        ProtocolKind.KEM4, ProtocolConfig(), Model.UM, 24, (b"alice", b"bob", b"carol")
+    )
+    redirect_trial(world)
+    records = {record.parties[0]: record for record in world.records()}
+    assert set(records) == {b"alice", b"carol"}
+    assert _logged_seqs(records[b"alice"], "sent") == [0, 1]
+    assert _logged_seqs(records[b"carol"], "sent") == [0, 1]
+    assert _logged_seqs(records[b"carol"], "received") == [0, 1]
+    assert _logged_seqs(records[b"alice"], "received") == [0, 1]
 
 
 def test_event_indices_strictly_increase():
@@ -302,7 +342,7 @@ def _run_kem6_in_steps(seed, read):
             for record in world.records():
                 record.events
     world.i_f_verify(b"alice", sid, b"bob", sid)
-    world.schedule(RevealKey(b"bob", sid))
+    world.reveal_key(b"bob", sid)
     return world
 
 
@@ -320,7 +360,7 @@ def test_incremental_reads_give_one_log():
     assert sent and set(sent[0]) == {"index", "event", "seq", "labels", "digest", "size"}
 
 
-# computed before the streams were made lazy: (seed, key Test returns, bit)
+# computed before the streams were made lazy: (seed, key the test query returns, bit)
 TEST_QUERY_PINS = [
     (9, "2050c20f9ac203d70e7f016556c15b9bff5d31a1904588752f5bedd141c390e3", 1),
     (10, "09181630b1314ed96ec35ff087a5b0f278a852bc3721f35eec653ec0552a8823", 1),
@@ -335,7 +375,7 @@ ADVERSARY_BYTES_SEED_7 = (
 @pytest.mark.parametrize("seed, key, bit", TEST_QUERY_PINS)
 def test_lazy_challenge_stream_draws_the_same_bytes(seed, key, bit):
     world, sid = completed_session(seed=seed)
-    assert world.schedule(Test(b"alice", sid)).key.hex() == key
+    assert world.test(b"alice", sid).key.hex() == key
     assert world._challenge_bit == bit
 
 
