@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 from .primitives import SUITE_HEADER, SharedKey, decode_fields, group_by_name
@@ -216,22 +215,25 @@ class World:
         self._sid_rng = HashDrbg(derive_seed(seed, b"session"))
         self._test_used = False
         self.undelivered: list[MessageEnvelope] = []
+        self._adversary_rng = self._hidden_rng = self._bit = None
 
-    # Built on first use, once per world: honest and redirect trials never
-    # draw from these. Each stream depends on (seed, label) alone, so it
-    # draws the same bytes whenever it is built.
+    # Built on first use, once per world, into plain attributes (3.11's
+    # cached_property takes a lock on first read): honest and redirect trials
+    # never draw from these. Each stream depends on (seed, label) alone, so
+    # it draws the same bytes whenever it is built.
 
-    @cached_property
+    @property
     def adversary_rng(self) -> HashDrbg:
-        return HashDrbg(derive_seed(self.seed, b"adversary"))
+        if self._adversary_rng is None:
+            self._adversary_rng = HashDrbg(derive_seed(self.seed, b"adversary"))
+        return self._adversary_rng
 
-    @cached_property
-    def _hidden_rng(self) -> HashDrbg:
-        return HashDrbg(derive_seed(self.seed, b"challenge"))
-
-    @cached_property
+    @property
     def _challenge_bit(self) -> int:
-        return self._hidden_rng.randbit()
+        if self._bit is None:  # the hidden stream's first draw
+            self._hidden_rng = HashDrbg(derive_seed(self.seed, b"challenge"))
+            self._bit = self._hidden_rng.randbit()
+        return self._bit
 
     # -- session management --------------------------------------------------
 

@@ -273,75 +273,74 @@ def group_by_name(name: str) -> GroupParams:
 # Precomputed powers of a fixed base
 # ---------------------------------------------------------------------------
 
-# Exponent bits per table row. With Python 3.11 on a 2-core Xeon VM a
-# toy256 table takes 2.4 ms and 0.18 MB to build at width 6 and answers in
-# 37 us against 171 us for pow; width 8 answers in 27 us but takes 0.56 MB.
-TABLE_WIDTH = 6
-# Memory allowed for one table, counted as its rows x 2^width entries of
-# sys.getsizeof(p) bytes each, so that a generator table and one peer table
-# stay under 0.4 MB together. toy256 fits at stride 1 (43 rows); modp2048
-# needs stride 35 (10 rows, 0.18 MB for g and 0.2 MB for a peer key).
-TABLE_MAX_BYTES = 200_000
+# Memory allowed for one table, counted as its rows x 256 entries of
+# sys.getsizeof(p) bytes each. It sizes the generator tables, which live for
+# the whole process: toy256 fits at stride 1 (32 rows, 0.49 MB; with Python
+# 3.11 on a 2-core Xeon VM it takes 5 ms to build and answers in 17 us
+# against 147 us for pow) and modp2048 at stride 37 (7 rows, 0.54 MB; 259
+# multiplications and 288 squarings per power).
+TABLE_MAX_BYTES = 550_000
 
 
 class PowerTable:
     """Powers of one base modulo p, precomputed for fixed-base exponentiation.
 
-    Row i holds base^(d * 2^(width * stride * i)) for every width-bit digit
-    d. pow(e) makes stride passes over the rows, each one multiplication per
-    row, with width squarings between passes (Brickell, Gordon, McCurley and
-    Wilson, EUROCRYPT '92; Lim and Lee, CRYPTO '94). At stride 1 that is one
-    pass and no squaring; a larger stride trades squarings for fewer rows.
-    pow(e) equals the built-in pow(base, e, p) for every integer e:
-    exponents outside [0, limit), negative ones included, go to the
+    Row i holds base^(d * 2^(8 * stride * i)) for every byte d. pow(e) takes
+    the bytes of e, little end first, and makes stride passes over the rows,
+    highest pass first: pass s multiplies in row i's entry for byte
+    stride * i + s, and 8 squarings separate the passes (Brickell, Gordon,
+    McCurley and Wilson, EUROCRYPT '92; Lim and Lee, CRYPTO '94). At stride 1
+    that is one pass and no squaring; a larger stride trades squarings for
+    fewer rows. pow(e) equals the built-in pow(base, e, p) for every integer
+    e: exponents outside [0, limit), negative ones included, go to the
     built-in. A table built for 0 exponent bits has no rows and hands every
     exponent but 0 on.
     """
 
-    __slots__ = ("base", "p", "width", "stride", "limit", "_rows", "_shifts")
+    __slots__ = ("base", "p", "stride", "limit", "_rows", "_size")
 
-    def __init__(
-        self, base: int, p: int, exponent_bits: int, width: int = TABLE_WIDTH, stride: int = 1
-    ):
-        self.base, self.p, self.width, self.stride = base, p, width, stride
-        count = -(-exponent_bits // (width * stride))
-        self.limit = 1 << (width * stride * count)
+    def __init__(self, base: int, p: int, exponent_bits: int, stride: int = 1):
+        self.base, self.p, self.stride = base, p, stride
+        count = -(-exponent_bits // (8 * stride))
+        self._size = stride * count  # exponent bytes
+        self.limit = 1 << (8 * self._size)
         rows = []
         power = base % p
         for _ in range(count):
             if rows:
-                power = pow(rows[-1][-1] * power, 1 << (width * (stride - 1)), p)
+                power = pow(rows[-1][-1] * power, 1 << (8 * (stride - 1)), p)
             row = [1]
-            for _ in range((1 << width) - 1):
+            for _ in range(255):
                 row.append(row[-1] * power % p)
             rows.append(row)
         self._rows = rows
-        # the bit offset of each pass's digits, highest pass first
-        self._shifts = range(width * (stride - 1), -1, -width)
 
     def pow(self, e: int) -> int:
         if not 0 <= e < self.limit:
             return pow(self.base, e, self.p)
-        p, width, mask = self.p, self.width, (1 << self.width) - 1
-        step = width * self.stride
+        p, rows, stride = self.p, self._rows, self.stride
+        digits = e.to_bytes(self._size, "little")
         result = 1
-        for shift in self._shifts:
-            digits = e >> shift
-            for row in self._rows:
-                result = result * row[digits & mask] % p
-                digits >>= step
-            if shift:
-                result = pow(result, 1 << width, p)
+        for s in range(stride - 1, -1, -1):
+            for row, d in zip(rows, digits[s::stride]):
+                result = result * row[d] % p
+            if s:
+                result = pow(result, 256, p)
         return result
 
 
-def power_table(params: GroupParams, base: int) -> PowerTable:
+def power_table(params: GroupParams, base: int, uses: int | None = None) -> PowerTable:
     """A table of base covering the group's exponents [0, q], at the smallest
-    stride that keeps it within TABLE_MAX_BYTES."""
-    digit_count = -(-params.q.bit_length() // TABLE_WIDTH)
-    max_rows = max(1, TABLE_MAX_BYTES // ((1 << TABLE_WIDTH) * sys.getsizeof(params.p)))
+    stride that keeps it within TABLE_MAX_BYTES. A table for a known number
+    of powers (a peer key inside one trial) takes the stride that minimises
+    its build, 255 multiplications a row, plus 8 squarings a pass per power."""
+    digit_count = -(-params.q.bit_length() // 8)
+    max_rows = max(1, TABLE_MAX_BYTES // (256 * sys.getsizeof(params.p)))
     stride = -(-digit_count // max_rows)
-    return PowerTable(base, params.p, params.q.bit_length(), stride=stride)
+    if uses is not None:
+        strides = range(stride, digit_count + 1)
+        stride = min(strides, key=lambda s: 255 * -(-digit_count // s) + 8 * s * uses)
+    return PowerTable(base, params.p, params.q.bit_length(), stride)
 
 
 _GENERATOR_TABLES: dict[tuple[int, int], PowerTable] = {}

@@ -193,17 +193,23 @@ def test_kex_agree_rejects_malformed_elements():
 # precomputed power tables
 # ---------------------------------------------------------------------------
 
+# the uses the collision loops give a peer table at n_e = 8
+PEER_USES = 1 << 8
+
+
 @functools.cache
 def _tables():
-    """(params, table) pairs: toy256 at the shipped width for g and for a
-    peer key, and modp2048 for g at width 4 and stride 1 and as shipped
-    (strided)."""
+    """(params, table) pairs: each group's generator table and a peer table
+    as shipped (the peer one as the collision loops build it at n_e = 8), and
+    modp2048 for g at stride 64."""
     peer = kex_keygen(TOY256, HashDrbg(30)).public
+    peer2048 = kex_keygen(MODP2048, HashDrbg(30)).public
     return (
         (TOY256, power_table(TOY256, TOY256.g)),
-        (TOY256, power_table(TOY256, peer)),
-        (MODP2048, PowerTable(MODP2048.g, MODP2048.p, MODP2048.q.bit_length(), width=4)),
+        (TOY256, power_table(TOY256, peer, PEER_USES)),
+        (MODP2048, PowerTable(MODP2048.g, MODP2048.p, MODP2048.q.bit_length(), stride=64)),
         (MODP2048, power_table(MODP2048, MODP2048.g)),
+        (MODP2048, power_table(MODP2048, peer2048, PEER_USES)),
     )
 
 
@@ -214,33 +220,53 @@ def test_power_table_covers_the_group_exponents():
 
 
 def test_power_table_stride_follows_the_modulus_size():
-    # toy256 keeps the unstrided table; modp2048 is strided to stay small
+    # a generator table lives for the whole process: toy256 keeps stride 1;
+    # modp2048 is strided to stay near 0.5 MB, at no more work per power than
+    # the 6-bit layout's 350 multiplications and 204 squarings
     assert power_table(TOY256, TOY256.g).stride == 1
     table = power_table(MODP2048, MODP2048.g)
     assert table.stride > 1
-    entries = len(table._rows) << table.width
-    assert entries * MODP2048.element_size <= 250_000
+    entries = len(table._rows) << 8
+    assert entries * MODP2048.element_size <= 550_000
+    assert len(table._rows) * table.stride + 8 * (table.stride - 1) <= 350 + 204
+
+
+def test_peer_table_stride_follows_its_uses():
+    # a table for few powers is cheap to build, one for many powers fast to use
+    strides = [power_table(TOY256, 5, uses).stride for uses in (0, 16, PEER_USES, 1 << 16)]
+    assert strides == sorted(strides, reverse=True)
+    assert strides[-1] == 1
+    assert power_table(TOY256, 5, PEER_USES).stride in (2, 3)
+    # and never below the stride the memory budget needs
+    assert power_table(MODP2048, 5, 1 << 16).stride == generator_table(MODP2048).stride
 
 
 def test_power_table_rows_hold_the_strided_powers():
-    for params, table in (_tables()[0], _tables()[3]):
-        step = table.width * table.stride
+    for params, table in _tables():
+        step = 8 * table.stride
         for i, row in enumerate(table._rows):
-            assert len(row) == 1 << table.width
-            for d in (0, 1, 2, len(row) - 1):
+            assert len(row) == 256
+            for d in (0, 1, 2, 255):
                 assert row[d] == pow(table.base, d << (step * i), params.p), (i, d)
 
 
-@pytest.mark.parametrize("width, stride", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 2), (1, 5), (5, 1)])
-def test_power_table_equals_pow_for_every_small_exponent(width, stride):
+@pytest.mark.parametrize(
+    "rows, stride", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (3, 2), (5, 1)]
+)
+def test_power_table_equals_pow_for_every_small_exponent(rows, stride):
+    # every exponent below 2^12, every byte at every digit position, and the
+    # exponents around the limit
     for base in (SMALL.g, 2, SMALL.p - 1):
-        table = PowerTable(base, SMALL.p, SMALL.q.bit_length(), width=width, stride=stride)
-        assert table.limit > SMALL.q
-        for e in range(-SMALL.q, 2 * table.limit):
+        table = PowerTable(base, SMALL.p, 8 * stride * rows, stride=stride)
+        assert len(table._rows) == rows
+        assert table.limit == 1 << (8 * stride * rows)
+        single_digits = [d << (8 * k) for k in range(stride * rows) for d in range(256)]
+        around_limit = range(table.limit - 4096, table.limit + 4096)
+        for e in (*range(-SMALL.q, 4096), *single_digits, *around_limit):
             assert table.pow(e) == pow(base, e, SMALL.p), (base, e)
 
 
-@given(index=st.integers(0, 3), data=st.data())
+@given(index=st.integers(0, 4), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_power_table_equals_pow(index, data):
     params, table = _tables()[index]
