@@ -30,6 +30,7 @@ from typing import Callable
 
 from .model import AdversaryView, MessageEnvelope, Model, SessionId, World
 from .primitives import (
+    PEER_TABLE_STRIDE,
     Encapsulation,
     KemMode,
     commit,
@@ -175,8 +176,8 @@ def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
 
     env1 = view.pending()[0]
     (pka_raw,) = [v for _, v in decode_fields(env1.payload)]
-    # every candidate, about 2^n_e of them, is agreed against pka
-    pka = power_table(g, g.decode_element(pka_raw), min(budget, 1 << view.cfg.n_e))
+    # every candidate is agreed against pka
+    pka = power_table(g, g.decode_element(pka_raw), PEER_TABLE_STRIDE)
 
     toward_bob = kex_keygen(g, view.rng)
     toward_bob_raw = g.encode_element(toward_bob.public)
@@ -267,8 +268,8 @@ def attack_kem2_replica(
 
     env1 = view.pending()[0]
     (pka_raw,) = [v for _, v in decode_fields(env1.payload)]
-    # every candidate, about 2^n_e of them, is encapsulated under pka
-    pka = power_table(g, g.decode_element(pka_raw), min(budget, 1 << view.cfg.n_e))
+    # every candidate is encapsulated under pka
+    pka = power_table(g, g.decode_element(pka_raw), PEER_TABLE_STRIDE)
     own = kem_keygen(g, view.rng)
     own_raw = g.encode_element(own.public)
     view.modify(env1, encode_fields([("pk", own_raw)]))

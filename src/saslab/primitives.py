@@ -280,6 +280,11 @@ def group_by_name(name: str) -> GroupParams:
 # against 147 us for pow) and modp2048 at stride 37 (7 rows, 0.54 MB; 259
 # multiplications and 288 squarings per power).
 TABLE_MAX_BYTES = 550_000
+# Least stride of a peer table, which the collision loops build once per
+# trial for about 2^n_e powers. On toy256 at n_e = 8, build plus 256 powers
+# took about as long at stride 2 (16 rows, 2.6 ms to build) as at stride 3,
+# and longer at stride 1, whose 5 ms build every trial pays.
+PEER_TABLE_STRIDE = 2
 
 
 class PowerTable:
@@ -329,17 +334,12 @@ class PowerTable:
         return result
 
 
-def power_table(params: GroupParams, base: int, uses: int | None = None) -> PowerTable:
+def power_table(params: GroupParams, base: int, min_stride: int = 1) -> PowerTable:
     """A table of base covering the group's exponents [0, q], at the smallest
-    stride that keeps it within TABLE_MAX_BYTES. A table for a known number
-    of powers (a peer key inside one trial) takes the stride that minimises
-    its build, 255 multiplications a row, plus 8 squarings a pass per power."""
+    stride, no less than min_stride, that keeps it within TABLE_MAX_BYTES."""
     digit_count = -(-params.q.bit_length() // 8)
     max_rows = max(1, TABLE_MAX_BYTES // (256 * sys.getsizeof(params.p)))
-    stride = -(-digit_count // max_rows)
-    if uses is not None:
-        strides = range(stride, digit_count + 1)
-        stride = min(strides, key=lambda s: 255 * -(-digit_count // s) + 8 * s * uses)
+    stride = max(min_stride, -(-digit_count // max_rows))
     return PowerTable(base, params.p, params.q.bit_length(), stride)
 
 

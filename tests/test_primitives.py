@@ -7,6 +7,7 @@ from saslab import primitives
 from saslab.primitives import (
     BLINDER_SIZE,
     MODP2048,
+    PEER_TABLE_STRIDE,
     REJECT,
     TOY256,
     Commitment,
@@ -193,23 +194,19 @@ def test_kex_agree_rejects_malformed_elements():
 # precomputed power tables
 # ---------------------------------------------------------------------------
 
-# the uses the collision loops give a peer table at n_e = 8
-PEER_USES = 1 << 8
-
-
 @functools.cache
 def _tables():
     """(params, table) pairs: each group's generator table and a peer table
-    as shipped (the peer one as the collision loops build it at n_e = 8), and
+    as shipped (the peer one as the collision loops build it), and
     modp2048 for g at stride 64."""
     peer = kex_keygen(TOY256, HashDrbg(30)).public
     peer2048 = kex_keygen(MODP2048, HashDrbg(30)).public
     return (
         (TOY256, power_table(TOY256, TOY256.g)),
-        (TOY256, power_table(TOY256, peer, PEER_USES)),
+        (TOY256, power_table(TOY256, peer, PEER_TABLE_STRIDE)),
         (MODP2048, PowerTable(MODP2048.g, MODP2048.p, MODP2048.q.bit_length(), stride=64)),
         (MODP2048, power_table(MODP2048, MODP2048.g)),
-        (MODP2048, power_table(MODP2048, peer2048, PEER_USES)),
+        (MODP2048, power_table(MODP2048, peer2048, PEER_TABLE_STRIDE)),
     )
 
 
@@ -231,14 +228,11 @@ def test_power_table_stride_follows_the_modulus_size():
     assert len(table._rows) * table.stride + 8 * (table.stride - 1) <= 350 + 204
 
 
-def test_peer_table_stride_follows_its_uses():
-    # a table for few powers is cheap to build, one for many powers fast to use
-    strides = [power_table(TOY256, 5, uses).stride for uses in (0, 16, PEER_USES, 1 << 16)]
-    assert strides == sorted(strides, reverse=True)
-    assert strides[-1] == 1
-    assert power_table(TOY256, 5, PEER_USES).stride in (2, 3)
+def test_peer_table_takes_the_shipped_stride():
+    # toy256 peer tables are strided so that each trial's build stays cheap
+    assert power_table(TOY256, 5, PEER_TABLE_STRIDE).stride == PEER_TABLE_STRIDE == 2
     # and never below the stride the memory budget needs
-    assert power_table(MODP2048, 5, 1 << 16).stride == generator_table(MODP2048).stride
+    assert power_table(MODP2048, 5, PEER_TABLE_STRIDE).stride == generator_table(MODP2048).stride
 
 
 def test_power_table_rows_hold_the_strided_powers():
