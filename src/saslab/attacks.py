@@ -2,14 +2,18 @@
 
 Two families:
 
-  demonstrations   the 2-pass protocols fall: an entropy-collision keypair
-                   loop against the 2-pass exchange, and the same-key,
-                   replica, and combined attacks against the 2-pass
-                   encapsulation protocol
+  demonstrations   the 2-pass protocols fall: one entropy-collision loop,
+                   _collide, tries keypairs against the 2-pass exchange and
+                   fresh (replica) or secret-reusing (combined)
+                   encapsulations against the 2-pass encapsulation
+                   protocol; the same-key attack re-encapsulates once
 
   negative tests   single-shot substitutions (random forge) and third-party
                    redirects against the 3/4/6-pass protocols, which succeed
                    only at the residual n_e-bit collision rate
+
+Same-key stays out of the loop: it sends one re-encapsulation, and the
+per-trial peer table the loop builds would only slow that down.
 
 Each strategy is declared once, in STRATEGIES: its targets, trial runner,
 parties, and the rule that labels a combination defended or a
@@ -162,51 +166,80 @@ def _require(strategy: AttackStrategy, world: World):
 
 
 # ---------------------------------------------------------------------------
-# 2-pass key exchange: keypair collision loop
+# 2-pass protocols: entropy-collision loop
 # ---------------------------------------------------------------------------
 
-def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
-    """Substitute both public elements and loop over keypairs toward the
-    initiator until the two sides' short digests collide."""
-    _require(AttackStrategy.KEX2_ENTROPY_COLLISION, world)
+def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutcome:
+    """Substitute the attacker's own key pair toward the responder, answer
+    its reply, then try candidates toward the initiator until the two sides'
+    short digests collide. Past the kind's key pair and answer, only the
+    candidate step depends on the strategy."""
+    _require(strategy, world)
 
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
     g = view.cfg.group
+    kex = view.kind is ProtocolKind.KEX2
 
     env1 = view.pending()[0]
-    (pka_raw,) = [v for _, v in decode_fields(env1.payload)]
-    # every candidate is agreed against pka
+    ((first, pka_raw),) = decode_fields(env1.payload)
+    # every candidate is agreed against, or encapsulated under, pka
     pka = power_table(g, g.decode_element(pka_raw), PEER_TABLE_STRIDE)
-
-    toward_bob = kex_keygen(g, view.rng)
-    toward_bob_raw = g.encode_element(toward_bob.public)
-    view.modify(env1, encode_fields([("pka", toward_bob_raw)]))
+    own = (kex_keygen if kex else kem_keygen)(g, view.rng)
+    own_raw = g.encode_element(own.public)
+    view.modify(env1, encode_fields([(first, own_raw)]))
 
     env2 = view.pending()[0]
-    (pkb_raw,) = [v for _, v in decode_fields(env2.payload)]
-    pkb = g.decode_element(pkb_raw)
-    key_eb = kex_agree(toward_bob, pkb, g)
-    digest = partial(session_entropy, ProtocolKind.KEX2, view.cfg, "E", env1.receiver)
-    e_bob = digest({"pka": toward_bob_raw, "pkb": pkb_raw, "key": key_eb.key})
+    ((second, reply_raw),) = decode_fields(env2.payload)
+    if kex:
+        key_eb = kex_agree(own, g.decode_element(reply_raw), g)
+    else:
+        x_b, key_eb = kem_decaps_star(own.secret, Encapsulation.decode(reply_raw, g), g)
+    # the two wire labels are the ones the kind's entropy "E" declares
+    digest = partial(session_entropy, view.kind, view.cfg, "E", env1.receiver)
+    e_bob = digest({first: own_raw, second: reply_raw, "key": key_eb.key})
 
-    found = None
     iterations = 0
     while iterations < budget:
         iterations += 1
-        candidate = kex_keygen(g, view.rng)
-        candidate_raw = g.encode_element(candidate.public)
-        key_ea = kex_agree(candidate, pka, g)
-        if digest({"pka": pka_raw, "pkb": candidate_raw, "key": key_ea.key}) == e_bob:
-            found = candidate_raw
+        if kex:
+            candidate = kex_keygen(g, view.rng)
+            candidate_raw = g.encode_element(candidate.public)
+            key_ea = kex_agree(candidate, pka, g)
+        elif strategy is AttackStrategy.KEM2_COMBINED:
+            ct_e, key_ea = kem_encaps_star(pka, x_b, g, KemMode.PROBABILISTIC, view.rng)
+            candidate_raw = ct_e.encode(g)
+        else:
+            ct_e, key_ea, _ = kem_encaps(pka, g, view.cfg.kem_mode, view.rng)
+            candidate_raw = ct_e.encode(g)
+        if digest({first: pka_raw, second: candidate_raw, "key": key_ea.key}) == e_bob:
             break
-    if found is None:
+    else:  # the budget ran out without a collision
         view.drop(env2)
         return AttackOutcome(False, iterations)
 
-    view.modify(env2, encode_fields([("pkb", found)]))
+    view.modify(env2, encode_fields([(second, candidate_raw)]))
     verdict = view.verify(b"alice", sid, b"bob", sid)
-    return AttackOutcome(verdict == "accept", iterations)
+    alice = world.session_record(b"alice", sid)
+    bob = world.session_record(b"bob", sid)
+    keys_match = alice.kappa is not None and alice.kappa == bob.kappa
+    detail = {"initiator_key_equals_responder_key": keys_match}
+    return AttackOutcome(verdict == "accept", iterations, detail)
+
+
+def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
+    """The 2-pass exchange demonstration: loop over keypairs toward the initiator."""
+    return _collide(world, budget, AttackStrategy.KEX2_ENTROPY_COLLISION)
+
+
+def attack_kem2_replica(
+    world: World, budget: int, reuse_secret: bool = False
+) -> AttackOutcome:
+    """Loop fresh encapsulations toward the initiator. With reuse_secret each
+    one re-encapsulates the responder's own secret (probabilistic mode only),
+    so a success also leaves both ends with the same key."""
+    return _collide(world, budget, AttackStrategy.KEM2_COMBINED if reuse_secret
+                    else AttackStrategy.KEM2_REPLICA)
 
 
 # ---------------------------------------------------------------------------
@@ -245,68 +278,6 @@ def attack_kem_same_key(world: World) -> AttackOutcome:
         verdict == "accept" and all_equal,
         iterations=1,
         detail={"all_three_keys_equal": all_equal},
-    )
-
-
-# ---------------------------------------------------------------------------
-# 2-pass encapsulation: replica / combined collision loops
-# ---------------------------------------------------------------------------
-
-def attack_kem2_replica(
-    world: World, budget: int, reuse_secret: bool = False
-) -> AttackOutcome:
-    """Loop fresh encapsulations toward the initiator until the short digest
-    matches the responder side. With reuse_secret the attacker re-encapsulates
-    the responder's own secret (probabilistic mode only), so a success also
-    leaves both ends with the same key."""
-    strategy = AttackStrategy.KEM2_COMBINED if reuse_secret else AttackStrategy.KEM2_REPLICA
-    _require(strategy, world)
-
-    sid = world.start_session(b"alice", b"bob")
-    view = AdversaryView(world)
-    g = view.cfg.group
-
-    env1 = view.pending()[0]
-    (pka_raw,) = [v for _, v in decode_fields(env1.payload)]
-    # every candidate is encapsulated under pka
-    pka = power_table(g, g.decode_element(pka_raw), PEER_TABLE_STRIDE)
-    own = kem_keygen(g, view.rng)
-    own_raw = g.encode_element(own.public)
-    view.modify(env1, encode_fields([("pk", own_raw)]))
-
-    env2 = view.pending()[0]
-    (ct_raw,) = [v for _, v in decode_fields(env2.payload)]
-    x_b, key_be = kem_decaps_star(own.secret, Encapsulation.decode(ct_raw, g), g)
-    digest = partial(session_entropy, ProtocolKind.KEM2, view.cfg, "E", env1.receiver)
-    e_bob = digest({"pk": own_raw, "ct": ct_raw, "key": key_be.key})
-
-    found = None
-    iterations = 0
-    while iterations < budget:
-        iterations += 1
-        if reuse_secret:
-            ct_e, key_ea = kem_encaps_star(pka, x_b, g, KemMode.PROBABILISTIC, view.rng)
-        else:
-            ct_e, key_ea, _ = kem_encaps(pka, g, view.cfg.kem_mode, view.rng)
-        if digest({"pk": pka_raw, "ct": ct_e.encode(g), "key": key_ea.key}) == e_bob:
-            found = ct_e
-            break
-    if found is None:
-        view.drop(env2)
-        return AttackOutcome(False, iterations)
-
-    view.modify(env2, encode_fields([("ct", found.encode(g))]))
-    verdict = view.verify(b"alice", sid, b"bob", sid)
-    alice = world.session_record(b"alice", sid)
-    bob = world.session_record(b"bob", sid)
-    return AttackOutcome(
-        verdict == "accept",
-        iterations,
-        detail={
-            "initiator_key_equals_responder_key": (
-                alice.kappa is not None and alice.kappa == bob.kappa
-            ),
-        },
     )
 
 

@@ -375,20 +375,15 @@ class World:
             rounds = [(sorted(first.machine.entropies), "accept")]
         else:
             ours, theirs = first.machine.entropies, second.machine.entropies
-            if SPECS[self.kind].separate_rounds:
-                groups = [[label] for label in sorted(ours)]
-            else:
-                groups = [sorted(ours)]
             verdict = "accept" if ours == theirs else "reject"
-            if verdict == "reject" and ours.keys() == theirs.keys():
-                # the same labels: a round accepts when its own values agree
-                rounds = [
-                    (labels, "accept" if all(ours[lbl] == theirs[lbl] for lbl in labels)
-                     else "reject")
-                    for labels in groups
-                ]
-            else:  # every round shares the verdict
-                rounds = [(labels, verdict) for labels in groups]
+            ordered = sorted(ours)
+            groups = [[lbl] for lbl in ordered] if SPECS[self.kind].separate_rounds else [ordered]
+            # a round accepts when its own values agree; a label the other side lacks rejects
+            rounds = [
+                (labels, "accept" if all(ours[lbl] == theirs.get(lbl) for lbl in labels)
+                 else "reject")
+                for labels in groups
+            ]
         for entry in (first, second):
             entry.record.entropies = dict(entry.machine.entropies)
             for labels, round_verdict in rounds:

@@ -211,9 +211,6 @@ class GroupParams:
     def contains(self, x: int) -> bool:
         return 1 <= x <= self.p - 1
 
-    def in_subgroup(self, x: int) -> bool:
-        return self.contains(x) and pow(x, self.q, self.p) == 1
-
     def validate(self) -> None:
         if not _is_probable_prime(self.p):
             raise MalformedElementError("modulus is not prime")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -12,9 +14,9 @@ from saslab.attacks import (
     redirect_trial,
 )
 from saslab.harness import ConfigError, ExperimentConfig, run_experiment
-from saslab.model import Model, RuleViolationError, World
-from saslab.primitives import KemMode
-from saslab.protocols import ProtocolConfig, ProtocolKind
+from saslab.model import AdversaryView, Model, RuleViolationError, World, _record_to_dict
+from saslab.primitives import KemMode, decode_fields
+from saslab.protocols import SPECS, ProtocolConfig, ProtocolKind
 
 # master seed of every run_experiment batch below
 SEED = 7
@@ -85,6 +87,55 @@ def test_kex2_collision_rejects_wrong_world():
         attack_kex2_collision(
             World(ProtocolKind.KEX2, ProtocolConfig(), Model.AM, 3), 10
         )
+
+
+# ---------------------------------------------------------------------------
+# the collision loop shared by kex2-collision, kem2-replica and kem2-combined
+# ---------------------------------------------------------------------------
+
+# sha256 of [success, iterations, records] after a loop that finds nothing:
+# n_e 32, seed 7, kem2-combined in the probabilistic KEM mode
+EXHAUSTED_PINS = {
+    ("kex2-collision", 0): "8443895ada13d993d6e01dc31d6fb14a93c2f247044b9937dbbb7e045c405fb8",
+    ("kex2-collision", 50): "8e3d15436a4faf5b97cde06590a87192f604a7f4806e36465a0a10c948d7803c",
+    ("kem2-replica", 0): "5c25b779ce7044efafe2f8f5bcbc1149dd543631a04122e880dba509bc44f874",
+    ("kem2-replica", 50): "bf9f7c28e252a408cb8d77a45b8c7f07a088f7330730b252601f8ca90054934e",
+    ("kem2-combined", 0): "fba30103003443658b221f3bbca9d0ebebea01b95d21cea497e32f24af1bf040",
+    ("kem2-combined", 50): "e61e082edcb31f04b7a0920bd30c566a7a1c9619f749a2dc275d2891455286fa",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(EXHAUSTED_PINS), ids=[f"{s}-{b}" for s, b in sorted(EXHAUSTED_PINS)]
+)
+def test_collision_loop_exhausted_budget_pinned(key):
+    # the golden pins cover only the success path; this is the other exit
+    name, budget = key
+    spec = STRATEGIES[AttackStrategy(name)]
+    cfg = ProtocolConfig(n_e=32, kem_mode=spec.kem_mode or KemMode.DETERMINISTIC)
+    world = World(spec.targets[0], cfg, Model.UM, SEED)
+    outcome = spec.run(world, budget)
+    assert not outcome.success and outcome.iterations == budget
+    assert world.undelivered == []  # the held reply is dropped, not left in flight
+    records = [_record_to_dict(r) for r in world.records()]
+    blob = json.dumps([outcome.success, outcome.iterations, records], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == EXHAUSTED_PINS[key]
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.KEX2, ProtocolKind.KEM2], ids=["kex2", "kem2"])
+def test_two_pass_wire_labels_are_the_declared_entropy_elements(kind):
+    # the collision loop digests the two labels it decodes off the wire under
+    # the names entropy "E" declares, so the two must stay the same
+    world = um_world(kind, 11)
+    world.start_session(b"alice", b"bob")
+    view = AdversaryView(world)
+    labels = []
+    while view.pending():
+        env = view.pending()[0]
+        labels.append([label for label, _ in decode_fields(env.payload)])
+        view.deliver(env)
+    first, second, key = SPECS[kind].entropies["E"].elements
+    assert labels == [[first], [second]] and key == "key"
 
 
 # ---------------------------------------------------------------------------
