@@ -3,8 +3,8 @@
 Two families:
 
   demonstrations   the 2-pass protocols fall: one entropy-collision loop,
-                   _collide, tries keypairs against the 2-pass exchange and
-                   fresh (replica) or secret-reusing (combined)
+                   _collide, tries fresh secrets against the 2-pass exchange
+                   and fresh (replica) or secret-reusing (combined)
                    encapsulations against the 2-pass encapsulation
                    protocol; the same-key attack re-encapsulates once
 
@@ -12,8 +12,8 @@ Two families:
                    redirects against the 3/4/6-pass protocols, which succeed
                    only at the residual n_e-bit collision rate
 
-Same-key stays out of the loop: it sends one re-encapsulation, and the
-per-trial peer table the loop builds would only slow that down.
+Same-key sends one re-encapsulation, so it stays out of the loop and its
+per-trial peer table. A loop candidate costs a draw, two powers and a hash.
 
 Each strategy is declared once, in STRATEGIES: its targets, trial runner,
 parties, and the rule that labels a combination defended or a
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Callable
 
 from .model import AdversaryView, MessageEnvelope, Model, SessionId, World
@@ -39,7 +38,11 @@ from .primitives import (
     KemMode,
     commit,
     decode_fields,
+    derive_key,
     encode_fields,
+    entropy_bits,
+    entropy_prefix,
+    generator_table,
     kem_decaps_star,
     kem_encaps,
     kem_encaps_star,
@@ -50,7 +53,7 @@ from .primitives import (
     power_table,
     random_element,
 )
-from .protocols import SPECS, ProtocolConfig, ProtocolKind, session_entropy
+from .protocols import SPECS, ProtocolConfig, ProtocolKind, entropy_input, session_entropy
 
 DEFENDED_KINDS = (
     ProtocolKind.KEX3,
@@ -183,7 +186,7 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
 
     env1 = view.pending()[0]
     ((first, pka_raw),) = decode_fields(env1.payload)
-    # every candidate is agreed against, or encapsulated under, pka
+    gen = generator_table(g)  # every candidate raises gen and pka to the power it draws
     pka = power_table(g, g.decode_element(pka_raw), PEER_TABLE_STRIDE)
     own = (kex_keygen if kex else kem_keygen)(g, view.rng)
     own_raw = g.encode_element(own.public)
@@ -195,24 +198,26 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
         key_eb = kex_agree(own, g.decode_element(reply_raw), g)
     else:
         x_b, key_eb = kem_decaps_star(own.secret, Encapsulation.decode(reply_raw, g), g)
-    # the two wire labels are the ones the kind's entropy "E" declares
-    digest = partial(session_entropy, view.kind, view.cfg, "E", env1.receiver)
-    e_bob = digest({first: own_raw, second: reply_raw, "key": key_eb.key})
+    digest = (view.kind, view.cfg, "E", env1.receiver)  # "E" declares the two wire labels
+    e_bob = session_entropy(*digest, {first: own_raw, second: reply_raw, "key": key_eb.key})
+    prefix = entropy_prefix(*entropy_input(*digest, {first: pka_raw}))  # hashed once
+    key_ea = key_eb  # the key of x_b, which every kem2-combined candidate encapsulates
 
     iterations = 0
-    while iterations < budget:
-        iterations += 1
-        if kex:
-            candidate = kex_keygen(g, view.rng)
-            candidate_raw = g.encode_element(candidate.public)
-            key_ea = kex_agree(candidate, pka, g)
-        elif strategy is AttackStrategy.KEM2_COMBINED:
-            ct_e, key_ea = kem_encaps_star(pka, x_b, g, KemMode.PROBABILISTIC, view.rng)
-            candidate_raw = ct_e.encode(g)
+    for iterations in range(1, budget + 1):
+        if kex:  # kex_keygen's draw and power, then kex_agree's power
+            s = view.rng.randrange(1, g.q)
+            candidate_raw = g.encode_element(gen.pow(s))
+            key_ea = derive_key(pka.pow(s), g)
+        elif strategy is AttackStrategy.KEM2_COMBINED:  # kem_encaps_star's, probabilistic mode
+            r = view.rng.randrange(1, g.q)
+            candidate_raw = Encapsulation(gen.pow(r), x_b * pka.pow(r) % g.p).encode(g)
         else:
             ct_e, key_ea, _ = kem_encaps(pka, g, view.cfg.kem_mode, view.rng)
             candidate_raw = ct_e.encode(g)
-        if digest({first: pka_raw, second: candidate_raw, "key": key_ea.key}) == e_bob:
+        h = prefix.copy()
+        h.update(encode_fields([(second, candidate_raw), ("key", key_ea.key)]))
+        if entropy_bits(h, view.cfg.n_e) == e_bob.value:
             break
     else:  # the budget ran out without a collision
         view.drop(env2)
@@ -228,7 +233,7 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
 
 
 def attack_kex2_collision(world: World, budget: int) -> AttackOutcome:
-    """The 2-pass exchange demonstration: loop over keypairs toward the initiator."""
+    """The 2-pass exchange demonstration: loop over public keys toward the initiator."""
     return _collide(world, budget, AttackStrategy.KEX2_ENTROPY_COLLISION)
 
 

@@ -652,13 +652,21 @@ class EntropyValue:
         if not 0 <= self.value < 1 << self.n_e:
             raise ValueError("entropy value exceeds declared width")
 
-    @property
-    def bits(self) -> bytes:
-        """Value as bytes, unused high bits zero."""
-        return self.value.to_bytes((self.n_e + 7) // 8, "big")
-
     def __str__(self) -> str:
         return f"{self.value:0{(self.n_e + 3) // 4}x}/{self.n_e}"
+
+
+def entropy_prefix(receiver: bytes, elements: Sequence[tuple[str, bytes]]):
+    """The SHA-256 state of an entropy digest after the receiver and a leading run of elements."""
+    if len(receiver) > 255:
+        raise SizeError("receiver identity too long")
+    data = bytes([len(receiver)]) + receiver + encode_fields(elements)
+    return hashlib.sha256(ENTROPY_TAG.encode("ascii") + data)
+
+
+def entropy_bits(h, n_e: int) -> int:
+    """The top n_e bits of a finished entropy digest."""
+    return int.from_bytes(h.digest()[:8], "big") >> (64 - n_e)
 
 
 def entropy(
@@ -676,12 +684,6 @@ def entropy(
     if not MIN_ENTROPY_BITS <= n_e <= MAX_ENTROPY_BITS:
         raise ValueError(f"entropy width must be in [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}]")
     elements = list(elements)
-    labels = [label for label, _ in elements]
-    if len(set(labels)) != len(labels):
+    if len({label for label, _ in elements}) != len(elements):
         raise ValueError("duplicate entropy element label")
-    if len(receiver) > 255:
-        raise SizeError("receiver identity too long")
-    data = bytes([len(receiver)]) + receiver + encode_fields(elements)
-    digest = _tagged_hash(ENTROPY_TAG, data)
-    value = int.from_bytes(digest[:8], "big") >> (64 - n_e)
-    return EntropyValue(value=value, n_e=n_e)
+    return EntropyValue(entropy_bits(entropy_prefix(receiver, elements), n_e), n_e)

@@ -154,18 +154,31 @@ class ProtocolConfig:
     include_receiver_identity: bool = True
 
 
+def _entropy_rule(kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes):
+    """The receiver and element names, in order, that entropy value `label` of a kind's flow
+    hashes: the receiver is blank where the value binds none or identities are off."""
+    spec = SPECS[kind].entropies[label]
+    if spec.receiver is None or not cfg.include_receiver_identity:
+        receiver = b""
+    key_only = cfg.kem2_key_only_entropy and kind is ProtocolKind.KEM2  # kem2's key-only profile
+    return receiver, ("key",) if key_only else tuple(spec.elements)
+
+
+def entropy_input(
+    kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
+) -> tuple[bytes, list[tuple[str, bytes]]]:
+    """What entropy value `label` hashes first, given `values` of a leading run of its elements."""
+    receiver, names = _entropy_rule(kind, cfg, label, receiver)
+    if tuple(values) != names[: len(values)]:
+        raise ValueError(f"{label} hashes {', '.join(names)} in order, not {', '.join(values)}")
+    return receiver, list(values.items())
+
+
 def session_entropy(
     kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
 ) -> EntropyValue:
-    """The entropy value `label` of a kind's flow over `values`: its declared
-    elements in declared order (the key alone under kem2's key-only profile),
-    bound to `receiver` where the value binds one and identities are on."""
-    spec = SPECS[kind].entropies[label]
-    names = spec.elements
-    if cfg.kem2_key_only_entropy and kind is ProtocolKind.KEM2:
-        names = ("key",)
-    if spec.receiver is None or not cfg.include_receiver_identity:
-        receiver = b""
+    """The entropy value `label` of a kind's flow over the elements it hashes out of `values`."""
+    receiver, names = _entropy_rule(kind, cfg, label, receiver)
     return entropy(receiver, [(name, values[name]) for name in names], cfg.n_e)
 
 

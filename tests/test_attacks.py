@@ -17,6 +17,7 @@ from saslab.harness import ConfigError, ExperimentConfig, run_experiment
 from saslab.model import AdversaryView, Model, RuleViolationError, World, _record_to_dict
 from saslab.primitives import KemMode, decode_fields
 from saslab.protocols import SPECS, ProtocolConfig, ProtocolKind
+from saslab.rng import derive_seed
 
 # master seed of every run_experiment batch below
 SEED = 7
@@ -120,6 +121,89 @@ def test_collision_loop_exhausted_budget_pinned(key):
     records = [_record_to_dict(r) for r in world.records()]
     blob = json.dumps([outcome.success, outcome.iterations, records], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == EXHAUSTED_PINS[key]
+
+
+# sha256 of [[success, iterations, records], ...] over the worlds at seeds 7,
+# 8 and 9, n_e 6, on two paths the golden report pins do not take. Seed 7
+# alone is not enough: there, a loop that keeps the receiver in its digests
+# with identities off, or hashes its own key in place of the initiator's,
+# happens to stop on the same candidate.
+LANDED_PINS = {
+    "kex2-collision-no-identities": (
+        AttackStrategy.KEX2_ENTROPY_COLLISION, dict(include_receiver_identity=False),
+        "2838ecce642e2c6d7bd365cf4b89f34864c0460689efdccbc7fe33de0ebd0e62",
+    ),
+    "kem2-combined-prob": (
+        AttackStrategy.KEM2_COMBINED, dict(kem_mode=KemMode.PROBABILISTIC),
+        "b2754af837d8eafc60a28457a0fcd1487c549293a184af8c44e826c5fe97dbc0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANDED_PINS))
+def test_collision_loop_landing_pinned(name):
+    strategy, fields, pin = LANDED_PINS[name]
+    spec = STRATEGIES[strategy]
+    runs = []
+    for seed in (SEED, SEED + 1, SEED + 2):
+        world = World(spec.targets[0], ProtocolConfig(n_e=6, **fields), Model.UM, seed)
+        outcome = spec.run(world, 1 << 12)
+        records = [_record_to_dict(r) for r in world.records()]
+        runs.append([outcome.success, outcome.iterations, records])
+    assert all(success for success, _, _ in runs)
+    blob = json.dumps(runs, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == pin
+
+
+# Iteration counts of a collision loop at n_e 6: geometric with p = 2^-6,
+# compared over log-spaced bins by Pearson's chi-square (6 degrees of
+# freedom; 22.46 is the 0.999 quantile).
+LOOP_BINS = [(1, 9), (9, 17), (17, 33), (33, 65), (65, 129), (129, 257), (257, 4097)]
+CHI2_6_999 = 22.46
+LOOP_WORLDS = 300
+
+
+def _loop_outcomes(strategy, label, budget):
+    spec = STRATEGIES[strategy]
+    cfg = ProtocolConfig(n_e=6, kem_mode=spec.kem_mode or KemMode.DETERMINISTIC)
+    return [
+        spec.run(
+            World(spec.targets[0], cfg, Model.UM,
+                  derive_seed(SEED, label, strategy.value.encode(), i.to_bytes(4, "big"))),
+            budget,
+        )
+        for i in range(LOOP_WORLDS)
+    ]
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [AttackStrategy.KEX2_ENTROPY_COLLISION, AttackStrategy.KEM2_REPLICA,
+     AttackStrategy.KEM2_COMBINED],
+    ids=lambda s: s.value,
+)
+def test_collision_loop_length_is_geometric(strategy):
+    # C2 checks only the mean, which a loop spending two iterations on each
+    # candidate would still pass; the whole distribution would not
+    p = 2**-6
+    survive = lambda n: (1 - p) ** n  # P(more than n iterations)
+    outcomes = _loop_outcomes(strategy, b"loop-length", LOOP_BINS[-1][1] - 1)
+    assert all(o.success for o in outcomes)
+    chi2 = 0.0
+    for low, high in LOOP_BINS:
+        observed = sum(low <= o.iterations < high for o in outcomes)
+        expected = LOOP_WORLDS * (survive(low - 1) - survive(high - 1))
+        chi2 += (observed - expected) ** 2 / expected
+    assert chi2 <= CHI2_6_999, chi2
+
+    # at a budget of 2^6 the loop gives up with probability (1 - 2^-6)^64
+    budget = 1 << 6
+    outcomes = _loop_outcomes(strategy, b"loop-exhausted", budget)
+    exhausted = sum(not o.success for o in outcomes)
+    assert all(o.iterations == budget for o in outcomes if not o.success)
+    mu = LOOP_WORLDS * survive(budget)
+    sigma = math.sqrt(mu * (1 - survive(budget)))
+    assert abs(exhausted - mu) <= 4 * sigma, (exhausted, mu)
 
 
 @pytest.mark.parametrize("kind", [ProtocolKind.KEX2, ProtocolKind.KEM2], ids=["kex2", "kem2"])

@@ -24,6 +24,8 @@ from saslab.primitives import (
     derive_key,
     encode_fields,
     entropy,
+    entropy_bits,
+    entropy_prefix,
     expect_fields,
     generator_table,
     group_by_name,
@@ -492,9 +494,36 @@ def test_entropy_truncation_bound():
     rng = HashDrbg(24)
     for n_e in (4, 8, 13, 16, 33, 64):
         for _ in range(50):
-            value = entropy(b"r", [("x", rng.randbytes(4))], n_e)
+            elements = [("x", rng.randbytes(4))]
+            value = entropy(b"r", elements, n_e)
             assert 0 <= value.value < 1 << n_e
-            assert value.bits == value.value.to_bytes((n_e + 7) // 8, "big")
+            # the top n_e bits of the one 64-bit digest prefix
+            assert value.value == entropy(b"r", elements, 64).value >> (64 - n_e)
+
+
+@given(
+    receiver=st.binary(max_size=255),
+    elements=st.dictionaries(
+        st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8),
+        st.binary(max_size=40),
+        max_size=5,
+    ).map(lambda d: list(d.items())),
+    n_e=st.integers(4, 64),
+)
+@settings(max_examples=200, deadline=None)
+def test_entropy_prefix_finished_with_the_rest_is_entropy(receiver, elements, n_e):
+    # the state after any leading run, finished with the TLV of the rest,
+    # is the digest entropy() truncates
+    value = entropy(receiver, elements, n_e).value
+    for k in range(len(elements) + 1):
+        h = entropy_prefix(receiver, elements[:k])
+        h.update(encode_fields(elements[k:]))
+        assert entropy_bits(h, n_e) == value
+
+
+def test_entropy_prefix_rejects_a_long_receiver():
+    with pytest.raises(SizeError):
+        entropy_prefix(b"r" * 256, [])
 
 
 def test_entropy_duplicate_label_rejected():

@@ -20,6 +20,8 @@ from saslab.protocols import (
     Side,
     build_machine,
     compile_mt,
+    entropy_input,
+    session_entropy,
 )
 from saslab.rng import HashDrbg
 
@@ -146,6 +148,51 @@ def test_kem2_key_only_entropy_flag():
     a, b, _ = drive_pair(ProtocolKind.KEM2, cfg)
     expected = entropy(b"", [("key", a.key.key)], cfg.n_e)
     assert a.entropies == {"E": expected} == b.entropies
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_entropy_input_is_a_leading_run_of_session_entropy(kind):
+    # every leading run of every entropy value, finished with the rest,
+    # gives session_entropy's value
+    for cfg in (ProtocolConfig(), ProtocolConfig(include_receiver_identity=False)):
+        for label, spec in SPECS[kind].entropies.items():
+            values = {name: name.encode() * 3 for name in spec.elements}
+            whole = session_entropy(kind, cfg, label, b"bob", values)
+            names = list(values)
+            for k in range(len(names) + 1):
+                receiver, run = entropy_input(
+                    kind, cfg, label, b"bob", {n: values[n] for n in names[:k]}
+                )
+                rest = [(n, values[n]) for n in names[k:]]
+                assert entropy(receiver, run + rest, cfg.n_e) == whole
+
+
+@pytest.mark.parametrize(
+    "kind, cfg, values",
+    [
+        (ProtocolKind.KEM2, ProtocolConfig(kem2_key_only_entropy=True), {"pk": b"p"}),
+        (ProtocolKind.KEM2, ProtocolConfig(kem2_key_only_entropy=True),
+         {"pk": b"p", "ct": b"c", "key": b"k"}),
+        (ProtocolKind.KEX2, ProtocolConfig(), {"pkb": b"b"}),
+        (ProtocolKind.KEX2, ProtocolConfig(), {"pkb": b"b", "pka": b"a"}),
+        (ProtocolKind.KEX2, ProtocolConfig(), {"pka": b"a", "key": b"k"}),
+        (ProtocolKind.KEX2, ProtocolConfig(), {"pka": b"a", "pkb": b"b", "key": b"k", "x": b""}),
+    ],
+    ids=["key-only-pk", "key-only-all", "kex2-second", "kex2-reordered", "kex2-gap", "kex2-extra"],
+)
+def test_entropy_input_rejects_what_is_not_a_leading_run(kind, cfg, values):
+    with pytest.raises(ValueError):
+        entropy_input(kind, cfg, "E", b"bob", values)
+
+
+def test_session_entropy_takes_the_key_alone_under_key_only_profile():
+    cfg = ProtocolConfig(kem2_key_only_entropy=True)
+    values = {"pk": b"p", "ct": b"c", "key": b"k"}
+    assert session_entropy(ProtocolKind.KEM2, cfg, "E", b"bob", values) == entropy(
+        b"", [("key", b"k")], cfg.n_e
+    )
+    with pytest.raises(KeyError):  # a value it hashes is missing
+        session_entropy(ProtocolKind.KEM2, cfg, "E", b"bob", {"pk": b"p"})
 
 
 def test_receiver_identity_enters_entropy():
