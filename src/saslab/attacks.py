@@ -13,7 +13,8 @@ Two families:
                    only at the residual n_e-bit collision rate
 
 Same-key sends one re-encapsulation, so it stays out of the loop and its
-per-trial peer table. A loop candidate costs a draw, two powers and a hash.
+per-trial peer table. A kex2 or combined candidate costs a draw, two powers
+and a hash; a replica candidate first draws its secret x = g^e, so three.
 
 Each strategy is declared once, in STRATEGIES: its targets, trial runner,
 parties, and the rule that labels a combination defended or a
@@ -39,6 +40,7 @@ from .primitives import (
     commit,
     decode_fields,
     derive_key,
+    encaps_randomness,
     encode_fields,
     entropy_bits,
     entropy_prefix,
@@ -183,10 +185,11 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
     view = AdversaryView(world)
     g = view.cfg.group
     kex = view.kind is ProtocolKind.KEX2
+    combined = strategy is AttackStrategy.KEM2_COMBINED
 
     env1 = view.pending()[0]
     ((first, pka_raw),) = decode_fields(env1.payload)
-    gen = generator_table(g)  # every candidate raises gen and pka to the power it draws
+    gen = generator_table(g)  # every candidate raises gen and pka to its exponent
     pka = power_table(g, g.decode_element(pka_raw), PEER_TABLE_STRIDE)
     own = (kex_keygen if kex else kem_keygen)(g, view.rng)
     own_raw = g.encode_element(own.public)
@@ -201,7 +204,6 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
     digest = (view.kind, view.cfg, "E", env1.receiver)  # "E" declares the two wire labels
     e_bob = session_entropy(*digest, {first: own_raw, second: reply_raw, "key": key_eb.key})
     prefix = entropy_prefix(*entropy_input(*digest, {first: pka_raw}))  # hashed once
-    key_ea = key_eb  # the key of x_b, which every kem2-combined candidate encapsulates
 
     iterations = 0
     for iterations in range(1, budget + 1):
@@ -209,12 +211,11 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
             s = view.rng.randrange(1, g.q)
             candidate_raw = g.encode_element(gen.pow(s))
             key_ea = derive_key(pka.pow(s), g)
-        elif strategy is AttackStrategy.KEM2_COMBINED:  # kem_encaps_star's, probabilistic mode
-            r = view.rng.randrange(1, g.q)
-            candidate_raw = Encapsulation(gen.pow(r), x_b * pka.pow(r) % g.p).encode(g)
-        else:
-            ct_e, key_ea, _ = kem_encaps(pka, g, view.cfg.kem_mode, view.rng)
-            candidate_raw = ct_e.encode(g)
+        else:  # kem_encaps's draws and powers; combined re-encapsulates x_b
+            x = x_b if combined else random_element(g, view.rng)
+            r = encaps_randomness(x, pka.base, g, view.cfg.kem_mode, view.rng)
+            candidate_raw = Encapsulation(gen.pow(r), x * pka.pow(r) % g.p).encode(g)
+            key_ea = key_eb if combined else derive_key(x, g)
         h = prefix.copy()
         h.update(encode_fields([(second, candidate_raw), ("key", key_ea.key)]))
         if entropy_bits(h, view.cfg.n_e) == e_bob.value:
@@ -338,7 +339,7 @@ def forge_trial(world: World) -> AttackOutcome:
         env1 = view.pending()[0]
         pk = g.decode_element(dict(decode_fields(env1.payload))["pk"])
         view.deliver(env1)
-        ct_e, _, _ = kem_encaps(pk, g, view.cfg.kem_mode, view.rng)
+        ct_e, _ = kem_encaps(pk, g, view.cfg.kem_mode, view.rng)
         c_e, d_e = commit(ct_e.encode(g), view.rng)
         forged = {"com_ct": c_e.encode(), "open_ct": d_e.encode()}
 

@@ -617,26 +617,32 @@ def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRe
         body = json.loads(blob)
     except json.JSONDecodeError as exc:
         raise TranscriptError(f"corrupt transcript body: {exc}")
+    if not isinstance(body, dict):
+        raise TranscriptError("transcript body is not a JSON object")
     if body.get("version") != TRANSCRIPT_VERSION:
         raise TranscriptError(f"unsupported transcript version {body.get('version')!r}")
     if body.get("suite") != SUITE_HEADER:
         raise TranscriptError("transcript was produced by a different suite")
-    if body.get("run", {}).get("driver") != "honest":
+    run = body.get("run")
+    if not isinstance(run, dict) or run.get("driver") != "honest":
         raise TranscriptError("only honest-run transcripts can be replayed")
-    cfg = ProtocolConfig(
-        group=group_by_name(body["group"]),
-        n_e=body["n_e"],
-        kem_mode=primitives.KemMode(body["kem_mode"]),
-        kem2_key_only_entropy=body["kem2_key_only_entropy"],
-        include_receiver_identity=body["include_receiver_identity"],
-    )
-    seed = bytes.fromhex(body["seed"]) if body["seed_is_hex"] else body["seed"]
-    world = World(
-        ProtocolKind(body["kind"]), cfg, Model(body["model"]), seed,
-        tuple(p.encode() for p in body["parties"]),
-    )
-    run = body["run"]
-    records = run_honest(world, run["initiator"].encode(), run["responder"].encode())
+    try:  # every header field present and in its domain, both ends among the parties
+        cfg = ProtocolConfig(
+            group=group_by_name(body["group"]),
+            n_e=body["n_e"],
+            kem_mode=primitives.KemMode(body["kem_mode"]),
+            kem2_key_only_entropy=body["kem2_key_only_entropy"],
+            include_receiver_identity=body["include_receiver_identity"],
+        )
+        seed = bytes.fromhex(body["seed"]) if body["seed_is_hex"] else body["seed"]
+        world = World(
+            ProtocolKind(body["kind"]), cfg, Model(body["model"]), seed,
+            tuple(p.encode() for p in body["parties"]),
+        )
+        ends = [world.parties[run[end].encode()].name for end in ("initiator", "responder")]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TranscriptError(f"malformed transcript header: {type(exc).__name__}: {exc}") from exc
+    records = run_honest(world, *ends)
     # compare in the recorded form, as the JSON round trip leaves it
     replayed = json.loads(json.dumps([_record_to_dict(r) for r in world.records()]))
     if replayed != body.get("records"):

@@ -352,15 +352,6 @@ def generator_table(params: GroupParams) -> PowerTable:
     return table
 
 
-def _as_table(element: int | PowerTable, params: GroupParams) -> PowerTable:
-    """A peer element as a table: the caller's own, or an empty one."""
-    if not isinstance(element, PowerTable):
-        return PowerTable(element, params.p, 0)
-    if element.p != params.p:
-        raise ValueError("power table built for another modulus")
-    return element
-
-
 # ---------------------------------------------------------------------------
 # Shared keys and key exchange
 # ---------------------------------------------------------------------------
@@ -413,19 +404,15 @@ def kex_keygen(params: GroupParams, rng: HashDrbg) -> KeyPair:
     return _keygen(params, rng)
 
 
-def kex_agree(
-    own: KeyPair, peer_public: int | PowerTable, params: GroupParams
-) -> SharedKey:
-    """Derive the shared key from a peer's public element, given as an int
-    or as its power table.
+def kex_agree(own: KeyPair, peer_public: int, params: GroupParams) -> SharedKey:
+    """Derive the shared key from a peer's public element.
 
     Raises MalformedElementError for elements outside [1, p-1]; both honest
     sides of an exchange derive bitwise-equal keys.
     """
-    peer = _as_table(peer_public, params)
-    if not params.contains(peer.base):
+    if not params.contains(peer_public):
         raise MalformedElementError("peer public element out of range")
-    return derive_key(peer.pow(own.secret), params)
+    return derive_key(pow(peer_public, own.secret, params.p), params)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +450,11 @@ def kem_keygen(params: GroupParams, rng: HashDrbg) -> KeyPair:
     return _keygen(params, rng)
 
 
-def _encaps_randomness(
+def encaps_randomness(
     x: int, pk: int, params: GroupParams, mode: KemMode, rng: HashDrbg | None
 ) -> int:
+    """The encapsulation exponent r of x under pk: hashed in deterministic
+    mode, drawn from rng in probabilistic mode."""
     if mode is KemMode.DETERMINISTIC:
         # r = H_r(x || pk): the de-randomization that makes (pk, x) -> ct rigid.
         data = params.encode_element(x) + params.encode_element(pk)
@@ -476,41 +465,30 @@ def _encaps_randomness(
 
 
 def kem_encaps_star(
-    pk: int | PowerTable,
+    pk: int,
     x: int,
     params: GroupParams,
     mode: KemMode = KemMode.DETERMINISTIC,
     rng: HashDrbg | None = None,
 ) -> tuple[Encapsulation, SharedKey]:
-    """Encapsulate a caller-supplied secret x under pk, given as an int or
-    as its power table."""
-    pk = _as_table(pk, params)
-    if not params.contains(pk.base):
+    """Encapsulate a caller-supplied secret x under pk."""
+    if not params.contains(pk):
         raise MalformedElementError("public key out of range")
     if not params.contains(x):
         raise MalformedElementError("secret element out of range")
-    r = _encaps_randomness(x, pk.base, params, mode, rng)
+    r = encaps_randomness(x, pk, params, mode, rng)
     ct = Encapsulation(
         c1=generator_table(params).pow(r),
-        c2=(x * pk.pow(r)) % params.p,
+        c2=(x * pow(pk, r, params.p)) % params.p,
     )
     return ct, derive_key(x, params)
 
 
 def kem_encaps(
-    pk: int | PowerTable,
-    params: GroupParams,
-    mode: KemMode,
-    rng: HashDrbg,
-) -> tuple[Encapsulation, SharedKey, int]:
-    """Encapsulate a fresh uniform subgroup element.
-
-    The secret x is returned alongside the key: the attack strategies need
-    the starred Encaps/Decaps interface, and protocol code simply ignores it.
-    """
-    x = random_element(params, rng)
-    ct, key = kem_encaps_star(pk, x, params, mode, rng)
-    return ct, key, x
+    pk: int, params: GroupParams, mode: KemMode, rng: HashDrbg
+) -> tuple[Encapsulation, SharedKey]:
+    """Encapsulate a fresh uniform subgroup element."""
+    return kem_encaps_star(pk, random_element(params, rng), params, mode, rng)
 
 
 def kem_decaps_star(
@@ -552,7 +530,7 @@ def pke_encrypt(
     """Hybrid encryption: fresh probabilistic encapsulation + XOR stream."""
     if len(plaintext) > MAX_MESSAGE_SIZE:
         raise SizeError("plaintext too long")
-    ct, key, _ = kem_encaps(pk, params, KemMode.PROBABILISTIC, rng)
+    ct, key = kem_encaps(pk, params, KemMode.PROBABILISTIC, rng)
     body = bytes(a ^ b for a, b in zip(plaintext, _keystream(key, len(plaintext))))
     return ct.encode(params) + body
 

@@ -431,7 +431,7 @@ class Kem2Machine(Machine):
             out = None
         else:
             (pk,) = yield None, ["pk"]
-            encap, self.key, _ = kem_encaps(g.decode_element(pk), g, self.cfg.kem_mode, self.rng)
+            encap, self.key = kem_encaps(g.decode_element(pk), g, self.cfg.kem_mode, self.rng)
             ct = encap.encode(g)
             out = [("ct", ct)]
         self._entropy("E", pk=pk, ct=ct, key=self.key.key)
@@ -453,7 +453,7 @@ class Kem3TwoEntropyMachine(Machine):
             n = self.rng.randbytes(NONCE_SIZE)
             c, d = commit(n, self.rng)
             (pk,) = yield [("com", c.encode())], ["pk"]
-            encap, self.key, _ = kem_encaps(g.decode_element(pk), g, self.cfg.kem_mode, self.rng)
+            encap, self.key = kem_encaps(g.decode_element(pk), g, self.cfg.kem_mode, self.rng)
             ct = encap.encode(g)
             out = [("ct", ct), ("open", d.encode())]
         else:
@@ -537,7 +537,7 @@ class Kem4Machine(Machine):
             pk, raw_cm = yield None, ["pk", "com_m"]
             peer = g.decode_element(pk)
             chal_b = m_leg.challenge(raw_cm, self.rng)
-            encap, self.key, _ = kem_encaps(peer, g, self.cfg.kem_mode, self.rng)
+            encap, self.key = kem_encaps(peer, g, self.cfg.kem_mode, self.rng)
             com_ct = ct_leg.commit(encap.encode(g), self.rng)
             raw_dm, nonce_a = yield [com_ct, chal_b], ["open_m", "chal_a"]
             m_leg.receive(raw_dm)
@@ -581,7 +581,7 @@ class _CompiledKem2Machine(Machine):
             m_leg.receive(raw_dm)
             self._entropy("E_A", **m_leg.elements(), pk=pk)
             # leg 1 delivered: the inner protocol replies, leg 2 wraps it
-            encap, self.key, _ = kem_encaps(peer, g, self.cfg.kem_mode, self.rng)
+            encap, self.key = kem_encaps(peer, g, self.cfg.kem_mode, self.rng)
             (nonce_a,) = yield [ct_leg.commit(encap.encode(g), self.rng)], ["chal_a"]
             out = [ct_leg.open(nonce_a)]
         self._entropy("E_B", **ct_leg.elements())

@@ -124,7 +124,7 @@ def test_collision_loop_exhausted_budget_pinned(key):
 
 
 # sha256 of [[success, iterations, records], ...] over the worlds at seeds 7,
-# 8 and 9, n_e 6, on two paths the golden report pins do not take. Seed 7
+# 8 and 9, n_e 6, on three paths the golden report pins do not take. Seed 7
 # alone is not enough: there, a loop that keeps the receiver in its digests
 # with identities off, or hashes its own key in place of the initiator's,
 # happens to stop on the same candidate.
@@ -136,6 +136,10 @@ LANDED_PINS = {
     "kem2-combined-prob": (
         AttackStrategy.KEM2_COMBINED, dict(kem_mode=KemMode.PROBABILISTIC),
         "b2754af837d8eafc60a28457a0fcd1487c549293a184af8c44e826c5fe97dbc0",
+    ),
+    "kem2-replica-prob": (
+        AttackStrategy.KEM2_REPLICA, dict(kem_mode=KemMode.PROBABILISTIC),
+        "5424f68aa3dff622152ed756dda10dfca619a7b6f9ca421b515640be46557cbf",
     ),
 }
 

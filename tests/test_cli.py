@@ -211,6 +211,43 @@ def test_replay_rejects_altered_recording(tmp_path, capsys):
     assert "diverges" in captured.err
 
 
+def _without(key):
+    return lambda body: {k: v for k, v in body.items() if k != key}
+
+
+def _with(key, value):
+    return lambda body: {**body, key: value}
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(_without("group"), id="missing-group"),
+    pytest.param(_without("seed_is_hex"), id="missing-seed-flag"),
+    pytest.param(_with("group", "toy128"), id="unknown-group"),
+    pytest.param(_with("kind", "kex9"), id="unknown-kind"),
+    pytest.param(_with("model", "XM"), id="unknown-model"),
+    pytest.param(_with("seed", "zz"), id="non-hex-seed"),
+    pytest.param(_with("parties", [1, 2]), id="non-string-party"),
+    pytest.param(lambda body: {**body, "run": {**body["run"], "initiator": "dave"}},
+                 id="unknown-initiator"),
+    pytest.param(lambda body: [body], id="body-not-an-object"),
+])
+def test_replay_malformed_header_exits_one_with_one_line(fault, tmp_path, capsys):
+    from saslab.model import TRANSCRIPT_MAGIC, Model, World, run_honest, transcript_export
+    from saslab.protocols import ProtocolConfig, ProtocolKind
+
+    world = World(ProtocolKind.KEX3, ProtocolConfig(), Model.AM, b"\x07")  # a hex seed
+    run_honest(world, b"alice", b"bob")
+    body = json.loads(transcript_export(world)[len(TRANSCRIPT_MAGIC) + 4 :])
+    blob = json.dumps(fault(body)).encode()
+    path = tmp_path / "run.bin"
+    path.write_bytes(TRANSCRIPT_MAGIC + len(blob).to_bytes(4, "big") + blob)
+    assert run_cli("replay", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("saslab: transcript error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_replay_missing_file(capsys):
     code = run_cli("replay", "/nonexistent/path.bin")
     assert code == 1

@@ -22,6 +22,7 @@ from saslab.primitives import (
     commit,
     decode_fields,
     derive_key,
+    encaps_randomness,
     encode_fields,
     entropy,
     entropy_bits,
@@ -307,26 +308,17 @@ def test_generator_table_built_once_per_modulus_and_generator(monkeypatch):
 
 @pytest.mark.parametrize("params", [TOY256, MODP2048], ids=["toy256", "modp2048"])
 @pytest.mark.parametrize("mode", [KemMode.PROBABILISTIC, KemMode.DETERMINISTIC])
-def test_peer_table_gives_the_same_results_as_the_int(mode, params):
-    own = kex_keygen(params, HashDrbg(32))
-    peer = kex_keygen(params, HashDrbg(33)).public
-    table = power_table(params, peer)
-    assert kex_agree(own, table, params) == kex_agree(own, peer, params)
-    x = random_element(params, HashDrbg(34))
-    assert kem_encaps_star(table, x, params, mode, HashDrbg(35)) == kem_encaps_star(
-        peer, x, params, mode, HashDrbg(35)
+def test_table_encapsulation_step_equals_kem_encaps_star(mode, params):
+    # the collision loop's kem2 candidate: r by the one rule, then both
+    # powers from tables, one of them the peer table at the shipped stride
+    pk = kem_keygen(params, HashDrbg(32)).public
+    x = random_element(params, HashDrbg(33))
+    r = encaps_randomness(x, pk, params, mode, HashDrbg(34))
+    step = Encapsulation(
+        generator_table(params).pow(r),
+        x * power_table(params, pk, PEER_TABLE_STRIDE).pow(r) % params.p,
     )
-    assert kem_encaps(table, params, mode, HashDrbg(36)) == kem_encaps(
-        peer, params, mode, HashDrbg(36)
-    )
-
-
-def test_peer_table_checks_its_element_and_modulus():
-    own = kex_keygen(TOY256, HashDrbg(37))
-    with pytest.raises(MalformedElementError):
-        kex_agree(own, power_table(TOY256, 0), TOY256)
-    with pytest.raises(ValueError):
-        kex_agree(own, power_table(SMALL, 2), TOY256)
+    assert (step, derive_key(x, params)) == kem_encaps_star(pk, x, params, mode, HashDrbg(34))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +330,8 @@ def test_peer_table_checks_its_element_and_modulus():
 def test_kem_roundtrip(mode, params):
     rng = HashDrbg(11)
     pair = kem_keygen(params, rng)
-    ct, key, x = kem_encaps(pair.public, params, mode, rng)
+    x = random_element(params, rng)
+    ct, key = kem_encaps_star(pair.public, x, params, mode, rng)
     assert kem_decaps(pair.secret, ct, params) == key
     assert kem_decaps_star(pair.secret, ct, params) == (x, key)
 
@@ -369,7 +362,7 @@ def test_kem_reencapsulation_preserves_key():
     rng = HashDrbg(14)
     first = kem_keygen(TOY256, rng)
     second = kem_keygen(TOY256, rng)
-    ct, key, _ = kem_encaps(first.public, TOY256, KemMode.DETERMINISTIC, rng)
+    ct, key = kem_encaps(first.public, TOY256, KemMode.DETERMINISTIC, rng)
     x, recovered = kem_decaps_star(first.secret, ct, TOY256)
     assert recovered == key
     _, rekeyed = kem_encaps_star(second.public, x, TOY256, KemMode.DETERMINISTIC)
@@ -381,7 +374,7 @@ def test_kem_tampered_c2_changes_key_without_error():
     pair = kem_keygen(TOY256, rng)
     mismatches = 0
     for _ in range(1000):
-        ct, key, _ = kem_encaps(pair.public, TOY256, KemMode.DETERMINISTIC, rng)
+        ct, key = kem_encaps(pair.public, TOY256, KemMode.DETERMINISTIC, rng)
         tampered = Encapsulation(ct.c1, (ct.c2 * TOY256.g) % TOY256.p)
         if kem_decaps(pair.secret, tampered, TOY256) != key:
             mismatches += 1
@@ -405,7 +398,8 @@ def test_kem_roundtrip_full_size_group():
     rng = HashDrbg(26)
     pair = kem_keygen(MODP2048, rng)
     for mode in (KemMode.PROBABILISTIC, KemMode.DETERMINISTIC):
-        ct, key, x = kem_encaps(pair.public, MODP2048, mode, rng)
+        x = random_element(MODP2048, rng)
+        ct, key = kem_encaps_star(pair.public, x, MODP2048, mode, rng)
         assert kem_decaps_star(pair.secret, ct, MODP2048) == (x, key)
 
 
