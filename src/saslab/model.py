@@ -634,7 +634,12 @@ def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRe
             kem2_key_only_entropy=body["kem2_key_only_entropy"],
             include_receiver_identity=body["include_receiver_identity"],
         )
+        flags = ("kem2_key_only_entropy", "include_receiver_identity", "seed_is_hex")
+        if type(body["n_e"]) is not int or any(type(body[flag]) is not bool for flag in flags):
+            raise TypeError("n_e must be an int and every flag a bool")
         seed = bytes.fromhex(body["seed"]) if body["seed_is_hex"] else body["seed"]
+        if type(seed) is not bytes and not (type(seed) is int and 0 <= seed < 1 << 64):
+            raise ValueError(f"seed {seed!r} is neither hex nor an int in [0, 2^64)")
         world = World(
             ProtocolKind(body["kind"]), cfg, Model(body["model"]), seed,
             tuple(p.encode() for p in body["parties"]),

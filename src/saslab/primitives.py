@@ -275,7 +275,7 @@ def group_by_name(name: str) -> GroupParams:
 # the whole process: toy256 fits at stride 1 (32 rows, 0.49 MB; with Python
 # 3.11 on a 2-core Xeon VM it takes 5 ms to build and answers in 17 us
 # against 147 us for pow) and modp2048 at stride 37 (7 rows, 0.54 MB; 259
-# multiplications and 288 squarings per power).
+# multiplications and 36 squarings per power).
 TABLE_MAX_BYTES = 550_000
 # Least stride of a peer table, which the collision loops build once per
 # trial for about 2^n_e powers. On toy256 at n_e = 8, build plus 256 powers
@@ -287,16 +287,15 @@ PEER_TABLE_STRIDE = 2
 class PowerTable:
     """Powers of one base modulo p, precomputed for fixed-base exponentiation.
 
-    Row i holds base^(d * 2^(8 * stride * i)) for every byte d. pow(e) takes
-    the bytes of e, little end first, and makes stride passes over the rows,
-    highest pass first: pass s multiplies in row i's entry for byte
-    stride * i + s, and 8 squarings separate the passes (Brickell, Gordon,
-    McCurley and Wilson, EUROCRYPT '92; Lim and Lee, CRYPTO '94). At stride 1
-    that is one pass and no squaring; a larger stride trades squarings for
-    fewer rows. pow(e) equals the built-in pow(base, e, p) for every integer
-    e: exponents outside [0, limit), negative ones included, go to the
-    built-in. A table built for 0 exponent bits has no rows and hands every
-    exponent but 0 on.
+    A comb (Lim and Lee, CRYPTO '94) with teeth stride bits apart: row i,
+    entry d, is the product of base^(2^(stride * (8i + k))) over the set bits
+    k of d, which at stride 1 is base^(d * 2^(8i)). pow(e) makes stride passes
+    over the rows, one squaring apart; pass u takes its digits from characters
+    u, u + stride, ... of e's binary string, so the highest bit offset goes
+    first. A larger stride trades those squarings for fewer rows. pow(e)
+    equals the built-in pow(base, e, p) for every integer e: exponents outside
+    [0, limit), negative ones included, go to the built-in. A table built for
+    0 exponent bits has no rows and hands every exponent but 0 on.
     """
 
     __slots__ = ("base", "p", "stride", "limit", "_rows", "_size")
@@ -307,13 +306,12 @@ class PowerTable:
         self._size = stride * count  # exponent bytes
         self.limit = 1 << (8 * self._size)
         rows = []
-        power = base % p
+        tooth = base % p
         for _ in range(count):
-            if rows:
-                power = pow(rows[-1][-1] * power, 1 << (8 * (stride - 1)), p)
             row = [1]
-            for _ in range(255):
-                row.append(row[-1] * power % p)
+            for _ in range(8):
+                row += [x * tooth % p for x in row]
+                tooth = pow(tooth, 1 << stride, p)
             rows.append(row)
         self._rows = rows
 
@@ -321,13 +319,16 @@ class PowerTable:
         if not 0 <= e < self.limit:
             return pow(self.base, e, self.p)
         p, rows, stride = self.p, self._rows, self.stride
-        digits = e.to_bytes(self._size, "little")
+        if stride == 1 or not rows:  # one pass whose digits are the bytes of e
+            passes = (e.to_bytes(self._size, "little"),)
+        else:
+            bits = f"{e:0{8 * self._size}b}"
+            passes = [int(bits[u::stride], 2).to_bytes(len(rows), "little") for u in range(stride)]
         result = 1
-        for s in range(stride - 1, -1, -1):
-            for row, d in zip(rows, digits[s::stride]):
+        for digits in passes:
+            result = result * result % p
+            for row, d in zip(rows, digits):
                 result = result * row[d] % p
-            if s:
-                result = pow(result, 256, p)
         return result
 
 
@@ -501,7 +502,9 @@ def kem_decaps_star(
     """
     if not (params.contains(ct.c1) and params.contains(ct.c2)):
         raise MalformedElementError("malformed encapsulation")
-    x = (ct.c2 * pow(ct.c1, -sk, params.p)) % params.p
+    # c1^(p-1-sk) = c1^-sk for every c1 in [1, p-1] by Fermat, p being prime (the
+    # GroupParams contract; validate() checks it), and needs no modular inverse
+    x = ct.c2 * pow(ct.c1, params.p - 1 - sk, params.p) % params.p
     if x == 0:
         raise MalformedElementError("degenerate encapsulation")
     return x, derive_key(x, params)

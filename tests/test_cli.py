@@ -219,6 +219,10 @@ def _with(key, value):
     return lambda body: {**body, key: value}
 
 
+def _with_int_seed(seed):
+    return lambda body: {**body, "seed": seed, "seed_is_hex": False}
+
+
 @pytest.mark.parametrize("fault", [
     pytest.param(_without("group"), id="missing-group"),
     pytest.param(_without("seed_is_hex"), id="missing-seed-flag"),
@@ -230,6 +234,12 @@ def _with(key, value):
     pytest.param(lambda body: {**body, "run": {**body["run"], "initiator": "dave"}},
                  id="unknown-initiator"),
     pytest.param(lambda body: [body], id="body-not-an-object"),
+    pytest.param(_with_int_seed(-1), id="negative-int-seed"),
+    pytest.param(_with_int_seed(1 << 70), id="int-seed-past-64-bits"),
+    pytest.param(_with("n_e", "8"), id="string-n_e"),
+    pytest.param(_with("kem2_key_only_entropy", "yes"), id="string-key-only-flag"),
+    pytest.param(_with("include_receiver_identity", 1), id="int-identity-flag"),
+    pytest.param(_with("seed_is_hex", "yes"), id="string-seed-flag"),
 ])
 def test_replay_malformed_header_exits_one_with_one_line(fault, tmp_path, capsys):
     from saslab.model import TRANSCRIPT_MAGIC, Model, World, run_honest, transcript_export

@@ -1,7 +1,7 @@
 import functools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from saslab import primitives
 from saslab.primitives import (
@@ -228,7 +228,7 @@ def test_power_table_stride_follows_the_modulus_size():
     assert table.stride > 1
     entries = len(table._rows) << 8
     assert entries * MODP2048.element_size <= 550_000
-    assert len(table._rows) * table.stride + 8 * (table.stride - 1) <= 350 + 204
+    assert len(table._rows) * table.stride + (table.stride - 1) <= 350 + 204
 
 
 def test_peer_table_takes_the_shipped_stride():
@@ -238,28 +238,40 @@ def test_peer_table_takes_the_shipped_stride():
     assert power_table(MODP2048, 5, PEER_TABLE_STRIDE).stride == generator_table(MODP2048).stride
 
 
+def _comb_exponent(d: int, i: int, stride: int) -> int:
+    """Sum of 2^(stride * (8i + k)) over the set bits k of d: the exponent
+    of row i, entry d, of a comb whose teeth are stride bits apart."""
+    return sum(1 << (stride * (8 * i + k)) for k in range(8) if d >> k & 1)
+
+
 def test_power_table_rows_hold_the_strided_powers():
     for params, table in _tables():
-        step = 8 * table.stride
         for i, row in enumerate(table._rows):
             assert len(row) == 256
-            for d in (0, 1, 2, 255):
-                assert row[d] == pow(table.base, d << (step * i), params.p), (i, d)
+            for d in (0, 1, 2, 3, 128, 255):
+                if table.stride == 1:  # the rows of contiguous byte digits
+                    assert _comb_exponent(d, i, 1) == d << (8 * i)
+                exponent = _comb_exponent(d, i, table.stride)
+                assert row[d] == pow(table.base, exponent, params.p), (i, d)
 
 
 @pytest.mark.parametrize(
     "rows, stride", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (3, 2), (5, 1)]
 )
 def test_power_table_equals_pow_for_every_small_exponent(rows, stride):
-    # every exponent below 2^12, every byte at every digit position, and the
-    # exponents around the limit
+    # every exponent below 2^12, every byte at every digit position, every
+    # entry of every row at every pass, and the exponents around the limit
     for base in (SMALL.g, 2, SMALL.p - 1):
         table = PowerTable(base, SMALL.p, 8 * stride * rows, stride=stride)
         assert len(table._rows) == rows
         assert table.limit == 1 << (8 * stride * rows)
         single_digits = [d << (8 * k) for k in range(stride * rows) for d in range(256)]
+        comb_entries = [
+            _comb_exponent(d, i, stride) << u
+            for i in range(rows) for d in range(256) for u in range(stride)
+        ]
         around_limit = range(table.limit - 4096, table.limit + 4096)
-        for e in (*range(-SMALL.q, 4096), *single_digits, *around_limit):
+        for e in (*range(-SMALL.q, 4096), *single_digits, *comb_entries, *around_limit):
             assert table.pow(e) == pow(base, e, SMALL.p), (base, e)
 
 
@@ -278,11 +290,29 @@ def test_power_table_edge_exponents():
             assert table.pow(e) == pow(table.base, e, params.p), e
 
 
+def test_in_range_power_calls_no_builtin_pow(monkeypatch):
+    # one multiplication squares between the comb's passes, so neither the
+    # modp2048 generator table (stride 37) nor a toy256 peer table (stride 2)
+    # hands any part of an in-range power to the built-in pow
+    peer = power_table(TOY256, kex_keygen(TOY256, HashDrbg(35)).public, PEER_TABLE_STRIDE)
+    tables = ((MODP2048, generator_table(MODP2048)), (TOY256, peer))
+    calls = []
+    monkeypatch.setattr(primitives, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
+    for params, table in tables:
+        assert table.stride > 1
+        for e in (0, 1, 2, params.q - 1, table.limit - 1):
+            assert table.pow(e) == pow(table.base, e, params.p)
+    assert calls == []
+    assert tables[0][1].pow(-1) == pow(MODP2048.g, -1, MODP2048.p)  # out of range
+    assert len(calls) == 1
+
+
 def test_empty_power_table_hands_every_exponent_to_pow():
-    table = PowerTable(TOY256.g, TOY256.p, 0)
-    assert table.limit == 1
-    for e in (0, 1, TOY256.q, -3):
-        assert table.pow(e) == pow(TOY256.g, e, TOY256.p)
+    for stride in (1, 2):
+        table = PowerTable(TOY256.g, TOY256.p, 0, stride)
+        assert table.limit == 1
+        for e in (0, 1, TOY256.q, -3):
+            assert table.pow(e) == pow(TOY256.g, e, TOY256.p)
 
 
 def test_generator_table_built_once_per_modulus_and_generator(monkeypatch):
@@ -392,6 +422,39 @@ def test_kem_encaps_star_rejects_out_of_range_secret():
 def test_kem_encaps_rejects_malformed_pk():
     with pytest.raises(MalformedElementError):
         kem_encaps(0, TOY256, KemMode.DETERMINISTIC, HashDrbg(17))
+
+
+def _decaps_by_inverse(sk: int, c1: int, c2: int, p: int) -> int:
+    """The reference decapsulation: c2 / c1^sk, through a modular inverse."""
+    return c2 * pow(c1, -sk, p) % p
+
+
+@given(
+    sk=st.integers(1, TOY256.q - 1),
+    c1=st.integers(1, TOY256.p - 1),  # half of [1, p-1] is outside the order-q subgroup
+    c2=st.integers(1, TOY256.p - 1),
+)
+@example(sk=5, c1=1, c2=7)
+@example(sk=TOY256.q - 1, c1=TOY256.p - 1, c2=7)  # order 2
+@example(sk=5, c1=TOY256.p - 1, c2=TOY256.p - 1)
+@example(sk=6, c1=TOY256.p - 4, c2=TOY256.g)  # -g, outside the subgroup
+@settings(max_examples=200, deadline=None)
+def test_kem_decaps_star_equals_the_inverse_formula(sk, c1, c2):
+    x, key = kem_decaps_star(sk, Encapsulation(c1, c2), TOY256)
+    assert x == _decaps_by_inverse(sk, c1, c2, TOY256.p)
+    assert key == derive_key(x, TOY256)
+
+
+def test_kem_decaps_star_equals_the_inverse_formula_full_size_group():
+    p, q = MODP2048.p, MODP2048.q
+    assert pow(p - 4, q, p) != 1 and pow(p - 2, q, p) != 1  # outside the subgroup
+    rng = HashDrbg(36)
+    inside = random_element(MODP2048, rng)
+    for sk in (1, q - 1, kem_keygen(MODP2048, rng).secret):
+        for c1 in (1, p - 1, p - 2, p - 4, inside):
+            for c2 in (1, p - 1, inside):
+                x, _ = kem_decaps_star(sk, Encapsulation(c1, c2), MODP2048)
+                assert x == _decaps_by_inverse(sk, c1, c2, p), (sk, c1, c2)
 
 
 def test_kem_roundtrip_full_size_group():
