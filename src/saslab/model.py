@@ -69,6 +69,9 @@ class SessionId:
         if len(self.nonce) != 8:
             raise ValueError("session nonce must be 8 bytes")
 
+    def __hash__(self):  # consistent with ==: equal ids have equal nonces
+        return hash(self.nonce)
+
     def label(self) -> str:
         return f"{self.initiator.decode()}~{self.responder.decode()}~{self.nonce.hex()}"
 

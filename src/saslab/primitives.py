@@ -353,6 +353,36 @@ def generator_table(params: GroupParams) -> PowerTable:
     return table
 
 
+# Exponents of the elements g^e this process published as a public key or a
+# c1, keyed by (p, g, element) and evicted oldest first. A trial publishes a
+# few and raises them before it ends, so a peer key or c1 is nearly always
+# still here when raised; 64 entries take under 50 kB on modp2048. Only
+# _keygen and kem_encaps_star publish; random elements and the collision
+# loop's candidates are never raised and are not kept.
+REMEMBERED_EXPONENTS = 64
+_EXPONENTS: dict[tuple[int, int, int], int] = {}
+
+
+def _remember(params: GroupParams, e: int) -> int:
+    """Publish g^e: compute it from the generator table and keep e for _power."""
+    element = generator_table(params).pow(e)
+    _EXPONENTS[params.p, params.g, element] = e
+    if len(_EXPONENTS) > REMEMBERED_EXPONENTS:
+        del _EXPONENTS[next(iter(_EXPONENTS))]
+    return element
+
+
+def _power(element: int, k: int, params: GroupParams) -> int:
+    """pow(element, k, p) for an element in [1, p - 1] and any integer k.
+
+    For a remembered g^e this is g^(e*k mod (p-1)) from the generator table,
+    the same value by Fermat since p is prime (the GroupParams contract)."""
+    e = _EXPONENTS.get((params.p, params.g, element))
+    if e is None:
+        return pow(element, k, params.p)
+    return generator_table(params).pow(e * k % (params.p - 1))
+
+
 # ---------------------------------------------------------------------------
 # Shared keys and key exchange
 # ---------------------------------------------------------------------------
@@ -392,7 +422,7 @@ class KeyPair:
 
 def _keygen(params: GroupParams, rng: HashDrbg) -> KeyPair:
     secret = rng.randrange(1, params.q)
-    return KeyPair(secret=secret, public=generator_table(params).pow(secret))
+    return KeyPair(secret=secret, public=_remember(params, secret))
 
 
 def random_element(params: GroupParams, rng: HashDrbg) -> int:
@@ -413,7 +443,7 @@ def kex_agree(own: KeyPair, peer_public: int, params: GroupParams) -> SharedKey:
     """
     if not params.contains(peer_public):
         raise MalformedElementError("peer public element out of range")
-    return derive_key(pow(peer_public, own.secret, params.p), params)
+    return derive_key(_power(peer_public, own.secret, params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +509,8 @@ def kem_encaps_star(
         raise MalformedElementError("secret element out of range")
     r = encaps_randomness(x, pk, params, mode, rng)
     ct = Encapsulation(
-        c1=generator_table(params).pow(r),
-        c2=(x * pow(pk, r, params.p)) % params.p,
+        c1=_remember(params, r),
+        c2=(x * _power(pk, r, params)) % params.p,
     )
     return ct, derive_key(x, params)
 
@@ -504,7 +534,7 @@ def kem_decaps_star(
         raise MalformedElementError("malformed encapsulation")
     # c1^(p-1-sk) = c1^-sk for every c1 in [1, p-1] by Fermat, p being prime (the
     # GroupParams contract; validate() checks it), and needs no modular inverse
-    x = ct.c2 * pow(ct.c1, params.p - 1 - sk, params.p) % params.p
+    x = ct.c2 * _power(ct.c1, params.p - 1 - sk, params) % params.p
     if x == 0:
         raise MalformedElementError("degenerate encapsulation")
     return x, derive_key(x, params)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from saslab import primitives
 from saslab.attacks import (
     DEFENDED_KINDS,
     STRATEGIES,
@@ -11,11 +12,12 @@ from saslab.attacks import (
     attack_kem2_replica,
     attack_kem_same_key,
     attack_kex2_collision,
+    forge_trial,
     redirect_trial,
 )
 from saslab.harness import ConfigError, ExperimentConfig, run_experiment
 from saslab.model import AdversaryView, Model, RuleViolationError, World, _record_to_dict
-from saslab.primitives import KemMode, decode_fields
+from saslab.primitives import TOY256, KemMode, decode_fields, generator_table
 from saslab.protocols import SPECS, ProtocolConfig, ProtocolKind
 from saslab.rng import derive_seed
 
@@ -343,6 +345,27 @@ def test_redirect_defended_protocols_hold(kind):
     trials = 1500
     summary = experiment(kind, "redirect", trials)
     assert envelope(summary.successes, trials, 2**-8), summary.successes
+
+
+def test_single_shot_trials_make_no_variable_base_pow(monkeypatch):
+    # every element an end or the attacker raises in these trials was published
+    # in the same trial, so its power comes from the generator table
+    generator_table(TOY256)
+    calls = []
+    monkeypatch.setattr(primitives, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
+    for kind in DEFENDED_KINDS:
+        for trial in (forge_trial, redirect_trial):
+            world = World(kind, ProtocolConfig(n_e=8), Model.UM, 27, (b"alice", b"bob", b"carol"))
+            trial(world)
+            assert calls == [], (kind.value, trial.__name__)
+
+
+def test_a_collision_trial_remembers_a_handful_of_exponents(monkeypatch):
+    # the three key pairs; the loop's candidates are never remembered
+    monkeypatch.setattr(primitives, "_EXPONENTS", {})
+    outcome = attack_kex2_collision(um_world(ProtocolKind.KEX2, 28, n_e=8), 1 << 12)
+    assert outcome.success and outcome.iterations > 3
+    assert len(primitives._EXPONENTS) == 3
 
 
 def test_redirect_needs_three_parties():

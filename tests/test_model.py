@@ -23,7 +23,16 @@ from saslab.model import (
     transcript_export,
     transcript_replay,
 )
-from saslab.primitives import MODP2048, KemMode, PowerTable
+from saslab.primitives import (
+    MODP2048,
+    TOY256,
+    Encapsulation,
+    KemMode,
+    Opening,
+    PowerTable,
+    decode_fields,
+    derive_key,
+)
 from saslab.protocols import ProtocolConfig, ProtocolKind
 from saslab.rng import HashDrbg
 
@@ -331,6 +340,63 @@ def test_completion_soundness():
                 e["event"] == "verified" and (e["verdict"] == "accept" or e["override"])
                 for e in record.events
             )
+
+
+# the wire field that brings the peer's group value to the party that raises
+# it, and whether that value travels inside a commitment opening
+RAISED_FIELD = {
+    ProtocolKind.KEX2: ("pkb", False),
+    ProtocolKind.KEX3: ("open", True),
+    ProtocolKind.KEM2: ("ct", False),
+    ProtocolKind.KEM3_TWO_ENTROPY: ("ct", False),
+    ProtocolKind.KEM3_COMMIT: ("ct", False),
+    ProtocolKind.KEM4: ("open_ct", True),
+    ProtocolKind.KEM6: ("open_ct", True),
+}
+
+
+@pytest.mark.parametrize("group", [TOY256, MODP2048], ids=["toy256", "modp2048"])
+@pytest.mark.parametrize("kind", list(RAISED_FIELD), ids=[k.value for k in RAISED_FIELD])
+def test_honest_key_equals_the_builtin_pow_of_the_revealed_secret(kind, group, monkeypatch):
+    # both honest ends may take their shared element from one generator-table
+    # power, so recompute it from a revealed secret with the built-in pow alone;
+    # the ends themselves make no variable-base pow
+    primitives.generator_table(group)
+    calls = []
+    monkeypatch.setattr(primitives, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
+    world = make_world(kind=kind, seed=23, group=group)
+    sid = world.start_session(b"alice", b"bob")
+    secrets = {}
+    while True:
+        for party in (b"alice", b"bob"):
+            if sid in world.parties[party].sessions:
+                state = world.reveal_state(party, sid)
+                if "pair.secret" in state:
+                    secrets[party] = int(state["pair.secret"], 16)
+        if not world.undelivered:
+            break
+        world.schedule(Deliver(world.undelivered[0]))
+    assert world.i_f_verify(b"alice", sid, b"bob", sid) == "accept"
+    assert calls == []
+
+    label, opened = RAISED_FIELD[kind]
+    (raiser, raw), = [
+        (party, value)
+        for party in (b"alice", b"bob")
+        for payload in world.session_record(party, sid).conversation()[1]
+        for name, value in decode_fields(payload)
+        if name == label
+    ]
+    if opened:
+        raw = Opening.decode(raw).message
+    secret, p = secrets[raiser], group.p
+    if kind in (ProtocolKind.KEX2, ProtocolKind.KEX3):
+        shared = pow(group.decode_element(raw), secret, p)
+    else:
+        ct = Encapsulation.decode(raw, group)
+        shared = ct.c2 * pow(ct.c1, -secret, p) % p
+    kappa = derive_key(shared, group).key
+    assert world.session_record(b"alice", sid).kappa == world.session_record(b"bob", sid).kappa == kappa
 
 
 def _run_kem6_in_steps(seed, read):

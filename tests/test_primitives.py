@@ -1,4 +1,6 @@
 import functools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -349,6 +351,79 @@ def test_table_encapsulation_step_equals_kem_encaps_star(mode, params):
         x * power_table(params, pk, PEER_TABLE_STRIDE).pow(r) % params.p,
     )
     assert (step, derive_key(x, params)) == kem_encaps_star(pk, x, params, mode, HashDrbg(34))
+
+
+# ---------------------------------------------------------------------------
+# remembered exponents
+# ---------------------------------------------------------------------------
+
+def _exponents(params: GroupParams, sk: int):
+    """0, 1, decapsulation's p - 1 - sk, and integers of either sign past p."""
+    return st.one_of(
+        st.sampled_from([0, 1, params.p - 1 - sk, -1, -sk]),
+        st.integers(-2 * params.p, 2 * params.p),
+    )
+
+
+def _check_remembered_power(params: GroupParams, data) -> None:
+    rng = HashDrbg(data.draw(st.integers(0, 2**32), label="seed"))
+    pair = kem_keygen(params, rng)
+    ct, _ = kem_encaps(pair.public, params, KemMode.PROBABILISTIC, rng)
+    element = data.draw(st.sampled_from([pair.public, ct.c1]), label="element")
+    assert (params.p, params.g, element) in primitives._EXPONENTS
+    k = data.draw(_exponents(params, pair.secret), label="k")
+    assert primitives._power(element, k, params) == pow(element, k, params.p)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_remembered_power_equals_pow(data):
+    _check_remembered_power(TOY256, data)
+
+
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_remembered_power_equals_pow_full_size_group(data):
+    _check_remembered_power(MODP2048, data)
+
+
+@given(
+    element=st.one_of(
+        st.sampled_from([1, TOY256.p - 1, TOY256.p - 4]),  # orders 1 and 2, and -g
+        st.integers(1, TOY256.p - 1),  # half of them outside the order-q subgroup
+    ),
+    sk=st.integers(1, TOY256.q - 1),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_unremembered_power_equals_pow(element, sk, data):
+    assert (TOY256.p, TOY256.g, element) not in primitives._EXPONENTS
+    k = data.draw(_exponents(TOY256, sk), label="k")
+    assert primitives._power(element, k, TOY256) == pow(element, k, TOY256.p)
+
+
+def test_remembered_exponents_evict_the_oldest(monkeypatch):
+    monkeypatch.setattr(primitives, "_EXPONENTS", {})
+    capacity = primitives.REMEMBERED_EXPONENTS
+    rng = HashDrbg(37)
+    pairs = [kex_keygen(TOY256, rng) for _ in range(capacity + 3)]
+    ct, _ = kem_encaps(pairs[-1].public, TOY256, KemMode.DETERMINISTIC, rng)
+    assert list(primitives._EXPONENTS) == [
+        (TOY256.p, TOY256.g, element) for element in [pair.public for pair in pairs[4:]] + [ct.c1]
+    ]
+    for pair in (pairs[0], pairs[-1]):  # evicted, and still remembered
+        for k in (0, 1, TOY256.p - 1 - pair.secret, -pair.secret):
+            assert primitives._power(pair.public, k, TOY256) == pow(pair.public, k, TOY256.p)
+        assert kex_agree(pairs[1], pair.public, TOY256) == derive_key(
+            pow(pair.public, pairs[1].secret, TOY256.p), TOY256
+        )
+
+
+def test_only_primitives_names_the_remembered_exponents():
+    # attack code runs in the same process, so no other module may read the map
+    for path in Path(primitives.__file__).parent.glob("*.py"):
+        if path.name != "primitives.py":
+            assert not re.search(r"\b_EXPONENTS\b", path.read_text()), path.name
 
 
 # ---------------------------------------------------------------------------
