@@ -12,9 +12,9 @@ Two families:
                    redirects against the 3/4/6-pass protocols, which succeed
                    only at the residual n_e-bit collision rate
 
-Same-key sends one re-encapsulation, so it stays out of the loop and its
-per-trial peer table. A kex2 or combined candidate costs a draw, two powers
-and a hash; a replica candidate first draws its secret x = g^e, so three.
+Same-key sends one re-encapsulation, so it stays out of the loop. A kex2 or
+combined candidate costs a draw, two powers and a hash, a replica three powers:
+all from the generator table, the initiator's key by its remembered exponent.
 
 Each strategy is declared once, in STRATEGIES: its targets, trial runner,
 parties, and the rule that labels a combination defended or a
@@ -34,7 +34,6 @@ from typing import Callable
 
 from .model import AdversaryView, MessageEnvelope, Model, SessionId, World
 from .primitives import (
-    PEER_TABLE_STRIDE,
     Encapsulation,
     KemMode,
     commit,
@@ -52,7 +51,7 @@ from .primitives import (
     kex_agree,
     kex_keygen,
     pke_encrypt,
-    power_table,
+    power,
     random_element,
 )
 from .protocols import SPECS, ProtocolConfig, ProtocolKind, entropy_input, session_entropy
@@ -190,7 +189,7 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
     env1 = view.pending()[0]
     ((first, pka_raw),) = decode_fields(env1.payload)
     gen = generator_table(g)  # every candidate raises gen and pka to its exponent
-    pka = power_table(g, g.decode_element(pka_raw), PEER_TABLE_STRIDE)
+    pka = g.decode_element(pka_raw)
     own = (kex_keygen if kex else kem_keygen)(g, view.rng)
     own_raw = g.encode_element(own.public)
     view.modify(env1, encode_fields([(first, own_raw)]))
@@ -210,11 +209,11 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
         if kex:  # kex_keygen's draw and power, then kex_agree's power
             s = view.rng.randrange(1, g.q)
             candidate_raw = g.encode_element(gen.pow(s))
-            key_ea = derive_key(pka.pow(s), g)
+            key_ea = derive_key(power(pka, s, g), g)
         else:  # kem_encaps's draws and powers; combined re-encapsulates x_b
             x = x_b if combined else random_element(g, view.rng)
-            r = encaps_randomness(x, pka.base, g, view.cfg.kem_mode, view.rng)
-            candidate_raw = Encapsulation(gen.pow(r), x * pka.pow(r) % g.p).encode(g)
+            r = encaps_randomness(x, pka, g, view.cfg.kem_mode, view.rng)
+            candidate_raw = Encapsulation(gen.pow(r), x * power(pka, r, g) % g.p).encode(g)
             key_ea = key_eb if combined else derive_key(x, g)
         h = prefix.copy()
         h.update(encode_fields([(second, candidate_raw), ("key", key_ea.key)]))

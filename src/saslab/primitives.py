@@ -277,11 +277,6 @@ def group_by_name(name: str) -> GroupParams:
 # against 147 us for pow) and modp2048 at stride 37 (7 rows, 0.54 MB; 259
 # multiplications and 36 squarings per power).
 TABLE_MAX_BYTES = 550_000
-# Least stride of a peer table, which the collision loops build once per
-# trial for about 2^n_e powers. On toy256 at n_e = 8, build plus 256 powers
-# took about as long at stride 2 (16 rows, 2.6 ms to build) as at stride 3,
-# and longer at stride 1, whose 5 ms build every trial pays.
-PEER_TABLE_STRIDE = 2
 
 
 class PowerTable:
@@ -332,12 +327,12 @@ class PowerTable:
         return result
 
 
-def power_table(params: GroupParams, base: int, min_stride: int = 1) -> PowerTable:
+def power_table(params: GroupParams, base: int) -> PowerTable:
     """A table of base covering the group's exponents [0, q], at the smallest
-    stride, no less than min_stride, that keeps it within TABLE_MAX_BYTES."""
+    stride that keeps it within TABLE_MAX_BYTES."""
     digit_count = -(-params.q.bit_length() // 8)
     max_rows = max(1, TABLE_MAX_BYTES // (256 * sys.getsizeof(params.p)))
-    stride = max(min_stride, -(-digit_count // max_rows))
+    stride = -(-digit_count // max_rows)
     return PowerTable(base, params.p, params.q.bit_length(), stride)
 
 
@@ -364,7 +359,7 @@ _EXPONENTS: dict[tuple[int, int, int], int] = {}
 
 
 def _remember(params: GroupParams, e: int) -> int:
-    """Publish g^e: compute it from the generator table and keep e for _power."""
+    """Publish g^e: compute it from the generator table and keep e for power."""
     element = generator_table(params).pow(e)
     _EXPONENTS[params.p, params.g, element] = e
     if len(_EXPONENTS) > REMEMBERED_EXPONENTS:
@@ -372,7 +367,7 @@ def _remember(params: GroupParams, e: int) -> int:
     return element
 
 
-def _power(element: int, k: int, params: GroupParams) -> int:
+def power(element: int, k: int, params: GroupParams) -> int:
     """pow(element, k, p) for an element in [1, p - 1] and any integer k.
 
     For a remembered g^e this is g^(e*k mod (p-1)) from the generator table,
@@ -443,7 +438,7 @@ def kex_agree(own: KeyPair, peer_public: int, params: GroupParams) -> SharedKey:
     """
     if not params.contains(peer_public):
         raise MalformedElementError("peer public element out of range")
-    return derive_key(_power(peer_public, own.secret, params), params)
+    return derive_key(power(peer_public, own.secret, params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +505,7 @@ def kem_encaps_star(
     r = encaps_randomness(x, pk, params, mode, rng)
     ct = Encapsulation(
         c1=_remember(params, r),
-        c2=(x * _power(pk, r, params)) % params.p,
+        c2=(x * power(pk, r, params)) % params.p,
     )
     return ct, derive_key(x, params)
 
@@ -534,7 +529,7 @@ def kem_decaps_star(
         raise MalformedElementError("malformed encapsulation")
     # c1^(p-1-sk) = c1^-sk for every c1 in [1, p-1] by Fermat, p being prime (the
     # GroupParams contract; validate() checks it), and needs no modular inverse
-    x = ct.c2 * _power(ct.c1, params.p - 1 - sk, params) % params.p
+    x = ct.c2 * power(ct.c1, params.p - 1 - sk, params) % params.p
     if x == 0:
         raise MalformedElementError("degenerate encapsulation")
     return x, derive_key(x, params)

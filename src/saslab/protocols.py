@@ -1,19 +1,16 @@
 """Protocol state machines.
 
 Each machine implements one side (the figure's left or right column) of a
-message flow as one straight-line generator that reads like the column:
-it yields each outgoing message with the labels it expects back, and the
-values it keeps between messages are its locals. Machine.advance drives it
-on incoming payloads. Payloads are strict TLV layouts; a schema mismatch or
-a rejected commitment opening aborts the session. Machines expose their session-entropy values and
-session key once computed; comparing entropies is the out-of-band
-verification executed by the scheduler, not by the machines.
+message flow as a generator that yields each outgoing message with the
+labels it expects back. The 2- and 3-pass kinds write it as straight-line
+code that reads like the column, keeping values between messages in its
+locals. Machine.advance drives it on incoming payloads. Payloads are strict
+TLV layouts; a schema mismatch or a rejected commitment opening aborts the
+session. Machines expose their session-entropy values and session key once
+computed; comparing entropies is the out-of-band verification executed by
+the scheduler, not by the machines.
 
 Flows (arrows show wire messages; entropy receivers in brackets):
-
-  mt-auth            A: com(m)  ->  B             3 msgs, E_A [B]
-                     A  <-  challenge N
-                     A: opening ->  B
 
   kex2               A: pk_a -> B, B: pk_b -> A   2 msgs, E [B]
   kex3               B: com(pk_b) -> A            3 msgs, E_B [A]
@@ -29,16 +26,16 @@ Flows (arrows show wire messages; entropy receivers in brackets):
                      A: pk -> B
                      B: (ct, enc(blinder)) -> A, abort unless x reopens
 
-  kem4               A: (pk, com(m)) -> B         4 msgs, E_A [B], E_B [A]
-                     B: (com(ct), N_B) -> A
-                     A: (open(m), N_A) -> B
-                     B: open(ct) -> A
-
-  kem6               compile_mt(kem2): each kem2 message wrapped in one
-                     authenticated transfer, the pk riding the first in
-                     clear (6 msgs, the kem4 entropies)
-
-mt-auth, kem4 and kem6 are built from one commit / challenge / open leg.
+mt-auth (3 msgs), kem4 (4) and kem6 (6) are built from one commit /
+challenge / open leg. A's leg carries the message (in kem4 and kem6 a fresh
+one, A's public key pk riding in clear) and gives E_A [B]; B's leg carries
+an encapsulation under pk and gives E_B [A]. The kinds differ only in which
+leg steps share a wire message, so their flows are data: each SPECS entry's
+schedule lists the wire labels of every message, and TransferMachine runs
+any schedule. A label's prefix names its step; com and open act on the
+sender's leg, chal on the peer's. kem6 is compile_mt(kem2). A sender takes
+a message's steps in wire order, except that commits come last: kem4's
+second message draws N_B before the encapsulation and its commitment.
 Everything the rest of the package knows about a kind is in its SPECS entry,
 kem6's included: which elements each entropy value hashes, in which order,
 and whose identity it binds. session_entropy computes a value from that
@@ -136,6 +133,8 @@ class ProtocolSpec:
     separate_rounds: bool = False
     # residual collision term of the security argument, in units of 2^-n_e
     residual_factor: float = 2.0
+    # transfer kinds: the wire labels of each message, run by TransferMachine
+    schedule: tuple[tuple[str, ...], ...] = ()
 
 
 class ProtocolError(Exception):
@@ -189,51 +188,14 @@ def _open(c: Commitment, raw_opening: bytes) -> bytes:
     return value
 
 
-class _Leg:
-    """One authenticated transfer of a value: the sender commits, the
-    receiver answers with a fresh challenge, the sender opens.
-
-    Wire labels carry the leg's suffixes (com_m, chal_b, open_m, ...); both
-    sides digest the same (com, chal, msg) elements once the leg is done.
-    """
-
-    def __init__(self, value_suffix: str = "", chal_suffix: str = ""):
-        self.labels = ("com" + value_suffix, "chal" + chal_suffix, "open" + value_suffix)
-
-    def commit(self, value: bytes, rng: HashDrbg) -> tuple[str, bytes]:
-        """Sender: commit to the value."""
-        self.value = value
-        self.c, self.d = commit(value, rng)
-        return self.labels[0], self.c.encode()
-
-    def challenge(self, raw_c: bytes, rng: HashDrbg) -> tuple[str, bytes]:
-        """Receiver: take the commitment and draw the challenge."""
-        self.c = Commitment(raw_c)
-        self.nonce = rng.randbytes(NONCE_SIZE)
-        return self.labels[1], self.nonce
-
-    def open(self, nonce: bytes) -> tuple[str, bytes]:
-        """Sender: take the challenge and reveal the opening."""
-        self.nonce = nonce
-        return self.labels[2], self.d.encode()
-
-    def receive(self, raw_opening: bytes) -> bytes:
-        """Receiver: the transferred value, or an abort if it does not open."""
-        self.value = _open(self.c, raw_opening)
-        return self.value
-
-    def elements(self) -> dict[str, bytes]:
-        return {"com": self.c.digest, "chal": self.nonce, "msg": self.value}
-
-
 class Machine:
     """One party's side of a protocol run.
 
-    A subclass writes its side as one generator, _run(), that reads like the
-    figure's column: it yields (fields to send or None, labels expected
-    next), receives the decoded values of the next payload, and returns the
-    fields of its last message (None when the peer sends the last message).
-    Values kept between messages are the generator's locals.
+    A subclass writes its side as one generator, _run(): it yields (fields
+    to send or None, labels expected next), receives the decoded values of
+    the next payload, and returns the fields of its last message (None when
+    the peer sends the last message). Values kept between messages are the
+    generator's locals, or attributes that _run erases when it ends.
     """
 
     kind: ProtocolKind
@@ -331,34 +293,12 @@ def _reveal(name: str, value, out: dict) -> None:
         out[name] = value.hex()
     elif isinstance(value, int) and not isinstance(value, bool):
         out[name] = hex(value)
-    elif isinstance(value, (KeyPair, Commitment, Opening, _Leg)):
+    elif isinstance(value, (KeyPair, Commitment, Opening)):
         for key, inner in vars(value).items():
             _reveal(f"{name}.{key}", inner, out)
-
-
-# ---------------------------------------------------------------------------
-# mt-auth
-# ---------------------------------------------------------------------------
-
-class MtAuthMachine(Machine):
-    """Authenticated transfer of one message: a single leg."""
-
-    kind = ProtocolKind.MT_AUTH
-
-    def _run(self):
-        leg = _Leg()
-        if self.side is Side.A:
-            m = self.message if self.message is not None else self.rng.randbytes(NONCE_SIZE)
-            (nonce,) = yield [leg.commit(m, self.rng)], ["chal"]
-            out = [leg.open(nonce)]
-        else:
-            (raw_c,) = yield None, ["com"]
-            (raw_d,) = yield [leg.challenge(raw_c, self.rng)], ["open"]
-            self.delivered_message = leg.receive(raw_d)
-            out = None
-        self._entropy("E_A", **leg.elements())
-        self.key = message_key(leg.value)
-        return out
+    elif isinstance(value, dict):  # a transfer's legs
+        for key, inner in value.items():
+            _reveal(f"{name}.{key}", inner, out)
 
 
 # ---------------------------------------------------------------------------
@@ -508,84 +448,113 @@ class Kem3CommitMachine(Machine):
 
 
 # ---------------------------------------------------------------------------
-# kem4 / kem6: two transfer legs, of a fresh value m from A (the public key
-# riding alongside in clear) and of the encapsulation from B; they differ
-# only in which leg steps travel together in one wire message
+# mt-auth, kem4 and kem6: transfer legs run from the schedule in SPECS
 # ---------------------------------------------------------------------------
 
-class Kem4Machine(Machine):
-    """Each leg's challenge rides with the other leg's commit or open."""
+class TransferMachine(Machine):
+    """Either side of a transfer kind, run from that side's plan (see _plan).
+    A step sends its field when raw is None and takes the peer's otherwise.
+    Each leg is kept under its entropy label; the value is computed once the
+    opening is sent or received, on B's leg only after A has decapsulated.
+    Values kept between messages are attributes, erased when the run ends."""
 
-    kind = ProtocolKind.KEM4
+    pk = peer = pair = None  # the public key on the wire, its element, A's key pair
+
+    @classmethod
+    def of(cls, kind: ProtocolKind) -> type["TransferMachine"]:
+        return type(cls.__name__, (cls,), {"kind": kind})
 
     def _run(self):
-        g = self.cfg.group
-        m_leg, ct_leg = _Leg("_m", "_b"), _Leg("_ct", "_a")
-        if self.side is Side.A:
-            pair = kem_keygen(g, self.rng)
-            pk = g.encode_element(pair.public)
-            com_m = m_leg.commit(self.rng.randbytes(NONCE_SIZE), self.rng)
-            raw_cct, nonce_b = yield [("pk", pk), com_m], ["com_ct", "chal_b"]
-            chal_a = ct_leg.challenge(raw_cct, self.rng)
-            open_m = m_leg.open(nonce_b)
-            self._entropy("E_A", **m_leg.elements(), pk=pk)
-            (raw_dct,) = yield [open_m, chal_a], ["open_ct"]
-            encap = Encapsulation.decode(ct_leg.receive(raw_dct), g)
-            self.key = kem_decaps(pair.secret, encap, g)
+        self.legs = {"E_A": {}, "E_B": {}}
+        try:
             out = None
-        else:
-            pk, raw_cm = yield None, ["pk", "com_m"]
-            peer = g.decode_element(pk)
-            chal_b = m_leg.challenge(raw_cm, self.rng)
-            encap, self.key = kem_encaps(peer, g, self.cfg.kem_mode, self.rng)
-            com_ct = ct_leg.commit(encap.encode(g), self.rng)
-            raw_dm, nonce_a = yield [com_ct, chal_b], ["open_m", "chal_a"]
-            m_leg.receive(raw_dm)
-            self._entropy("E_A", **m_leg.elements(), pk=pk)
-            out = [ct_leg.open(nonce_a)]
-        self._entropy("E_B", **ct_leg.elements())
-        return out
+            for sends, labels, call in self.plans[self.side is Side.B]:
+                out = call(self, None if sends else (yield out, labels))
+            return out
+        finally:
+            self.legs = self.pk = self.peer = self.pair = None
 
-
-# ---------------------------------------------------------------------------
-# compiler: wrap each message of the 2-pass encapsulation protocol in an
-# authenticated transfer
-# ---------------------------------------------------------------------------
-
-class _CompiledKem2Machine(Machine):
-    """One leg per kem2 message, three wire messages each: the public key
-    rides the first leg in clear, folded into that leg's entropy, and the
-    encapsulation is the value of the second."""
-
-    kind = ProtocolKind.KEM6
-
-    def _run(self):
+    def _pk_step(self, name: str, raw: bytes | None):
         g = self.cfg.group
-        m_leg, ct_leg = _Leg("_m", "_b"), _Leg("_ct", "_a")
-        if self.side is Side.A:
-            pair = kem_keygen(g, self.rng)
-            pk = g.encode_element(pair.public)
-            com_m = m_leg.commit(self.rng.randbytes(NONCE_SIZE), self.rng)
-            (nonce_b,) = yield [("pk", pk), com_m], ["chal_b"]
-            open_m = m_leg.open(nonce_b)
-            self._entropy("E_A", **m_leg.elements(), pk=pk)
-            (raw_cct,) = yield [open_m], ["com_ct"]
-            (raw_dct,) = yield [ct_leg.challenge(raw_cct, self.rng)], ["open_ct"]
-            encap = Encapsulation.decode(ct_leg.receive(raw_dct), g)
-            self.key = kem_decaps(pair.secret, encap, g)
-            out = None
+        if raw is None:
+            self.pair = kem_keygen(g, self.rng)
+            raw = g.encode_element(self.pair.public)
         else:
-            pk, raw_cm = yield None, ["pk", "com_m"]
-            peer = g.decode_element(pk)
-            (raw_dm,) = yield [m_leg.challenge(raw_cm, self.rng)], ["open_m"]
-            m_leg.receive(raw_dm)
-            self._entropy("E_A", **m_leg.elements(), pk=pk)
-            # leg 1 delivered: the inner protocol replies, leg 2 wraps it
-            encap, self.key = kem_encaps(peer, g, self.cfg.kem_mode, self.rng)
-            (nonce_a,) = yield [ct_leg.commit(encap.encode(g), self.rng)], ["chal_a"]
-            out = [ct_leg.open(nonce_a)]
-        self._entropy("E_B", **ct_leg.elements())
+            self.peer = g.decode_element(raw)
+        self.pk = raw
+        return raw
+
+    def _com_step(self, name: str, raw: bytes | None):
+        leg = self.legs[name]
+        if raw is not None:
+            leg["c"] = Commitment(raw)
+            return None
+        if self.side is Side.A:  # the message, or a fresh value
+            leg["msg"] = self.message if self.message is not None else self.rng.randbytes(NONCE_SIZE)
+        else:  # an encapsulation under the pk that rode A's leg
+            g = self.cfg.group
+            encap, self.key = kem_encaps(self.peer, g, self.cfg.kem_mode, self.rng)
+            leg["msg"] = encap.encode(g)
+        leg["c"], leg["d"] = commit(leg["msg"], self.rng)
+        return leg["c"].encode()
+
+    def _chal_step(self, name: str, raw: bytes | None):
+        leg = self.legs[name]
+        leg["chal"] = self.rng.randbytes(NONCE_SIZE) if raw is None else raw
+        return leg["chal"]
+
+    def _open_step(self, name: str, raw: bytes | None):
+        leg = self.legs[name]
+        if raw is not None:
+            leg["msg"] = _open(leg["c"], raw)
+        if self.pk is None:  # no public key rode along: A's leg is the session's message
+            self.key = message_key(leg["msg"])
+            if raw is not None:
+                self.delivered_message = leg["msg"]
+        elif raw is not None and self.side is Side.A:  # B's leg: decapsulate
+            g = self.cfg.group
+            self.key = kem_decaps(self.pair.secret, Encapsulation.decode(leg["msg"], g), g)
+        self._entropy(name, com=leg["c"].digest, chal=leg["chal"], msg=leg["msg"], pk=self.pk)
+        return None if raw is not None else leg["d"].encode()
+
+
+def _message(sends: bool, labels: tuple, steps: list) -> Callable:
+    """The call that runs a message's steps, (wire position, step, leg) in
+    the order taken: it returns the fields to send, or takes those received.
+    A one-step message, the usual case, runs no loop."""
+    if len(steps) == 1:
+        ((_, step, leg),) = steps
+        if sends:
+            return lambda m, values: [(labels[0], step(m, leg, None))]
+        return lambda m, values: step(m, leg, values[0])
+
+    def run(m, values):
+        out = list(labels) if sends else None
+        for i, step, leg in steps:
+            if sends:
+                out[i] = labels[i], step(m, leg, None)
+            else:
+                step(m, leg, values[i])
         return out
+    return run
+
+
+def _plan(spec: "ProtocolSpec", side: Side) -> tuple:
+    """One side's plan of a transfer schedule: per message, whether the side
+    sends it, its labels, and the call that runs its steps on their legs. A
+    sender takes its steps in wire order, except that commits come last."""
+    plan, sender = [], spec.starting_side
+    for labels in spec.schedule:
+        steps = [
+            (i, getattr(TransferMachine, f"_{label.split('_')[0]}_step"),
+             "E_" + (sender.other if label.startswith("chal") else sender).value)
+            for i, label in enumerate(labels)
+        ]
+        if sender is side:
+            steps.sort(key=lambda step: labels[step[0]].startswith("com"))
+        plan.append((sender is side, labels, _message(sender is side, labels, steps)))
+        sender = sender.other
+    return tuple(plan)
 
 
 def compile_mt(inner: ProtocolKind) -> ProtocolSpec:
@@ -605,8 +574,9 @@ def compile_mt(inner: ProtocolKind) -> ProtocolSpec:
 
 SPECS: dict[ProtocolKind, ProtocolSpec] = {
     ProtocolKind.MT_AUTH: ProtocolSpec(
-        MtAuthMachine, 3, Side.A,
+        TransferMachine.of(ProtocolKind.MT_AUTH), 3, Side.A,
         {"E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1})},
+        schedule=(("com",), ("chal",), ("open",)),
     ),
     ProtocolKind.KEX2: ProtocolSpec(
         Kex2Machine, 2, Side.A,
@@ -634,23 +604,29 @@ SPECS: dict[ProtocolKind, ProtocolSpec] = {
         residual_factor=1.0,
     ),
     ProtocolKind.KEM4: ProtocolSpec(
-        Kem4Machine, 4, Side.A,
+        TransferMachine.of(ProtocolKind.KEM4), 4, Side.A,
         {
             "E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1, "pk": 1}),
             "E_B": EntropySpec(Side.A, {"com": 2, "chal": 3, "msg": 2}),
         },
         separate_rounds=True,
+        schedule=(("pk", "com_m"), ("com_ct", "chal_b"), ("open_m", "chal_a"), ("open_ct",)),
     ),
     # the compiler's output: compile_mt(KEM2) returns this entry
     ProtocolKind.KEM6: ProtocolSpec(
-        _CompiledKem2Machine, 6, Side.A,
+        TransferMachine.of(ProtocolKind.KEM6), 6, Side.A,
         {
             "E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1, "pk": 1}),
             "E_B": EntropySpec(Side.A, {"com": 4, "chal": 5, "msg": 4}),
         },
         separate_rounds=True,
+        schedule=(("pk", "com_m"), ("chal_b",), ("open_m",), ("com_ct",), ("chal_a",), ("open_ct",)),
     ),
 }
+
+for _spec in SPECS.values():
+    if _spec.schedule:  # each side's plan, compiled once
+        _spec.build.plans = (_plan(_spec, Side.A), _plan(_spec, Side.B))
 
 # a derived view for callers that only need the starting side
 STARTING_SIDE = {kind: spec.starting_side for kind, spec in SPECS.items()}

@@ -9,7 +9,6 @@ from saslab import primitives
 from saslab.primitives import (
     BLINDER_SIZE,
     MODP2048,
-    PEER_TABLE_STRIDE,
     REJECT,
     TOY256,
     Commitment,
@@ -42,6 +41,7 @@ from saslab.primitives import (
     open_commitment,
     pke_decrypt,
     pke_encrypt,
+    power,
     power_table,
     random_element,
 )
@@ -201,17 +201,12 @@ def test_kex_agree_rejects_malformed_elements():
 
 @functools.cache
 def _tables():
-    """(params, table) pairs: each group's generator table and a peer table
-    as shipped (the peer one as the collision loops build it), and
+    """(params, table) pairs: each group's generator table as shipped, and
     modp2048 for g at stride 64."""
-    peer = kex_keygen(TOY256, HashDrbg(30)).public
-    peer2048 = kex_keygen(MODP2048, HashDrbg(30)).public
     return (
         (TOY256, power_table(TOY256, TOY256.g)),
-        (TOY256, power_table(TOY256, peer, PEER_TABLE_STRIDE)),
         (MODP2048, PowerTable(MODP2048.g, MODP2048.p, MODP2048.q.bit_length(), stride=64)),
         (MODP2048, power_table(MODP2048, MODP2048.g)),
-        (MODP2048, power_table(MODP2048, peer2048, PEER_TABLE_STRIDE)),
     )
 
 
@@ -231,13 +226,6 @@ def test_power_table_stride_follows_the_modulus_size():
     entries = len(table._rows) << 8
     assert entries * MODP2048.element_size <= 550_000
     assert len(table._rows) * table.stride + (table.stride - 1) <= 350 + 204
-
-
-def test_peer_table_takes_the_shipped_stride():
-    # toy256 peer tables are strided so that each trial's build stays cheap
-    assert power_table(TOY256, 5, PEER_TABLE_STRIDE).stride == PEER_TABLE_STRIDE == 2
-    # and never below the stride the memory budget needs
-    assert power_table(MODP2048, 5, PEER_TABLE_STRIDE).stride == generator_table(MODP2048).stride
 
 
 def _comb_exponent(d: int, i: int, stride: int) -> int:
@@ -277,7 +265,7 @@ def test_power_table_equals_pow_for_every_small_exponent(rows, stride):
             assert table.pow(e) == pow(base, e, SMALL.p), (base, e)
 
 
-@given(index=st.integers(0, 4), data=st.data())
+@given(index=st.integers(0, 2), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_power_table_equals_pow(index, data):
     params, table = _tables()[index]
@@ -293,19 +281,17 @@ def test_power_table_edge_exponents():
 
 
 def test_in_range_power_calls_no_builtin_pow(monkeypatch):
-    # one multiplication squares between the comb's passes, so neither the
-    # modp2048 generator table (stride 37) nor a toy256 peer table (stride 2)
-    # hands any part of an in-range power to the built-in pow
-    peer = power_table(TOY256, kex_keygen(TOY256, HashDrbg(35)).public, PEER_TABLE_STRIDE)
-    tables = ((MODP2048, generator_table(MODP2048)), (TOY256, peer))
+    # one multiplication squares between the comb's passes, so the modp2048
+    # generator table (stride 37) hands no part of an in-range power to the
+    # built-in pow
+    table = generator_table(MODP2048)
     calls = []
     monkeypatch.setattr(primitives, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
-    for params, table in tables:
-        assert table.stride > 1
-        for e in (0, 1, 2, params.q - 1, table.limit - 1):
-            assert table.pow(e) == pow(table.base, e, params.p)
+    assert table.stride > 1
+    for e in (0, 1, 2, MODP2048.q - 1, table.limit - 1):
+        assert table.pow(e) == pow(table.base, e, MODP2048.p)
     assert calls == []
-    assert tables[0][1].pow(-1) == pow(MODP2048.g, -1, MODP2048.p)  # out of range
+    assert table.pow(-1) == pow(MODP2048.g, -1, MODP2048.p)  # out of range
     assert len(calls) == 1
 
 
@@ -342,14 +328,12 @@ def test_generator_table_built_once_per_modulus_and_generator(monkeypatch):
 @pytest.mark.parametrize("mode", [KemMode.PROBABILISTIC, KemMode.DETERMINISTIC])
 def test_table_encapsulation_step_equals_kem_encaps_star(mode, params):
     # the collision loop's kem2 candidate: r by the one rule, then both
-    # powers from tables, one of them the peer table at the shipped stride
+    # powers from the generator table, the initiator's published key through
+    # its remembered exponent
     pk = kem_keygen(params, HashDrbg(32)).public
     x = random_element(params, HashDrbg(33))
     r = encaps_randomness(x, pk, params, mode, HashDrbg(34))
-    step = Encapsulation(
-        generator_table(params).pow(r),
-        x * power_table(params, pk, PEER_TABLE_STRIDE).pow(r) % params.p,
-    )
+    step = Encapsulation(generator_table(params).pow(r), x * power(pk, r, params) % params.p)
     assert (step, derive_key(x, params)) == kem_encaps_star(pk, x, params, mode, HashDrbg(34))
 
 
@@ -372,7 +356,7 @@ def _check_remembered_power(params: GroupParams, data) -> None:
     element = data.draw(st.sampled_from([pair.public, ct.c1]), label="element")
     assert (params.p, params.g, element) in primitives._EXPONENTS
     k = data.draw(_exponents(params, pair.secret), label="k")
-    assert primitives._power(element, k, params) == pow(element, k, params.p)
+    assert primitives.power(element, k, params) == pow(element, k, params.p)
 
 
 @given(data=st.data())
@@ -399,7 +383,7 @@ def test_remembered_power_equals_pow_full_size_group(data):
 def test_unremembered_power_equals_pow(element, sk, data):
     assert (TOY256.p, TOY256.g, element) not in primitives._EXPONENTS
     k = data.draw(_exponents(TOY256, sk), label="k")
-    assert primitives._power(element, k, TOY256) == pow(element, k, TOY256.p)
+    assert primitives.power(element, k, TOY256) == pow(element, k, TOY256.p)
 
 
 def test_remembered_exponents_evict_the_oldest(monkeypatch):
@@ -413,7 +397,7 @@ def test_remembered_exponents_evict_the_oldest(monkeypatch):
     ]
     for pair in (pairs[0], pairs[-1]):  # evicted, and still remembered
         for k in (0, 1, TOY256.p - 1 - pair.secret, -pair.secret):
-            assert primitives._power(pair.public, k, TOY256) == pow(pair.public, k, TOY256.p)
+            assert primitives.power(pair.public, k, TOY256) == pow(pair.public, k, TOY256.p)
         assert kex_agree(pairs[1], pair.public, TOY256) == derive_key(
             pow(pair.public, pairs[1].secret, TOY256.p), TOY256
         )

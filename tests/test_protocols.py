@@ -2,10 +2,12 @@ import pytest
 
 from saslab import protocols
 from saslab.attacks import DEFENDED_KINDS
-from saslab.model import Model, SessionStatus, World, run_honest
+from saslab.model import AdversaryView, Model, SessionStatus, World, run_honest
 from saslab.primitives import (
     GroupParams,
     KemMode,
+    commit,
+    decode_fields,
     derive_key,
     encode_fields,
     entropy,
@@ -26,6 +28,7 @@ from saslab.protocols import (
 from saslab.rng import HashDrbg
 
 ALL_KINDS = list(ProtocolKind)
+TRANSFER_KINDS = [kind for kind in ALL_KINDS if SPECS[kind].schedule]
 SMALL = GroupParams(p=23, g=5, q=11)
 
 
@@ -291,6 +294,62 @@ def test_compiled_honest_run_completes():
 
 
 # ---------------------------------------------------------------------------
+# transfer schedules
+# ---------------------------------------------------------------------------
+
+def test_the_transfer_kinds_are_schedules():
+    assert TRANSFER_KINDS == [ProtocolKind.MT_AUTH, ProtocolKind.KEM4, ProtocolKind.KEM6]
+
+
+@pytest.mark.parametrize("kind", TRANSFER_KINDS, ids=[k.value for k in TRANSFER_KINDS])
+def test_schedule_agrees_with_its_specs_row(kind):
+    # com and open act on the sender's own leg, chal on the peer's, and the
+    # pk rides A's; each entropy element must be declared at the message the
+    # schedule puts it in (msg at its leg's commit)
+    spec = SPECS[kind]
+    assert len(spec.schedule) == spec.message_count
+    placed, sender = {}, spec.starting_side
+    for index, labels in enumerate(spec.schedule, 1):
+        for label in labels:
+            step = label.split("_")[0]
+            owner = sender.other if step == "chal" else sender
+            assert (f"E_{owner.value}", step) not in placed, label
+            placed[f"E_{owner.value}", step] = index
+        sender = sender.other
+    for name, value in spec.entropies.items():
+        for element, index in value.elements.items():
+            assert placed[name, "com" if element == "msg" else element] == index, (name, element)
+        assert placed[name, "com"] < placed[name, "chal"] < placed[name, "open"]
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.KEM4, ProtocolKind.KEM6], ids=["kem4", "kem6"])
+def test_a_committed_non_encapsulation_aborts_after_decoding(kind):
+    # the adversary carries B's leg with a commitment to bytes that open fine
+    # but are no encapsulation: A aborts on decoding them, before E_B, and
+    # keeps E_A alone; B, which has sent its opening, holds E_A and E_B
+    world = World(kind, ProtocolConfig(), Model.UM, seed=31)
+    sid = world.start_session(b"alice", b"bob")
+    view = AdversaryView(world)
+    c, d = commit(b"\x01" * 32, view.rng)
+    forged = {"com_ct": c.encode(), "open_ct": d.encode()}
+    while view.pending():
+        env = view.pending()[0]
+        fields = decode_fields(env.payload)
+        if any(label in forged for label, _ in fields):
+            view.modify(env, encode_fields([(k, forged.get(k, v)) for k, v in fields]))
+        else:
+            view.deliver(env)
+    alice = world.session_record(b"alice", sid)
+    assert alice.status is SessionStatus.ABORTED
+    assert alice.events[-1]["reason"] == "wrong encapsulation length"
+    assert list(alice.entropies) == ["E_A"]
+    bob = world.parties[b"bob"].sessions[sid].machine
+    assert bob.done and not bob.aborted
+    assert list(bob.entropies) == ["E_A", "E_B"]
+    assert bob.entropies["E_A"] == alice.entropies["E_A"]
+
+
+# ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
 
@@ -375,3 +434,22 @@ def test_state_snapshot_redacts_nothing_needed():
     assert secrets(snapshot)
     a.advance(b.advance(first))
     assert a.done and not secrets(a.state_snapshot())
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.KEM4, ProtocolKind.KEM6], ids=["kem4", "kem6"])
+def test_transfer_state_is_erased_when_the_run_ends(kind):
+    # a suspended side exposes its key pair and its legs; a side that has
+    # finished, or aborted on a bad opening, exposes neither
+    cfg = ProtocolConfig()
+    a = build_machine(kind, cfg, Side.A, b"alice", b"bob", HashDrbg(27))
+    b = build_machine(kind, cfg, Side.B, b"bob", b"alice", HashDrbg(28))
+    payload, receiver, other = a.advance(None), b, a
+    while not b.done:
+        payload, receiver, other = receiver.advance(payload), other, receiver
+    assert "pair.secret" in a.state_snapshot() and "legs.E_B.c.digest" in a.state_snapshot()
+    (raw,) = expect_fields(payload, ["open_ct"])
+    tampered = raw[:-1] + bytes([raw[-1] ^ 1])
+    with pytest.raises(ProtocolError, match="opening rejected"):
+        a.advance(encode_fields([("open_ct", tampered)]))
+    for machine in (a, b):
+        assert not any(name.startswith(("pair.", "legs.")) for name in machine.state_snapshot())
