@@ -24,7 +24,6 @@ from .harness import (
     exit_code_for,
     report_csv_text,
     report_json_bytes,
-    run_experiment,
     sweep,
 )
 from .model import Model, TranscriptError, World, run_honest, transcript_export, transcript_replay
@@ -131,38 +130,6 @@ def _print_summary(summary: TrialSummary):
     )
 
 
-def _write_report(args, summaries, config, kind="experiment"):
-    if args.out is None:
-        return
-    if args.format == "csv":
-        args.out.write_text(report_csv_text(summaries))
-    else:
-        report = build_report(summaries, kind=kind, config=config)
-        args.out.write_bytes(report_json_bytes(report))
-    print(f"report written to {args.out}")
-
-
-def _config_from_args(args, strategy=None, n_e=None, trials=None) -> ExperimentConfig:
-    """The experiment the flags describe; n_e and trials, when given, stand
-    in for the flags (a sweep's first point)."""
-    if trials is None:
-        counts = _parse_int_list(str(args.trials), "--trials")
-        if len(counts) != 1:
-            raise ConfigError("--trials expects a single integer here")
-        trials = counts[0]
-    return ExperimentConfig(
-        protocol=args.protocol,
-        strategy=strategy,
-        group=args.group,
-        kem_mode=args.kem_mode,
-        n_e=args.ne if n_e is None else n_e,
-        trials=trials,
-        budget=getattr(args, "budget", None),
-        seed=args.seed,
-        kem2_entropy=args.kem2_entropy,
-    )
-
-
 def _cmd_list_protocols() -> int:
     print(f"{'protocol':18s} {'msgs':>4s} {'starts':>6s}  entropy values (receiver identity)")
     for kind in ProtocolKind:
@@ -178,45 +145,49 @@ def _cmd_list_protocols() -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    config = _config_from_args(args)
-    summary = run_experiment(config)
-    _print_summary(summary)
-    if args.transcript is not None:
-        world = World(config.kind(), config.protocol_config(), Model.AM, _trial_seed(config, 0))
-        run_honest(world)
-        args.transcript.write_bytes(transcript_export(world))
-        print(f"transcript written to {args.transcript}")
-    _write_report(args, [summary], config)
-    return exit_code_for([summary])
-
-
-def _cmd_attack(args) -> int:
-    if args.protocol is None:
-        target = STRATEGIES[AttackStrategy(args.strategy)].implied_target
+def _cmd_experiment(args) -> int:
+    """run, attack and sweep; a run or an attack is a one-point sweep."""
+    strategy = getattr(args, "strategy", "honest")
+    if args.protocol is None:  # an attack that names no protocol
+        target = STRATEGIES[AttackStrategy(strategy)].implied_target
         if target is None:
-            raise ConfigError(f"--protocol is required for {args.strategy}")
+            raise ConfigError(f"--protocol is required for {strategy}")
         args.protocol = target.value
-    config = _config_from_args(args, strategy=args.strategy)
-    summary = run_experiment(config)
-    _print_summary(summary)
-    _write_report(args, [summary], config)
-    return exit_code_for([summary])
-
-
-def _cmd_sweep(args) -> int:
     widths = _parse_int_list(str(args.ne), "--ne")
     if not widths:
         raise ConfigError("sweep needs at least one entropy width")
     trials = _parse_int_list(str(args.trials), "--trials")
+    if len(trials) != 1 and (args.command != "sweep" or not trials):
+        raise ConfigError("--trials expects a single integer here")
     if len(trials) == 1:
         trials = trials * len(widths)
-    strategy = None if args.strategy == "honest" else args.strategy
-    base = _config_from_args(args, strategy, n_e=widths[0], trials=trials[0])
+    base = ExperimentConfig(
+        protocol=args.protocol,
+        strategy=None if strategy == "honest" else strategy,
+        group=args.group,
+        kem_mode=args.kem_mode,
+        n_e=widths[0],
+        trials=trials[0],
+        budget=getattr(args, "budget", None),
+        seed=args.seed,
+        kem2_entropy=args.kem2_entropy,
+    )
     summaries = sweep(base, widths, trials_per_point=trials)
     for summary in summaries:
         _print_summary(summary)
-    _write_report(args, summaries, base, kind="sweep")
+    if getattr(args, "transcript", None) is not None:
+        world = World(base.kind(), base.protocol_config(), Model.AM, _trial_seed(base, 0))
+        run_honest(world)
+        args.transcript.write_bytes(transcript_export(world))
+        print(f"transcript written to {args.transcript}")
+    if args.out is not None:
+        if args.format == "csv":
+            args.out.write_text(report_csv_text(summaries))
+        else:
+            kind = "sweep" if args.command == "sweep" else "experiment"
+            report = build_report(summaries, kind=kind, config=base)
+            args.out.write_bytes(report_json_bytes(report))
+        print(f"report written to {args.out}")
     return exit_code_for(summaries)
 
 
@@ -257,12 +228,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "list-protocols":
             return _cmd_list_protocols()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "attack":
-            return _cmd_attack(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
+        if args.command in ("run", "attack", "sweep"):
+            return _cmd_experiment(args)
         if args.command == "selftest":
             return _cmd_selftest(args)
         if args.command == "replay":

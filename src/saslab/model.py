@@ -581,11 +581,20 @@ def transcript_export(world: World) -> bytes:
     """Serialize a finished honest run into a replayable byte transcript.
 
     The header pins the format version, the hash-suite header, the group,
-    the entropy width, mode flags, and the master seed; replay re-executes
-    from those seeds.
+    the entropy width, mode flags, the master seed, and the run's two ends
+    and initiator's message, if any; replay re-executes from those seeds.
     """
     if world.undelivered:
         raise TranscriptError("run not finished; undelivered messages remain")
+    sessions = {record.session for record in world.records()}
+    if len(sessions) != 1:
+        raise TranscriptError(f"a transcript records one session, not {len(sessions)}")
+    (sid,) = sessions
+    run = {"driver": "honest", "initiator": sid.initiator.decode(),
+           "responder": sid.responder.decode()}
+    message = world.parties[sid.initiator].sessions[sid].machine.message
+    if message is not None:
+        run["message"] = message.hex()
     seed = world.seed
     body = {
         "version": TRANSCRIPT_VERSION,
@@ -600,7 +609,7 @@ def transcript_export(world: World) -> bytes:
         "seed": seed.hex() if isinstance(seed, bytes) else seed,
         "seed_is_hex": isinstance(seed, bytes),
         "parties": [p.decode() for p in world.party_names],
-        "run": {"driver": "honest", "initiator": "alice", "responder": "bob"},
+        "run": run,
         "records": [_record_to_dict(r) for r in world.records()],
     }
     blob = json.dumps(body, sort_keys=True).encode()
@@ -648,9 +657,10 @@ def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRe
             tuple(p.encode() for p in body["parties"]),
         )
         ends = [world.parties[run[end].encode()].name for end in ("initiator", "responder")]
+        message = bytes.fromhex(run["message"]) if "message" in run else None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TranscriptError(f"malformed transcript header: {type(exc).__name__}: {exc}") from exc
-    records = run_honest(world, *ends)
+    records = run_honest(world, *ends, message)
     # compare in the recorded form, as the JSON round trip leaves it
     replayed = json.loads(json.dumps([_record_to_dict(r) for r in world.records()]))
     if replayed != body.get("records"):

@@ -1,14 +1,16 @@
 """Protocol state machines.
 
-Each machine implements one side (the figure's left or right column) of a
-message flow as a generator that yields each outgoing message with the
-labels it expects back. The 2- and 3-pass kinds write it as straight-line
-code that reads like the column, keeping values between messages in its
-locals. Machine.advance drives it on incoming payloads. Payloads are strict
-TLV layouts; a schema mismatch or a rejected commitment opening aborts the
-session. Machines expose their session-entropy values and session key once
-computed; comparing entropies is the out-of-band verification executed by
-the scheduler, not by the machines.
+One Machine class runs either side (the figure's left or right column) of
+every kind. The column is a generator function in the kind's SPECS row: it
+yields each outgoing message with the labels it expects back. The 2- and
+3-pass kinds write it as straight-line code that reads like the figure,
+keeping values between messages in its locals. Machine.advance drives it on
+incoming payloads, which are strict TLV layouts. Any failure (a schema
+mismatch, a start signal out of turn, a message to a finished session, a
+column that raises) aborts the session and closes the column. Machines
+expose their session-entropy values and session key once computed;
+comparing entropies is the out-of-band verification executed by the
+scheduler, not by the machines.
 
 Flows (arrows show wire messages; entropy receivers in brackets):
 
@@ -31,8 +33,8 @@ challenge / open leg. A's leg carries the message (in kem4 and kem6 a fresh
 one, A's public key pk riding in clear) and gives E_A [B]; B's leg carries
 an encapsulation under pk and gives E_B [A]. The kinds differ only in which
 leg steps share a wire message, so their flows are data: each SPECS entry's
-schedule lists the wire labels of every message, and TransferMachine runs
-any schedule. A label's prefix names its step; com and open act on the
+schedule lists the wire labels of every message, and one column, _transfer,
+runs any schedule. A label's prefix names its step; com and open act on the
 sender's leg, chal on the peer's. kem6 is compile_mt(kem2). A sender takes
 a message's steps in wire order, except that commits come last: kem4's
 second message draws N_B before the encapsulation and its commitment.
@@ -44,9 +46,9 @@ entry, for the machines and the attacks alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 from .primitives import (
     Commitment,
@@ -124,7 +126,8 @@ class EntropySpec:
 class ProtocolSpec:
     """Everything the package declares about one protocol kind."""
 
-    build: Callable[..., "Machine"]
+    kind: ProtocolKind
+    column: Callable[["Machine"], Generator]  # one side's figure column
     message_count: int
     starting_side: Side  # which side sends the first wire message
     entropies: dict[str, EntropySpec]
@@ -133,8 +136,18 @@ class ProtocolSpec:
     separate_rounds: bool = False
     # residual collision term of the security argument, in units of 2^-n_e
     residual_factor: float = 2.0
-    # transfer kinds: the wire labels of each message, run by TransferMachine
+    # transfer kinds: the wire labels of each message, run by _transfer
     schedule: tuple[tuple[str, ...], ...] = ()
+    # transfer kinds: A's and B's plan of the schedule, compiled with the row
+    plans: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.schedule:
+            object.__setattr__(self, "plans", (_plan(self, Side.A), _plan(self, Side.B)))
+
+    def build(self, cfg, side, self_id, peer_id, rng, message=None) -> "Machine":
+        """A machine for one side of this kind; build_machine's arguments."""
+        return Machine(self, cfg, side, self_id, peer_id, rng, message)
 
 
 class ProtocolError(Exception):
@@ -153,21 +166,21 @@ class ProtocolConfig:
     include_receiver_identity: bool = True
 
 
-def _entropy_rule(kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes):
+def _entropy_rule(spec: ProtocolSpec, cfg: ProtocolConfig, label: str, receiver: bytes):
     """The receiver and element names, in order, that entropy value `label` of a kind's flow
     hashes: the receiver is blank where the value binds none or identities are off."""
-    spec = SPECS[kind].entropies[label]
-    if spec.receiver is None or not cfg.include_receiver_identity:
+    rule = spec.entropies[label]
+    if rule.receiver is None or not cfg.include_receiver_identity:
         receiver = b""
-    key_only = cfg.kem2_key_only_entropy and kind is ProtocolKind.KEM2  # kem2's key-only profile
-    return receiver, ("key",) if key_only else tuple(spec.elements)
+    key_only = cfg.kem2_key_only_entropy and spec.kind is ProtocolKind.KEM2  # kem2's key-only profile
+    return receiver, ("key",) if key_only else tuple(rule.elements)
 
 
 def entropy_input(
     kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
 ) -> tuple[bytes, list[tuple[str, bytes]]]:
     """What entropy value `label` hashes first, given `values` of a leading run of its elements."""
-    receiver, names = _entropy_rule(kind, cfg, label, receiver)
+    receiver, names = _entropy_rule(SPECS[kind], cfg, label, receiver)
     if tuple(values) != names[: len(values)]:
         raise ValueError(f"{label} hashes {', '.join(names)} in order, not {', '.join(values)}")
     return receiver, list(values.items())
@@ -177,7 +190,13 @@ def session_entropy(
     kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
 ) -> EntropyValue:
     """The entropy value `label` of a kind's flow over the elements it hashes out of `values`."""
-    receiver, names = _entropy_rule(kind, cfg, label, receiver)
+    return _session_entropy(SPECS[kind], cfg, label, receiver, values)
+
+
+def _session_entropy(
+    spec: ProtocolSpec, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
+) -> EntropyValue:
+    receiver, names = _entropy_rule(spec, cfg, label, receiver)
     return entropy(receiver, [(name, values[name]) for name in names], cfg.n_e)
 
 
@@ -191,17 +210,18 @@ def _open(c: Commitment, raw_opening: bytes) -> bytes:
 class Machine:
     """One party's side of a protocol run.
 
-    A subclass writes its side as one generator, _run(): it yields (fields
-    to send or None, labels expected next), receives the decoded values of
-    the next payload, and returns the fields of its last message (None when
-    the peer sends the last message). Values kept between messages are the
-    generator's locals, or attributes that _run erases when it ends.
+    The kind's SPECS row names the side's column, a generator function of
+    the machine: it yields (fields to send or None, labels expected next),
+    receives the decoded values of the next payload, and returns the fields
+    of its last message (None when the peer sends the last message). Values
+    kept between messages are the column's locals, or attributes that the
+    column erases when it ends. An abort closes the column, so its locals
+    are gone from then on.
     """
-
-    kind: ProtocolKind
 
     def __init__(
         self,
+        spec: ProtocolSpec,
         cfg: ProtocolConfig,
         side: Side,
         self_id: bytes,
@@ -209,9 +229,10 @@ class Machine:
         rng: HashDrbg,
         message: bytes | None = None,
     ):
+        self.spec = spec
         self.cfg = cfg
         self.side = side
-        self._starts = side is SPECS[self.kind].starting_side  # sends the first message
+        self._starts = side is spec.starting_side  # sends the first message
         self.self_id = self_id
         self.peer_id = peer_id
         self.rng = rng
@@ -222,51 +243,44 @@ class Machine:
         self.key: SharedKey | None = None
         self.delivered_message: bytes | None = None
         self._step = 0
-        self._flow = self._run()
+        self._flow = spec.column(self)
         self._expected: list[str] = []
 
     def _entropy(self, label: str, **values: bytes) -> None:
-        receiver_side = SPECS[self.kind].entropies[label].receiver
+        receiver_side = self.spec.entropies[label].receiver
         receiver = self.self_id if receiver_side is self.side else self.peer_id
-        self.entropies[label] = session_entropy(self.kind, self.cfg, label, receiver, values)
-
-    def _fail(self, reason: str):
-        self.aborted = True
-        raise ProtocolError(reason)
-
-    def _expect(self, payload: bytes) -> list[bytes]:
-        try:
-            return expect_fields(payload, self._expected)
-        except ValueError as exc:
-            raise ProtocolError(f"step {self._step}: {exc}")
+        self.entropies[label] = _session_entropy(self.spec, self.cfg, label, receiver, values)
 
     def advance(self, incoming: bytes | None = None) -> bytes | None:
         """Process a start signal (None) or an incoming payload.
 
         Returns the outgoing payload, or None when this side has nothing to
-        send. Raises ProtocolError (and marks the machine aborted) on any
-        schema or verification failure.
+        send. On any failure it marks the machine aborted, closes the column
+        and raises ProtocolError.
         """
         if self.aborted:
             raise ProtocolError("session already aborted")
-        if self.done:
-            self._fail("message delivered to a finished session")
-        if (incoming is None) != (self._step == 0 and self._starts):
-            self._fail("unexpected start signal" if incoming is None
-                       else "starting side expected a start signal")
         try:
+            if self.done:
+                raise ProtocolError("message delivered to a finished session")
+            if (incoming is None) != (self._step == 0 and self._starts):
+                raise ProtocolError("unexpected start signal" if incoming is None
+                                    else "starting side expected a start signal")
             if self._step == 0:
                 out, self._expected = next(self._flow)
             if incoming is not None:
-                out, self._expected = self._flow.send(self._expect(incoming))
+                try:
+                    values = expect_fields(incoming, self._expected)
+                except ValueError as exc:
+                    raise ProtocolError(f"step {self._step}: {exc}")
+                out, self._expected = self._flow.send(values)
         except StopIteration as finished:
             out = finished.value
             self.done = True
-        except ProtocolError:
+        except (ProtocolError, ValueError) as exc:  # malformed elements and oversized inputs too
             self.aborted = True
-            raise
-        except ValueError as exc:  # malformed elements and oversized inputs too
-            self._fail(str(exc))
+            self._flow.close()
+            raise exc if isinstance(exc, ProtocolError) else ProtocolError(str(exc))
         self._step += 1
         return None if out is None else encode_fields(out)
 
@@ -278,7 +292,7 @@ class Machine:
         flattened into dotted names. A column that has returned or aborted
         holds no locals: session state is erased at completion.
         """
-        out = {"kind": self.kind.value, "side": self.side.value, "step": self._step}
+        out = {"kind": self.spec.kind.value, "side": self.side.value, "step": self._step}
         state = dict(vars(self))
         if self._flow.gi_frame is not None:
             state.update(self._flow.gi_frame.f_locals)
@@ -302,220 +316,193 @@ def _reveal(name: str, value, out: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# kex2 / kex3
+# the 2- and 3-pass columns: kex2, kex3, kem2 and the kem3 variants
 # ---------------------------------------------------------------------------
 
-class Kex2Machine(Machine):
-    kind = ProtocolKind.KEX2
-
-    def _run(self):
-        g = self.cfg.group
-        if self.side is Side.A:
-            pair = kex_keygen(g, self.rng)
-            pka = g.encode_element(pair.public)
-            (pkb,) = yield [("pka", pka)], ["pkb"]
-            self.key = kex_agree(pair, g.decode_element(pkb), g)
-            out = None
-        else:
-            (pka,) = yield None, ["pka"]
-            peer = g.decode_element(pka)
-            pair = kex_keygen(g, self.rng)
-            pkb = g.encode_element(pair.public)
-            self.key = kex_agree(pair, peer, g)
-            out = [("pkb", pkb)]
-        self._entropy("E", pka=pka, pkb=pkb, key=self.key.key)
-        return out
+def _kex2(m: Machine):
+    g = m.cfg.group
+    if m.side is Side.A:
+        pair = kex_keygen(g, m.rng)
+        pka = g.encode_element(pair.public)
+        (pkb,) = yield [("pka", pka)], ["pkb"]
+        m.key = kex_agree(pair, g.decode_element(pkb), g)
+        out = None
+    else:
+        (pka,) = yield None, ["pka"]
+        peer = g.decode_element(pka)
+        pair = kex_keygen(g, m.rng)
+        pkb = g.encode_element(pair.public)
+        m.key = kex_agree(pair, peer, g)
+        out = [("pkb", pkb)]
+    m._entropy("E", pka=pka, pkb=pkb, key=m.key.key)
+    return out
 
 
-class Kex3Machine(Machine):
+def _kex3(m: Machine):
     """Responder commits to its public element before seeing the peer's."""
+    g = m.cfg.group
+    if m.side is Side.B:
+        pair = kex_keygen(g, m.rng)
+        pkb = g.encode_element(pair.public)
+        c, d = commit(pkb, m.rng)
+        (pka,) = yield [("com", c.encode())], ["pka"]
+        m.key = kex_agree(pair, g.decode_element(pka), g)
+        out = [("open", d.encode())]
+    else:
+        (raw_c,) = yield None, ["com"]
+        c = Commitment(raw_c)
+        pair = kex_keygen(g, m.rng)
+        pka = g.encode_element(pair.public)
+        (raw_d,) = yield [("pka", pka)], ["open"]
+        pkb = _open(c, raw_d)
+        m.key = kex_agree(pair, g.decode_element(pkb), g)
+        out = None
+    m._entropy("E_B", pka=pka, pkb=pkb, com=c.digest)
+    return out
 
-    kind = ProtocolKind.KEX3
+def _kem2(m: Machine):
+    g = m.cfg.group
+    if m.side is Side.A:
+        pair = kem_keygen(g, m.rng)
+        pk = g.encode_element(pair.public)
+        (ct,) = yield [("pk", pk)], ["ct"]
+        m.key = kem_decaps(pair.secret, Encapsulation.decode(ct, g), g)
+        out = None
+    else:
+        (pk,) = yield None, ["pk"]
+        encap, m.key = kem_encaps(g.decode_element(pk), g, m.cfg.kem_mode, m.rng)
+        ct = encap.encode(g)
+        out = [("ct", ct)]
+    m._entropy("E", pk=pk, ct=ct, key=m.key.key)
+    return out
 
-    def _run(self):
-        g = self.cfg.group
-        if self.side is Side.B:
-            pair = kex_keygen(g, self.rng)
-            pkb = g.encode_element(pair.public)
-            c, d = commit(pkb, self.rng)
-            (pka,) = yield [("com", c.encode())], ["pka"]
-            self.key = kex_agree(pair, g.decode_element(pka), g)
-            out = [("open", d.encode())]
-        else:
-            (raw_c,) = yield None, ["com"]
-            c = Commitment(raw_c)
-            pair = kex_keygen(g, self.rng)
-            pka = g.encode_element(pair.public)
-            (raw_d,) = yield [("pka", pka)], ["open"]
-            pkb = _open(c, raw_d)
-            self.key = kex_agree(pair, g.decode_element(pkb), g)
-            out = None
-        self._entropy("E_B", pka=pka, pkb=pkb, com=c.digest)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# kem2
-# ---------------------------------------------------------------------------
-
-class Kem2Machine(Machine):
-    kind = ProtocolKind.KEM2
-
-    def _run(self):
-        g = self.cfg.group
-        if self.side is Side.A:
-            pair = kem_keygen(g, self.rng)
-            pk = g.encode_element(pair.public)
-            (ct,) = yield [("pk", pk)], ["ct"]
-            self.key = kem_decaps(pair.secret, Encapsulation.decode(ct, g), g)
-            out = None
-        else:
-            (pk,) = yield None, ["pk"]
-            encap, self.key = kem_encaps(g.decode_element(pk), g, self.cfg.kem_mode, self.rng)
-            ct = encap.encode(g)
-            out = [("ct", ct)]
-        self._entropy("E", pk=pk, ct=ct, key=self.key.key)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# kem3 variants
-# ---------------------------------------------------------------------------
-
-class Kem3TwoEntropyMachine(Machine):
+def _kem3_two_entropy(m: Machine):
     """Responder commits to a nonce; two entropy values, verified together."""
-
-    kind = ProtocolKind.KEM3_TWO_ENTROPY
-
-    def _run(self):
-        g = self.cfg.group
-        if self.side is Side.B:
-            n = self.rng.randbytes(NONCE_SIZE)
-            c, d = commit(n, self.rng)
-            (pk,) = yield [("com", c.encode())], ["pk"]
-            encap, self.key = kem_encaps(g.decode_element(pk), g, self.cfg.kem_mode, self.rng)
-            ct = encap.encode(g)
-            out = [("ct", ct), ("open", d.encode())]
-        else:
-            (raw_c,) = yield None, ["com"]
-            c = Commitment(raw_c)
-            pair = kem_keygen(g, self.rng)
-            pk = g.encode_element(pair.public)
-            ct, raw_d = yield [("pk", pk)], ["ct", "open"]
-            self.key = kem_decaps(pair.secret, Encapsulation.decode(ct, g), g)
-            n = _open(c, raw_d)
-            out = None
-        self._entropy("E_B1", nonce=n, pk=pk, com=c.digest)
-        self._entropy("E_B2", ct=ct, key=self.key.key)
-        return out
+    g = m.cfg.group
+    if m.side is Side.B:
+        n = m.rng.randbytes(NONCE_SIZE)
+        c, d = commit(n, m.rng)
+        (pk,) = yield [("com", c.encode())], ["pk"]
+        encap, m.key = kem_encaps(g.decode_element(pk), g, m.cfg.kem_mode, m.rng)
+        ct = encap.encode(g)
+        out = [("ct", ct), ("open", d.encode())]
+    else:
+        (raw_c,) = yield None, ["com"]
+        c = Commitment(raw_c)
+        pair = kem_keygen(g, m.rng)
+        pk = g.encode_element(pair.public)
+        ct, raw_d = yield [("pk", pk)], ["ct", "open"]
+        m.key = kem_decaps(pair.secret, Encapsulation.decode(ct, g), g)
+        n = _open(c, raw_d)
+        out = None
+    m._entropy("E_B1", nonce=n, pk=pk, com=c.digest)
+    m._entropy("E_B2", ct=ct, key=m.key.key)
+    return out
 
 
-class Kem3CommitMachine(Machine):
+def _kem3_commit(m: Machine):
     """Responder commits to the encapsulated secret itself.
 
     The commitment blinder travels encrypted under the initiator's public
     key; the initiator recomputes the secret from the encapsulation and
     aborts unless it reopens the commitment.
     """
-
-    kind = ProtocolKind.KEM3_COMMIT
-
-    def _run(self):
-        g = self.cfg.group
-        if self.side is Side.B:
-            x = random_element(g, self.rng)
-            c, d = commit(g.encode_element(x), self.rng)
-            (pk,) = yield [("com", c.encode())], ["pk"]
-            peer = g.decode_element(pk)
-            encap, self.key = kem_encaps_star(peer, x, g, self.cfg.kem_mode, self.rng)
-            ctd = pke_encrypt(peer, g, d.blinder, self.rng)
-            out = [("ct", encap.encode(g)), ("ctd", ctd)]
-        else:
-            (raw_c,) = yield None, ["com"]
-            c = Commitment(raw_c)
-            pair = kem_keygen(g, self.rng)
-            pk = g.encode_element(pair.public)
-            ct, ctd = yield [("pk", pk)], ["ct", "ctd"]
-            blinder = pke_decrypt(pair.secret, g, ctd)
-            x, self.key = kem_decaps_star(pair.secret, Encapsulation.decode(ct, g), g)
-            if len(blinder) != 32:
-                raise ProtocolError("recovered blinder has wrong length")
-            if open_commitment(c, Opening(g.encode_element(x), blinder)) is REJECT:
-                raise ProtocolError("decapsulated secret does not reopen the commitment")
-            out = None
-        self._entropy("E", pk=pk, com=c.digest, key=self.key.key)
-        return out
+    g = m.cfg.group
+    if m.side is Side.B:
+        x = random_element(g, m.rng)
+        c, d = commit(g.encode_element(x), m.rng)
+        (pk,) = yield [("com", c.encode())], ["pk"]
+        peer = g.decode_element(pk)
+        encap, m.key = kem_encaps_star(peer, x, g, m.cfg.kem_mode, m.rng)
+        ctd = pke_encrypt(peer, g, d.blinder, m.rng)
+        out = [("ct", encap.encode(g)), ("ctd", ctd)]
+    else:
+        (raw_c,) = yield None, ["com"]
+        c = Commitment(raw_c)
+        pair = kem_keygen(g, m.rng)
+        pk = g.encode_element(pair.public)
+        ct, ctd = yield [("pk", pk)], ["ct", "ctd"]
+        blinder = pke_decrypt(pair.secret, g, ctd)
+        x, m.key = kem_decaps_star(pair.secret, Encapsulation.decode(ct, g), g)
+        if len(blinder) != 32:
+            raise ProtocolError("recovered blinder has wrong length")
+        if open_commitment(c, Opening(g.encode_element(x), blinder)) is REJECT:
+            raise ProtocolError("decapsulated secret does not reopen the commitment")
+        out = None
+    m._entropy("E", pk=pk, com=c.digest, key=m.key.key)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # mt-auth, kem4 and kem6: transfer legs run from the schedule in SPECS
 # ---------------------------------------------------------------------------
 
-class TransferMachine(Machine):
+def _transfer(m: Machine):
     """Either side of a transfer kind, run from that side's plan (see _plan).
     A step sends its field when raw is None and takes the peer's otherwise.
     Each leg is kept under its entropy label; the value is computed once the
     opening is sent or received, on B's leg only after A has decapsulated.
     Values kept between messages are attributes, erased when the run ends."""
+    m.legs = {"E_A": {}, "E_B": {}}
+    m.pk = m.peer = m.pair = None  # the public key on the wire, its element, A's key pair
+    try:
+        out = None
+        for sends, labels, call in m.spec.plans[m.side is Side.B]:
+            out = call(m, None if sends else (yield out, labels))
+        return out
+    finally:
+        m.legs = m.pk = m.peer = m.pair = None
 
-    pk = peer = pair = None  # the public key on the wire, its element, A's key pair
 
-    @classmethod
-    def of(cls, kind: ProtocolKind) -> type["TransferMachine"]:
-        return type(cls.__name__, (cls,), {"kind": kind})
+def _pk_step(m: Machine, name: str, raw: bytes | None):
+    g = m.cfg.group
+    if raw is None:
+        m.pair = kem_keygen(g, m.rng)
+        raw = g.encode_element(m.pair.public)
+    else:
+        m.peer = g.decode_element(raw)
+    m.pk = raw
+    return raw
 
-    def _run(self):
-        self.legs = {"E_A": {}, "E_B": {}}
-        try:
-            out = None
-            for sends, labels, call in self.plans[self.side is Side.B]:
-                out = call(self, None if sends else (yield out, labels))
-            return out
-        finally:
-            self.legs = self.pk = self.peer = self.pair = None
 
-    def _pk_step(self, name: str, raw: bytes | None):
-        g = self.cfg.group
-        if raw is None:
-            self.pair = kem_keygen(g, self.rng)
-            raw = g.encode_element(self.pair.public)
-        else:
-            self.peer = g.decode_element(raw)
-        self.pk = raw
-        return raw
+def _com_step(m: Machine, name: str, raw: bytes | None):
+    leg = m.legs[name]
+    if raw is not None:
+        leg["c"] = Commitment(raw)
+        return None
+    if m.side is Side.A:  # the message, or a fresh value
+        leg["msg"] = m.message if m.message is not None else m.rng.randbytes(NONCE_SIZE)
+    else:  # an encapsulation under the pk that rode A's leg
+        g = m.cfg.group
+        encap, m.key = kem_encaps(m.peer, g, m.cfg.kem_mode, m.rng)
+        leg["msg"] = encap.encode(g)
+    leg["c"], leg["d"] = commit(leg["msg"], m.rng)
+    return leg["c"].encode()
 
-    def _com_step(self, name: str, raw: bytes | None):
-        leg = self.legs[name]
+
+def _chal_step(m: Machine, name: str, raw: bytes | None):
+    leg = m.legs[name]
+    leg["chal"] = m.rng.randbytes(NONCE_SIZE) if raw is None else raw
+    return leg["chal"]
+
+
+def _open_step(m: Machine, name: str, raw: bytes | None):
+    leg = m.legs[name]
+    if raw is not None:
+        leg["msg"] = _open(leg["c"], raw)
+    if m.pk is None:  # no public key rode along: A's leg is the session's message
+        m.key = message_key(leg["msg"])
         if raw is not None:
-            leg["c"] = Commitment(raw)
-            return None
-        if self.side is Side.A:  # the message, or a fresh value
-            leg["msg"] = self.message if self.message is not None else self.rng.randbytes(NONCE_SIZE)
-        else:  # an encapsulation under the pk that rode A's leg
-            g = self.cfg.group
-            encap, self.key = kem_encaps(self.peer, g, self.cfg.kem_mode, self.rng)
-            leg["msg"] = encap.encode(g)
-        leg["c"], leg["d"] = commit(leg["msg"], self.rng)
-        return leg["c"].encode()
+            m.delivered_message = leg["msg"]
+    elif raw is not None and m.side is Side.A:  # B's leg: decapsulate
+        g = m.cfg.group
+        m.key = kem_decaps(m.pair.secret, Encapsulation.decode(leg["msg"], g), g)
+    m._entropy(name, com=leg["c"].digest, chal=leg["chal"], msg=leg["msg"], pk=m.pk)
+    return None if raw is not None else leg["d"].encode()
 
-    def _chal_step(self, name: str, raw: bytes | None):
-        leg = self.legs[name]
-        leg["chal"] = self.rng.randbytes(NONCE_SIZE) if raw is None else raw
-        return leg["chal"]
 
-    def _open_step(self, name: str, raw: bytes | None):
-        leg = self.legs[name]
-        if raw is not None:
-            leg["msg"] = _open(leg["c"], raw)
-        if self.pk is None:  # no public key rode along: A's leg is the session's message
-            self.key = message_key(leg["msg"])
-            if raw is not None:
-                self.delivered_message = leg["msg"]
-        elif raw is not None and self.side is Side.A:  # B's leg: decapsulate
-            g = self.cfg.group
-            self.key = kem_decaps(self.pair.secret, Encapsulation.decode(leg["msg"], g), g)
-        self._entropy(name, com=leg["c"].digest, chal=leg["chal"], msg=leg["msg"], pk=self.pk)
-        return None if raw is not None else leg["d"].encode()
+# a schedule label's prefix names its step
+_STEPS = {"pk": _pk_step, "com": _com_step, "chal": _chal_step, "open": _open_step}
 
 
 def _message(sends: bool, labels: tuple, steps: list) -> Callable:
@@ -539,14 +526,14 @@ def _message(sends: bool, labels: tuple, steps: list) -> Callable:
     return run
 
 
-def _plan(spec: "ProtocolSpec", side: Side) -> tuple:
+def _plan(spec: ProtocolSpec, side: Side) -> tuple:
     """One side's plan of a transfer schedule: per message, whether the side
     sends it, its labels, and the call that runs its steps on their legs. A
     sender takes its steps in wire order, except that commits come last."""
     plan, sender = [], spec.starting_side
     for labels in spec.schedule:
         steps = [
-            (i, getattr(TransferMachine, f"_{label.split('_')[0]}_step"),
+            (i, _STEPS[label.split("_")[0]],
              "E_" + (sender.other if label.startswith("chal") else sender).value)
             for i, label in enumerate(labels)
         ]
@@ -572,39 +559,39 @@ def compile_mt(inner: ProtocolKind) -> ProtocolSpec:
 # the protocol catalogue
 # ---------------------------------------------------------------------------
 
-SPECS: dict[ProtocolKind, ProtocolSpec] = {
-    ProtocolKind.MT_AUTH: ProtocolSpec(
-        TransferMachine.of(ProtocolKind.MT_AUTH), 3, Side.A,
+SPECS: dict[ProtocolKind, ProtocolSpec] = {spec.kind: spec for spec in (
+    ProtocolSpec(
+        ProtocolKind.MT_AUTH, _transfer, 3, Side.A,
         {"E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1})},
         schedule=(("com",), ("chal",), ("open",)),
     ),
-    ProtocolKind.KEX2: ProtocolSpec(
-        Kex2Machine, 2, Side.A,
+    ProtocolSpec(
+        ProtocolKind.KEX2, _kex2, 2, Side.A,
         {"E": EntropySpec(Side.B, {"pka": 1, "pkb": 2, "key": "derived"})},
     ),
-    ProtocolKind.KEX3: ProtocolSpec(
-        Kex3Machine, 3, Side.B,
+    ProtocolSpec(
+        ProtocolKind.KEX3, _kex3, 3, Side.B,
         {"E_B": EntropySpec(Side.A, {"pka": 2, "pkb": 1, "com": 1})},
     ),
-    ProtocolKind.KEM2: ProtocolSpec(
-        Kem2Machine, 2, Side.A,
+    ProtocolSpec(
+        ProtocolKind.KEM2, _kem2, 2, Side.A,
         {"E": EntropySpec(None, {"pk": 1, "ct": 2, "key": "derived"})},
     ),
-    ProtocolKind.KEM3_TWO_ENTROPY: ProtocolSpec(
-        Kem3TwoEntropyMachine, 3, Side.B,
+    ProtocolSpec(
+        ProtocolKind.KEM3_TWO_ENTROPY, _kem3_two_entropy, 3, Side.B,
         {
             "E_B1": EntropySpec(Side.A, {"nonce": 1, "pk": 2, "com": 1}),
             "E_B2": EntropySpec(Side.A, {"ct": 3, "key": "derived"}, main=False),
         },
         residual_factor=3.0,
     ),
-    ProtocolKind.KEM3_COMMIT: ProtocolSpec(
-        Kem3CommitMachine, 3, Side.B,
+    ProtocolSpec(
+        ProtocolKind.KEM3_COMMIT, _kem3_commit, 3, Side.B,
         {"E": EntropySpec(Side.A, {"pk": 2, "com": 1, "key": "derived"})},
         residual_factor=1.0,
     ),
-    ProtocolKind.KEM4: ProtocolSpec(
-        TransferMachine.of(ProtocolKind.KEM4), 4, Side.A,
+    ProtocolSpec(
+        ProtocolKind.KEM4, _transfer, 4, Side.A,
         {
             "E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1, "pk": 1}),
             "E_B": EntropySpec(Side.A, {"com": 2, "chal": 3, "msg": 2}),
@@ -613,8 +600,8 @@ SPECS: dict[ProtocolKind, ProtocolSpec] = {
         schedule=(("pk", "com_m"), ("com_ct", "chal_b"), ("open_m", "chal_a"), ("open_ct",)),
     ),
     # the compiler's output: compile_mt(KEM2) returns this entry
-    ProtocolKind.KEM6: ProtocolSpec(
-        TransferMachine.of(ProtocolKind.KEM6), 6, Side.A,
+    ProtocolSpec(
+        ProtocolKind.KEM6, _transfer, 6, Side.A,
         {
             "E_A": EntropySpec(Side.B, {"com": 1, "chal": 2, "msg": 1, "pk": 1}),
             "E_B": EntropySpec(Side.A, {"com": 4, "chal": 5, "msg": 4}),
@@ -622,11 +609,7 @@ SPECS: dict[ProtocolKind, ProtocolSpec] = {
         separate_rounds=True,
         schedule=(("pk", "com_m"), ("chal_b",), ("open_m",), ("com_ct",), ("chal_a",), ("open_ct",)),
     ),
-}
-
-for _spec in SPECS.values():
-    if _spec.schedule:  # each side's plan, compiled once
-        _spec.build.plans = (_plan(_spec, Side.A), _plan(_spec, Side.B))
+)}
 
 # a derived view for callers that only need the starting side
 STARTING_SIDE = {kind: spec.starting_side for kind, spec in SPECS.items()}

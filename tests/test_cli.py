@@ -63,9 +63,10 @@ def test_invalid_combination_exits_one(capsys):
         ("selftest", "--only", "10", "--seed", "-1"),
         ("attack", "--strategy", "kex2-collision", "--ne", "8", "--budget", "-4",
          "--trials", "2"),
+        ("sweep", "--protocol", "kex3", "--ne", "4", "--trials", ""),
     ],
     ids=["negative-seed", "seed-2^64", "criterion-11", "selftest-negative-seed",
-         "negative-budget"],
+         "negative-budget", "sweep-no-trials"],
 )
 def test_out_of_range_input_exits_one_with_one_line(argv, capsys):
     code = run_cli(*argv)
@@ -233,6 +234,10 @@ def _with_int_seed(seed):
     pytest.param(_with("parties", [1, 2]), id="non-string-party"),
     pytest.param(lambda body: {**body, "run": {**body["run"], "initiator": "dave"}},
                  id="unknown-initiator"),
+    pytest.param(lambda body: {**body, "run": {**body["run"], "message": "zz"}},
+                 id="non-hex-message"),
+    pytest.param(lambda body: {**body, "run": {**body["run"], "message": 5}},
+                 id="non-string-message"),
     pytest.param(lambda body: [body], id="body-not-an-object"),
     pytest.param(_with_int_seed(-1), id="negative-int-seed"),
     pytest.param(_with_int_seed(1 << 70), id="int-seed-past-64-bits"),

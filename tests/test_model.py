@@ -517,6 +517,38 @@ def test_transcript_roundtrip_is_identity():
     assert transcript_export(replayed) == blob
 
 
+@pytest.mark.parametrize("kind, parties, ends, message", [
+    pytest.param(ProtocolKind.KEX3, (b"carol", b"dave"), (b"carol", b"dave"), None,
+                 id="carol-to-dave"),
+    pytest.param(ProtocolKind.KEM4, (b"alice", b"bob", b"carol"), (b"bob", b"carol"), None,
+                 id="bob-to-carol-of-three"),
+    pytest.param(ProtocolKind.MT_AUTH, (b"alice", b"bob"), (b"alice", b"bob"), b"hello",
+                 id="mt-auth-with-message"),
+])
+def test_transcript_records_the_run_it_exports(kind, parties, ends, message):
+    # the header names the run's two ends and the initiator's message, so
+    # replay runs that session and not a default alice-to-bob one
+    world = World(kind, ProtocolConfig(), Model.AM, 23, parties)
+    init, _ = run_honest(world, *ends, message)
+    blob = transcript_export(world)
+    replayed, (init2, resp2) = transcript_replay(blob)
+    assert transcript_export(replayed) == blob
+    assert init2.parties == ends and resp2.parties == ends[::-1]
+    assert init2.kappa == init.kappa
+    if message is not None:
+        assert resp2.events[-1]["message"] == message.hex()
+
+
+def test_transcript_export_refuses_other_than_one_session():
+    world = make_world(seed=24)
+    with pytest.raises(TranscriptError, match="one session, not 0"):
+        transcript_export(world)
+    run_honest(world)
+    run_honest(world)
+    with pytest.raises(TranscriptError, match="one session, not 2"):
+        transcript_export(world)
+
+
 def test_transcript_replay_with_altered_seed_changes_key():
     world = make_world(seed=16)
     init, _ = run_honest(world)

@@ -2,7 +2,16 @@ import pytest
 
 from saslab import protocols
 from saslab.attacks import DEFENDED_KINDS
-from saslab.model import AdversaryView, Model, SessionStatus, World, run_honest
+from saslab.model import (
+    AdversaryView,
+    Deliver,
+    Inject,
+    MessageEnvelope,
+    Model,
+    SessionStatus,
+    World,
+    run_honest,
+)
 from saslab.primitives import (
     GroupParams,
     KemMode,
@@ -453,3 +462,34 @@ def test_transfer_state_is_erased_when_the_run_ends(kind):
         a.advance(encode_fields([("open_ct", tampered)]))
     for machine in (a, b):
         assert not any(name.startswith(("pair.", "legs.")) for name in machine.state_snapshot())
+
+
+# the names a snapshot holds that come from the machine itself, not its column
+MACHINE_FIELDS = {"kind", "side", "step", "_step", "self_id", "peer_id"}
+
+
+@pytest.mark.parametrize("way", ["schema", "start-signal"])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_an_aborted_machine_keeps_no_column_state(kind, way):
+    # after the first message both sides have run their column; abort each
+    # with a payload of the wrong schema or a second start signal, and
+    # neither a state reveal nor a corruption may expose the column's
+    # locals (pair.*, c.*, legs.*, ...) or the attributes it keeps
+    world = World(kind, ProtocolConfig(), Model.UM, seed=41)
+    sid = world.start_session(b"alice", b"bob")
+    first = world.undelivered[0]
+    starter = world.parties[first.sender].sessions[sid].machine
+    assert set(starter.state_snapshot()) - MACHINE_FIELDS  # the live column shows
+    world.schedule(Deliver(first))
+    for name, peer in ((b"alice", b"bob"), (b"bob", b"alice")):
+        machine = world.parties[name].sessions[sid].machine
+        if way == "schema":
+            bogus = MessageEnvelope(peer, name, sid, 1, encode_fields([("bogus", b"x")]))
+            world.schedule(Inject(bogus))
+            assert world.session_record(name, sid).status is SessionStatus.ABORTED
+        else:
+            with pytest.raises(ProtocolError):
+                machine.advance(None)
+        assert machine.aborted
+        assert set(machine.state_snapshot()) <= MACHINE_FIELDS, (name, machine.state_snapshot())
+        assert set(world.corrupt(name)[sid.label()]) <= MACHINE_FIELDS
