@@ -97,10 +97,9 @@ class SessionRecord:
     entropies, and an ordered event log.
 
     `log` keeps each event's name, details and, for "sent" and "received",
-    the raw payload. The payload's summary (labels, digest, size) is computed
-    when `events` is first read, and each event dict is built once: bulk
-    trials that never read the log never pay for it. Equality and repr cover
-    the raw log, so they do not depend on whether it has been read.
+    the raw payload. `events` builds the event dicts from that log each time
+    it is read, with the payload's summary (labels, digest, size): bulk
+    trials that never read the log never pay for it.
     """
 
     parties: tuple[bytes, bytes]  # (self, peer)
@@ -110,19 +109,17 @@ class SessionRecord:
     kappa: Optional[bytes] = None
     entropies: dict = field(default_factory=dict)
     _log: list = field(default_factory=list, init=False)  # (event, details, payload)
-    _events: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def log(self, event: str, payload: bytes | None = None, **details):
         self._log.append((event, details, payload))
 
     @property
     def events(self) -> list[dict]:
-        for event, details, payload in self._log[len(self._events):]:
+        events = []
+        for index, (event, details, payload) in enumerate(self._log):
             summary = _payload_summary(payload) if payload is not None else {}
-            self._events.append(
-                {"index": len(self._events), "event": event, **details, **summary}
-            )
-        return self._events
+            events.append({"index": index, "event": event, **details, **summary})
+        return events
 
     def event_types(self) -> list[str]:
         return [event for event, _, _ in self._log]
@@ -583,6 +580,7 @@ def transcript_export(world: World) -> bytes:
     The header pins the format version, the hash-suite header, the group,
     the entropy width, mode flags, the master seed, and the run's two ends
     and initiator's message, if any; replay re-executes from those seeds.
+    Raises TranscriptError when that replay does not reproduce the run.
     """
     if world.undelivered:
         raise TranscriptError("run not finished; undelivered messages remain")
@@ -613,7 +611,9 @@ def transcript_export(world: World) -> bytes:
         "records": [_record_to_dict(r) for r in world.records()],
     }
     blob = json.dumps(body, sort_keys=True).encode()
-    return TRANSCRIPT_MAGIC + len(blob).to_bytes(4, "big") + blob
+    raw = TRANSCRIPT_MAGIC + len(blob).to_bytes(4, "big") + blob
+    transcript_replay(raw)  # an adversary's run, or a query after it, diverges
+    return raw
 
 
 def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRecord]]:
@@ -664,5 +664,5 @@ def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRe
     # compare in the recorded form, as the JSON round trip leaves it
     replayed = json.loads(json.dumps([_record_to_dict(r) for r in world.records()]))
     if replayed != body.get("records"):
-        raise TranscriptError("replayed run diverges from the recorded run")
+        raise TranscriptError("not an honest run: the replay diverges from the recorded run")
     return world, records

@@ -138,7 +138,7 @@ class ProtocolSpec:
     residual_factor: float = 2.0
     # transfer kinds: the wire labels of each message, run by _transfer
     schedule: tuple[tuple[str, ...], ...] = ()
-    # transfer kinds: A's and B's plan of the schedule, compiled with the row
+    # transfer kinds: A's and B's plan of the schedule (see _plan), built with the row
     plans: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -447,8 +447,17 @@ def _transfer(m: Machine):
     m.pk = m.peer = m.pair = None  # the public key on the wire, its element, A's key pair
     try:
         out = None
-        for sends, labels, call in m.spec.plans[m.side is Side.B]:
-            out = call(m, None if sends else (yield out, labels))
+        for sends, labels, steps in m.spec.plans[m.side is Side.B]:
+            if sends:
+                out = list(labels)
+                for i, step, leg in steps:
+                    out[i] = labels[i], step(m, leg, None)
+            else:
+                values = yield out, labels
+                out = None
+                for i, step, leg in steps:
+                    step(m, leg, values[i])
+            del i  # state_snapshot reveals a suspended column's int locals
         return out
     finally:
         m.legs = m.pk = m.peer = m.pair = None
@@ -505,31 +514,11 @@ def _open_step(m: Machine, name: str, raw: bytes | None):
 _STEPS = {"pk": _pk_step, "com": _com_step, "chal": _chal_step, "open": _open_step}
 
 
-def _message(sends: bool, labels: tuple, steps: list) -> Callable:
-    """The call that runs a message's steps, (wire position, step, leg) in
-    the order taken: it returns the fields to send, or takes those received.
-    A one-step message, the usual case, runs no loop."""
-    if len(steps) == 1:
-        ((_, step, leg),) = steps
-        if sends:
-            return lambda m, values: [(labels[0], step(m, leg, None))]
-        return lambda m, values: step(m, leg, values[0])
-
-    def run(m, values):
-        out = list(labels) if sends else None
-        for i, step, leg in steps:
-            if sends:
-                out[i] = labels[i], step(m, leg, None)
-            else:
-                step(m, leg, values[i])
-        return out
-    return run
-
-
 def _plan(spec: ProtocolSpec, side: Side) -> tuple:
     """One side's plan of a transfer schedule: per message, whether the side
-    sends it, its labels, and the call that runs its steps on their legs. A
-    sender takes its steps in wire order, except that commits come last."""
+    sends it, its labels, and its steps as (wire position, step, leg) in the
+    order taken. A sender takes them in wire order, except that commits come
+    last."""
     plan, sender = [], spec.starting_side
     for labels in spec.schedule:
         steps = [
@@ -539,7 +528,7 @@ def _plan(spec: ProtocolSpec, side: Side) -> tuple:
         ]
         if sender is side:
             steps.sort(key=lambda step: labels[step[0]].startswith("com"))
-        plan.append((sender is side, labels, _message(sender is side, labels, steps)))
+        plan.append((sender is side, labels, steps))
         sender = sender.other
     return tuple(plan)
 

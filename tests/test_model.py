@@ -3,7 +3,7 @@ import math
 import pytest
 
 from saslab import primitives
-from saslab.attacks import redirect_trial
+from saslab.attacks import forge_trial, redirect_trial
 from saslab.model import (
     AdversaryView,
     Deliver,
@@ -610,3 +610,24 @@ def test_transcript_replay_detects_a_diverging_recording():
     framed = TRANSCRIPT_MAGIC + len(forged).to_bytes(4, "big") + forged
     with pytest.raises(TranscriptError, match="diverges"):
         transcript_replay(framed)
+
+
+@pytest.mark.parametrize("case", ["forge", "drop", "reveal"])
+def test_transcript_export_refuses_a_run_replay_cannot_reproduce(case):
+    # export replays the blob it built: a run the adversary altered, or one a
+    # query followed, is not the honest run of its seeds, so it is refused
+    if case == "forge":
+        world = World(ProtocolKind.KEX3, ProtocolConfig(n_e=8), Model.UM, 5,
+                      (b"alice", b"bob", b"carol"))
+        forge_trial(world)
+    elif case == "drop":
+        world = make_world(kind=ProtocolKind.KEX2, seed=30)
+        world.start_session(b"alice", b"bob")
+        world.schedule(Drop(world.undelivered[0]))
+    else:
+        world = make_world(kind=ProtocolKind.KEX2, seed=30)
+        init, _ = run_honest(world)
+        world.reveal_key(b"alice", init.session)
+    assert not world.undelivered and len({r.session for r in world.records()}) == 1
+    with pytest.raises(TranscriptError, match="not an honest run"):
+        transcript_export(world)

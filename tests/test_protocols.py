@@ -8,6 +8,8 @@ from saslab.model import (
     Inject,
     MessageEnvelope,
     Model,
+    Modify,
+    SequencingError,
     SessionStatus,
     World,
     run_honest,
@@ -153,6 +155,45 @@ def test_schema_mismatch_aborts():
     with pytest.raises(ProtocolError):
         a.advance(encode_fields([("unexpected", b"x")]))
     assert a.aborted
+
+
+# (kind, the label of a peer element on the wire, the party that decodes it)
+PEER_ELEMENTS = [
+    (ProtocolKind.KEX2, "pka", b"bob"),
+    (ProtocolKind.KEX2, "pkb", b"alice"),
+    (ProtocolKind.KEM3_COMMIT, "pk", b"alice"),  # alice takes column B
+]
+
+
+@pytest.mark.parametrize("kind, label, party", PEER_ELEMENTS,
+                         ids=[f"{kind.value}-{label}" for kind, label, _ in PEER_ELEMENTS])
+@pytest.mark.parametrize("bad, reason", [
+    ("short", "wrong element encoding length"),
+    ("zero", "decoded element out of range"),
+    ("p", "decoded element out of range"),
+])
+def test_a_malformed_peer_element_aborts_the_session(kind, label, party, bad, reason):
+    # the adversary replaces the element on the wire; its receiver aborts on
+    # decoding it, and verifying the aborted session is a sequencing error
+    world = World(kind, ProtocolConfig(), Model.UM, seed=32)
+    g = world.cfg.group
+    sid = world.start_session(b"alice", b"bob")
+    while True:
+        env = world.undelivered[0]
+        fields = decode_fields(env.payload)
+        if label in dict(fields):
+            break
+        world.schedule(Deliver(env))
+    raw = dict(fields)[label]
+    value = {"short": raw[:-1], "zero": bytes(len(raw)), "p": g.p.to_bytes(len(raw), "big")}[bad]
+    world.schedule(Modify(env, encode_fields([(k, value if k == label else v) for k, v in fields])))
+    record = world.session_record(party, sid)
+    assert record.status is SessionStatus.ABORTED
+    assert record.events[-1]["reason"] == reason
+    assert not world.undelivered
+    peer = b"alice" if party == b"bob" else b"bob"
+    with pytest.raises(SequencingError, match="session aborted before verification"):
+        world.i_f_verify(party, sid, peer, sid)
 
 
 def test_kem2_key_only_entropy_flag():
