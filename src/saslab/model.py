@@ -93,8 +93,10 @@ class SessionStatus(Enum):
 
 @dataclass
 class SessionRecord:
-    """A party's local view of one session: (P_i, P_j, s, key) plus status,
-    entropies, and an ordered event log.
+    """A party's one session: (P_i, P_j, s, key) plus status, entropies, an
+    ordered event log, the machine of its side, the seq of its next outgoing
+    message, and its live key, held exactly while the session is COMPLETED
+    and not expired. The status leaves IN_PROCESS once and never moves again.
 
     `log` keeps each event's name, details and, for "sent" and "received",
     the raw payload. `events` builds the event dicts from that log each time
@@ -105,9 +107,12 @@ class SessionRecord:
     parties: tuple[bytes, bytes]  # (self, peer)
     session: SessionId
     role: str  # "initiator" | "responder"
+    machine: Machine = field(repr=False, compare=False)
     status: SessionStatus = SessionStatus.IN_PROCESS
     kappa: Optional[bytes] = None
     entropies: dict = field(default_factory=dict)
+    sent: int = field(default=0, repr=False, compare=False)
+    live_key: SharedKey | None = field(default=None, repr=False, compare=False)
     _log: list = field(default_factory=list, init=False)  # (event, details, payload)
 
     def log(self, event: str, payload: bytes | None = None, **details):
@@ -154,12 +159,13 @@ class Drop:
     envelope: MessageEnvelope
 
 
-@dataclass
-class _SessionEntry:
-    machine: Machine
-    record: SessionRecord
-    sent: int = 0  # the seq of this session's next outgoing message
-    live_key: SharedKey | None = None  # set when verification accepts, cleared by expire
+def _valid_name(name: bytes) -> bool:
+    """Whether `name` is 1..64 bytes of UTF-8: records, labels and logs decode it."""
+    try:
+        name.decode()
+    except (AttributeError, UnicodeDecodeError):  # not bytes, or not UTF-8
+        return False
+    return 0 < len(name) <= MAX_PARTY_NAME
 
 
 class _Party:
@@ -168,7 +174,7 @@ class _Party:
         self._world_seed = world_seed
         self._rng = None
         self.corrupted = False
-        self.sessions: dict[SessionId, _SessionEntry] = {}
+        self.sessions: dict[SessionId, SessionRecord] = {}
 
     @property
     def rng(self) -> HashDrbg:
@@ -207,8 +213,8 @@ class World:
         self.model = model
         self.seed = seed
         self.party_names = tuple(party_names)
-        if any(not name or len(name) > MAX_PARTY_NAME for name in self.party_names):
-            raise ValueError("party name must be 1..64 bytes")
+        if not all(map(_valid_name, self.party_names)):
+            raise ValueError("party name must be 1..64 bytes of UTF-8")
         if len(set(self.party_names)) != len(self.party_names):
             raise ValueError("party names must be unique")
         self.parties = {name: _Party(name, seed) for name in self.party_names}
@@ -243,14 +249,11 @@ class World:
         except KeyError:
             raise RuleViolationError(f"unknown party {name!r}")
 
-    def _entry(self, party: bytes, sid: SessionId) -> _SessionEntry:
-        entry = self._party(party).sessions.get(sid)
-        if entry is None:
-            raise RuleViolationError(f"no session {sid.label()} at {party!r}")
-        return entry
-
     def session_record(self, party: bytes, sid: SessionId) -> SessionRecord:
-        return self._entry(party, sid).record
+        record = self._party(party).sessions.get(sid)
+        if record is None:
+            raise RuleViolationError(f"no session {sid.label()} at {party!r}")
+        return record
 
     def start_session(
         self, initiator: bytes, responder: bytes, message: bytes | None = None
@@ -262,31 +265,28 @@ class World:
             sid = SessionId(initiator, responder, self._sid_rng.randbytes(8))
             if sid not in init.sessions:
                 break
-        entry = self._new_session(init, responder, sid, "initiator", message)
-        out = entry.machine.advance(None)
+        record = self._new_session(init, responder, sid, "initiator", message)
+        out = record.machine.advance(None)
         if out is not None:
-            self._emit(entry, out)
+            self._emit(record, out)
         return sid
 
     def _new_session(self, party: _Party, peer: bytes, sid: SessionId, role: str,
-                     message: bytes | None = None) -> _SessionEntry:
-        """A new session at `party`: the machine of its role's figure column
-        and an empty record."""
+                     message: bytes | None = None) -> SessionRecord:
+        """A new session at `party`, running its role's figure column."""
         side = SPECS[self.kind].starting_side
         machine = build_machine(
             self.kind, self.cfg, side if role == "initiator" else side.other,
             party.name, peer, party.rng, message,
         )
-        record = SessionRecord(parties=(party.name, peer), session=sid, role=role)
+        record = party.sessions[sid] = SessionRecord((party.name, peer), sid, role, machine)
         record.log("created", kind=self.kind.value, role=role)
-        entry = party.sessions[sid] = _SessionEntry(machine, record)
-        return entry
+        return record
 
-    def _emit(self, entry: _SessionEntry, payload: bytes) -> MessageEnvelope:
-        """Send `payload` from the entry's party to its peer, numbered by the
-        entry's own counter."""
-        record, seq = entry.record, entry.sent
-        entry.sent = seq + 1
+    def _emit(self, record: SessionRecord, payload: bytes) -> MessageEnvelope:
+        """Send `payload` to the session's peer, numbered by its own counter."""
+        seq = record.sent
+        record.sent = seq + 1
         env = MessageEnvelope(*record.parties, record.session, seq, payload)
         self.undelivered.append(env)
         record.log("sent", payload, seq=seq)
@@ -294,30 +294,27 @@ class World:
 
     def _receive(self, env: MessageEnvelope, payload: bytes, modified: bool):
         receiver = self._party(env.receiver)
-        entry = receiver.sessions.get(env.session)
-        if entry is None:
+        record = receiver.sessions.get(env.session)
+        if record is None:
             if env.session.responder != env.receiver:
                 raise RuleViolationError(
                     f"{env.receiver!r} is not the responder of {env.session.label()}"
                 )
-            entry = self._new_session(receiver, env.session.initiator, env.session, "responder")
-        elif entry.record.status is SessionStatus.COMPLETED:
+            record = self._new_session(receiver, env.session.initiator, env.session, "responder")
+        elif record.status is SessionStatus.COMPLETED:
             raise RuleViolationError(
                 f"session {env.session.label()} at {env.receiver!r} is already completed"
             )
-        entry.record.log(
-            "received", payload, seq=env.seq, sender=env.sender.decode(), modified=modified
-        )
+        record.log("received", payload, seq=env.seq, sender=env.sender.decode(), modified=modified)
         try:
-            out = entry.machine.advance(payload)
+            out = record.machine.advance(payload)
         except ProtocolError as exc:
-            entry.record.status = SessionStatus.ABORTED
-            entry.record.kappa = None
-            entry.record.entropies = dict(entry.machine.entropies)
-            entry.record.log("aborted", reason=str(exc))
+            record.status = SessionStatus.ABORTED
+            record.entropies = dict(record.machine.entropies)
+            record.log("aborted", reason=str(exc))
             return None
         if out is not None:
-            return self._emit(entry, out)
+            return self._emit(record, out)
         return None
 
     # -- the scheduler --------------------------------------------------------
@@ -335,8 +332,12 @@ class World:
         if isinstance(action, Modify):
             self._take(action.envelope)
             return self._receive(action.envelope, action.payload, modified=True)
-        if isinstance(action, Inject):
-            return self._receive(action.envelope, action.envelope.payload, modified=True)
+        if isinstance(action, Inject):  # not built by the world; its party names are checked
+            env = action.envelope
+            names = {env.sender, env.session.initiator, env.session.responder}
+            if not (names <= self.parties.keys() or all(map(_valid_name, names))):
+                raise RuleViolationError("party name must be 1..64 bytes of UTF-8")
+            return self._receive(env, env.payload, modified=True)
         if isinstance(action, Drop):
             self._take(action.envelope)
             return None
@@ -360,21 +361,27 @@ class World:
     ) -> str:
         """Compare the two sessions' entropy values over the tamper-proof
         channel, complete or abort both sessions accordingly, and return the
-        verdict, "accept" or "reject"."""
-        first = self._entry(initiator, initiator_sid)
-        second = self._entry(responder, responder_sid)
-        for entry in (first, second):
-            if entry.record.status is SessionStatus.ABORTED:
+        verdict, "accept" or "reject". Each session is verified once; one not
+        yet started, aborted or short of its entropy raises SequencingError."""
+        records = []
+        for party, sid in ((initiator, initiator_sid), (responder, responder_sid)):
+            if party == sid.responder and sid not in self._party(party).sessions:
+                raise SequencingError("verification requested before the session started")
+            records.append(self.session_record(party, sid))
+        for record in records:
+            if record.status is SessionStatus.ABORTED:
                 raise SequencingError("session aborted before verification")
-            if not entry.machine.done or not entry.machine.entropies:
+            if record.status is SessionStatus.COMPLETED:
+                raise RuleViolationError(f"session {record.session.label()} already verified")
+            if not record.machine.done or not record.machine.entropies:
                 raise SequencingError("verification requested before entropy was computed")
+        ours, theirs = (record.machine.entropies for record in records)
         if override:
             if not (self._party(initiator).corrupted or self._party(responder).corrupted):
                 raise RuleViolationError("override requires a corrupted party")
             verdict = "accept"
-            rounds = [(sorted(first.machine.entropies), "accept")]
+            rounds = [(sorted(ours), "accept")]
         else:
-            ours, theirs = first.machine.entropies, second.machine.entropies
             verdict = "accept" if ours == theirs else "reject"
             ordered = sorted(ours)
             groups = [[lbl] for lbl in ordered] if SPECS[self.kind].separate_rounds else [ordered]
@@ -384,26 +391,25 @@ class World:
                  else "reject")
                 for labels in groups
             ]
-        for entry in (first, second):
-            entry.record.entropies = dict(entry.machine.entropies)
+        for record in records:
+            record.entropies = dict(record.machine.entropies)
             for labels, round_verdict in rounds:
-                entry.record.log(
+                record.log(
                     "verified", labels=list(labels), verdict=round_verdict,
                     override=override,
                 )
             if verdict == "accept":
-                entry.record.status = SessionStatus.COMPLETED
-                entry.record.kappa = entry.machine.key.key
-                entry.live_key = entry.machine.key
-                if entry.machine.delivered_message is not None:
-                    entry.record.log(
+                record.status = SessionStatus.COMPLETED
+                record.live_key = record.machine.key
+                record.kappa = record.live_key.key
+                if record.machine.delivered_message is not None:
+                    record.log(
                         "mt-delivered",
-                        sender=entry.record.parties[1].decode(),
-                        message=entry.machine.delivered_message.hex(),
+                        sender=record.parties[1].decode(),
+                        message=record.machine.delivered_message.hex(),
                     )
             else:
-                entry.record.status = SessionStatus.ABORTED
-                entry.record.kappa = None
+                record.status = SessionStatus.ABORTED
         return verdict
 
     # -- adversary queries ------------------------------------------------------
@@ -412,64 +418,57 @@ class World:
         p = self._party(party)
         p.corrupted = True
         state = {}
-        for sid, entry in p.sessions.items():
-            entry.record.log("corrupted")
-            state[sid.label()] = entry.machine.state_snapshot()
+        for sid, record in p.sessions.items():
+            record.log("corrupted")
+            state[sid.label()] = record.machine.state_snapshot()
         return state
 
+    def _holding_key(self, party: bytes, sid: SessionId) -> SessionRecord:
+        """The session, which must hold its live key: completed, not expired."""
+        record = self.session_record(party, sid)
+        if record.live_key is None:
+            completed = record.status is SessionStatus.COMPLETED
+            raise RuleViolationError("session key deleted" if completed else "no accepted key")
+        return record
+
     def reveal_key(self, party: bytes, sid: SessionId) -> SharedKey:
-        entry = self._entry(party, sid)
-        if entry.record.status is not SessionStatus.COMPLETED:
-            raise RuleViolationError("no accepted key to reveal")
-        if entry.live_key is None:
-            raise RuleViolationError("session key deleted")
-        entry.record.log("key-revealed")
-        return entry.live_key
+        record = self._holding_key(party, sid)
+        record.log("key-revealed")
+        return record.live_key
 
     def reveal_state(self, party: bytes, sid: SessionId) -> dict:
-        entry = self._entry(party, sid)
-        entry.record.log("state-revealed")
-        return entry.machine.state_snapshot()
+        record = self.session_record(party, sid)
+        record.log("state-revealed")
+        return record.machine.state_snapshot()
 
     def expire(self, party: bytes, sid: SessionId):
-        entry = self._entry(party, sid)
-        if entry.record.status is not SessionStatus.COMPLETED:
-            raise RuleViolationError("only completed sessions expire")
-        if entry.live_key is None:
-            raise RuleViolationError("session already expired")
-        entry.live_key = None
-        entry.record.log("expired")
+        record = self._holding_key(party, sid)
+        record.live_key = None
+        record.log("expired")
 
     def test(self, party: bytes, sid: SessionId) -> SharedKey:
         if self._test_used:
             raise RuleViolationError("the test query can be asked only once")
-        p = self._party(party)
-        entry = self._entry(party, sid)
-        if entry.record.status is not SessionStatus.COMPLETED:
-            raise RuleViolationError("test requires a completed session")
+        tested = self._holding_key(party, sid)
         # freshness covers the partners too: any session with the matching
         # conversation, which received what this one sent and the reverse
-        sent, received = entry.record.conversation()
+        sent, received = tested.conversation()
         for record in self.records():
-            if record is entry.record or record.conversation() == (received, sent):
+            if record is tested or record.conversation() == (received, sent):
                 if {"key-revealed", "state-revealed"} & set(record.event_types()):
                     raise RuleViolationError("session or its partner was revealed; test disallowed")
-        peer = entry.record.parties[1]
-        if p.corrupted or (peer in self.parties and self._party(peer).corrupted):
+        if any(self.parties[p].corrupted for p in tested.parties if p in self.parties):
             raise RuleViolationError("a participant is corrupted; test disallowed")
-        key = entry.live_key
-        if key is None:
-            raise RuleViolationError("session key deleted")
         self._test_used = True
-        entry.record.log("tested")
+        tested.log("tested")
         if self._challenge_bit == 1:
-            return key
+            return tested.live_key
         return SharedKey(self._hidden_rng.randbytes(32))
 
     # -- bookkeeping -------------------------------------------------------------
 
     def records(self) -> list[SessionRecord]:
-        return [e.record for p in self.parties.values() for e in p.sessions.values()]
+        return [r for p in self.parties.values() for r in p.sessions.values()]
 
 
 class AdversaryView:

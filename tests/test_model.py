@@ -15,6 +15,7 @@ from saslab.model import (
     Modify,
     RuleViolationError,
     SequencingError,
+    SessionId,
     SessionStatus,
     TranscriptError,
     World,
@@ -204,6 +205,49 @@ def test_late_message_leaves_a_completed_session_alone():
     assert init.status is SessionStatus.COMPLETED
     assert init.events == events
     assert init.kappa == world.reveal_key(b"alice", sid).key
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=[k.value for k in ProtocolKind])
+def test_a_session_is_verified_once(kind):
+    # a second verification must neither settle a session again nor put an
+    # expired key back
+    world = make_world(kind=kind, seed=13)
+    records = run_honest(world)
+    sid = records[0].session
+    before = [(r.status, r.kappa, r.events) for r in records]
+    with pytest.raises(RuleViolationError, match="already verified"):
+        world.i_f_verify(b"alice", sid, b"bob", sid)
+    assert [(r.status, r.kappa, r.events) for r in records] == before
+    world.expire(b"alice", sid)
+    with pytest.raises(RuleViolationError, match="already verified"):
+        world.i_f_verify(b"alice", sid, b"bob", sid)
+    with pytest.raises(RuleViolationError, match="session key deleted"):
+        world.reveal_key(b"alice", sid)
+    with pytest.raises(RuleViolationError, match="session key deleted"):
+        world.test(b"alice", sid)
+
+
+@pytest.mark.parametrize("name", [b"\xff", b"", b"x" * 65, "carol"],
+                         ids=["not-utf8", "empty", "too-long", "str"])
+def test_a_world_refuses_a_bad_party_name(name):
+    with pytest.raises(ValueError, match="party name"):
+        World(ProtocolKind.KEX2, ProtocolConfig(), Model.UM, 1, (b"alice", b"bob", name))
+
+
+@pytest.mark.parametrize("field", ["sender", "initiator", "responder"])
+def test_inject_refuses_a_bad_party_name(field):
+    # an injected envelope is the one the world did not build: it is refused
+    # before any session is created or any event logged
+    world = make_world(kind=ProtocolKind.KEX2, model=Model.UM, seed=14)
+    nonce = world.start_session(b"alice", b"bob").nonce
+    names = {"sender": b"alice", "initiator": b"alice", "responder": b"bob", field: b"\xff"}
+    sid = SessionId(names["initiator"], names["responder"], nonce)
+    env = MessageEnvelope(names["sender"], b"bob", sid, 0, world.undelivered[0].payload)
+    events = [r.events for r in world.records()]
+    with pytest.raises(RuleViolationError, match="party name"):
+        world.schedule(Inject(env))
+    assert [r.events for r in world.records()] == events
+    assert not world.parties[b"bob"].sessions
 
 
 def test_test_query_returns_a_key_once():
