@@ -304,6 +304,7 @@ def _relay(view: AdversaryView, forged: dict[str, bytes]) -> None:
 def forge_trial(world: World) -> AttackOutcome:
     """Substitute a coherent forgery at the one undetermined point of the
     flow and hope the n_e-bit digests collide."""
+    _require(AttackStrategy.RANDOM_FORGE, world)
     kind = world.kind
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
@@ -332,7 +333,7 @@ def forge_trial(world: World) -> AttackOutcome:
         ct_e, _ = kem_encaps_star(pka, x_e, g, view.cfg.kem_mode, view.rng)
         forged = {"ct": ct_e.encode(g), "ctd": pke_encrypt(pka, g, d_e.blinder, view.rng)}
 
-    elif kind in (ProtocolKind.KEM4, ProtocolKind.KEM6):
+    else:  # kem4 and kem6, the last of RANDOM_FORGE's targets
         # an encapsulation of the attacker's own under the initiator's key,
         # carried through the second transfer leg in the responder's place
         env1 = view.pending()[0]
@@ -341,9 +342,6 @@ def forge_trial(world: World) -> AttackOutcome:
         ct_e, _ = kem_encaps(pk, g, view.cfg.kem_mode, view.rng)
         c_e, d_e = commit(ct_e.encode(g), view.rng)
         forged = {"com_ct": c_e.encode(), "open_ct": d_e.encode()}
-
-    else:
-        raise ValueError(f"no forge strategy for {kind.value}")
 
     _relay(view, forged)
     verdict = view.verify(b"alice", sid, b"bob", sid)
@@ -357,6 +355,7 @@ def forge_trial(world: World) -> AttackOutcome:
 def redirect_trial(world: World) -> AttackOutcome:
     """Deliver the starter's flow, unmodified, to a third party instead of
     the intended peer, relabeling envelopes so both ends stay in-session."""
+    _require(AttackStrategy.REDIRECT, world)
     sid = world.start_session(b"alice", b"bob")
     redirected = SessionId(b"alice", b"carol", sid.nonce)
     view = AdversaryView(world)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .primitives import SUITE_HEADER, SharedKey, decode_fields, group_by_name
+from .primitives import MAX_MESSAGE_SIZE, SUITE_HEADER, SharedKey, decode_fields, group_by_name
 from .protocols import (
     SPECS,
     Machine,
@@ -96,7 +96,8 @@ class SessionRecord:
     """A party's one session: (P_i, P_j, s, key) plus status, entropies, an
     ordered event log, the machine of its side, the seq of its next outgoing
     message, and its live key, held exactly while the session is COMPLETED
-    and not expired. The status leaves IN_PROCESS once and never moves again.
+    and not expired. The status leaves IN_PROCESS once and never moves again,
+    and a settled session takes no further message.
 
     `log` keeps each event's name, details and, for "sent" and "received",
     the raw payload. `events` builds the event dicts from that log each time
@@ -161,11 +162,30 @@ class Drop:
 
 def _valid_name(name: bytes) -> bool:
     """Whether `name` is 1..64 bytes of UTF-8: records, labels and logs decode it."""
+    if type(name) is not bytes or not 0 < len(name) <= MAX_PARTY_NAME:
+        return False
     try:
         name.decode()
-    except (AttributeError, UnicodeDecodeError):  # not bytes, or not UTF-8
+    except UnicodeDecodeError:
         return False
-    return 0 < len(name) <= MAX_PARTY_NAME
+    return True
+
+
+def _check_payload(payload: bytes) -> None:
+    if type(payload) is not bytes or len(payload) > MAX_MESSAGE_SIZE:
+        raise RuleViolationError(f"a payload is bytes, at most {MAX_MESSAGE_SIZE} of them")
+
+
+def _check_injected(env: MessageEnvelope) -> None:
+    """An injected envelope is the one the world did not build: check all of it."""
+    if not isinstance(env, MessageEnvelope):
+        raise RuleViolationError(f"not an envelope: {env!r}")
+    sid = env.session
+    if not isinstance(sid, SessionId) or type(sid.nonce) is not bytes or type(env.seq) is not int:
+        raise RuleViolationError("an envelope carries a SessionId and an int seq")
+    if not all(map(_valid_name, (env.sender, env.receiver, sid.initiator, sid.responder))):
+        raise RuleViolationError("party name must be 1..64 bytes of UTF-8")
+    _check_payload(env.payload)
 
 
 class _Party:
@@ -301,9 +321,9 @@ class World:
                     f"{env.receiver!r} is not the responder of {env.session.label()}"
                 )
             record = self._new_session(receiver, env.session.initiator, env.session, "responder")
-        elif record.status is SessionStatus.COMPLETED:
+        elif record.status is not SessionStatus.IN_PROCESS:
             raise RuleViolationError(
-                f"session {env.session.label()} at {env.receiver!r} is already completed"
+                f"session {env.session.label()} at {env.receiver!r} is {record.status.value}"
             )
         record.log("received", payload, seq=env.seq, sender=env.sender.decode(), modified=modified)
         try:
@@ -321,27 +341,27 @@ class World:
 
     def schedule(self, action: Deliver | Modify | Inject | Drop):
         """Apply one wire action under the active delivery model. The other
-        adversary queries (corrupt, reveal, expire, test) are methods below."""
+        adversary queries (corrupt, reveal, expire, test) are methods below.
+        A payload or an injected envelope that cannot go on the wire is
+        refused before any envelope is taken, session created or event logged."""
         if isinstance(action, Deliver):
             self._take(action.envelope)
             return self._receive(action.envelope, action.envelope.payload, modified=False)
-        if isinstance(action, (Modify, Inject)) and self.model is Model.AM:
+        if isinstance(action, Drop):
+            self._take(action.envelope)
+            return None
+        if not isinstance(action, (Modify, Inject)):
+            raise RuleViolationError(f"unknown action {action!r}")
+        if self.model is Model.AM:
             raise ModelViolationError(
                 f"{type(action).__name__} is not available in the authenticated model"
             )
         if isinstance(action, Modify):
+            _check_payload(action.payload)
             self._take(action.envelope)
             return self._receive(action.envelope, action.payload, modified=True)
-        if isinstance(action, Inject):  # not built by the world; its party names are checked
-            env = action.envelope
-            names = {env.sender, env.session.initiator, env.session.responder}
-            if not (names <= self.parties.keys() or all(map(_valid_name, names))):
-                raise RuleViolationError("party name must be 1..64 bytes of UTF-8")
-            return self._receive(env, env.payload, modified=True)
-        if isinstance(action, Drop):
-            self._take(action.envelope)
-            return None
-        raise RuleViolationError(f"unknown action {action!r}")
+        _check_injected(action.envelope)
+        return self._receive(action.envelope, action.envelope.payload, modified=True)
 
     def _take(self, env: MessageEnvelope):
         try:

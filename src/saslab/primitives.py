@@ -157,39 +157,14 @@ def expect_fields(payload: bytes, labels: Sequence[str]) -> list[bytes]:
 # Group parameters
 # ---------------------------------------------------------------------------
 
-def _is_probable_prime(n: int, rounds: int = 40) -> bool:
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    rng = HashDrbg(n % (1 << 64))
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class GroupParams:
     """Multiplicative group modulo a prime, with a prime-order subgroup.
 
     p is the modulus, g generates the subgroup of prime order q, and
     q divides p - 1. Construction checks only the cheap structural facts;
-    validate() performs the full (primality-checking) validation used for
-    the shipped groups.
+    the primality of p and q and the order of g are the caller's contract,
+    which the test suite checks for the shipped groups.
     """
 
     p: int
@@ -210,14 +185,6 @@ class GroupParams:
 
     def contains(self, x: int) -> bool:
         return 1 <= x <= self.p - 1
-
-    def validate(self) -> None:
-        if not _is_probable_prime(self.p):
-            raise MalformedElementError("modulus is not prime")
-        if not _is_probable_prime(self.q):
-            raise MalformedElementError("subgroup order is not prime")
-        if pow(self.g, self.q, self.p) != 1 or self.g == 1:
-            raise MalformedElementError("generator does not have order q")
 
     def encode_element(self, x: int) -> bytes:
         if not self.contains(x):
@@ -327,24 +294,20 @@ class PowerTable:
         return result
 
 
-def power_table(params: GroupParams, base: int) -> PowerTable:
-    """A table of base covering the group's exponents [0, q], at the smallest
-    stride that keeps it within TABLE_MAX_BYTES."""
-    digit_count = -(-params.q.bit_length() // 8)
-    max_rows = max(1, TABLE_MAX_BYTES // (256 * sys.getsizeof(params.p)))
-    stride = -(-digit_count // max_rows)
-    return PowerTable(base, params.p, params.q.bit_length(), stride)
-
-
 _GENERATOR_TABLES: dict[tuple[int, int], PowerTable] = {}
 
 
 def generator_table(params: GroupParams) -> PowerTable:
-    """The table of the group's generator, built on first use and kept per (p, g)."""
+    """The table of the group's generator, built on first use and kept per
+    (p, g). It covers the exponents [0, q] at the smallest stride that keeps
+    it within TABLE_MAX_BYTES."""
     key = (params.p, params.g)
     table = _GENERATOR_TABLES.get(key)
     if table is None:
-        table = _GENERATOR_TABLES[key] = power_table(params, params.g)
+        bits = params.q.bit_length()
+        max_rows = max(1, TABLE_MAX_BYTES // (256 * sys.getsizeof(params.p)))
+        stride = -(-bits // (8 * max_rows))
+        table = _GENERATOR_TABLES[key] = PowerTable(params.g, params.p, bits, stride)
     return table
 
 
@@ -528,7 +491,7 @@ def kem_decaps_star(
     if not (params.contains(ct.c1) and params.contains(ct.c2)):
         raise MalformedElementError("malformed encapsulation")
     # c1^(p-1-sk) = c1^-sk for every c1 in [1, p-1] by Fermat, p being prime (the
-    # GroupParams contract; validate() checks it), and needs no modular inverse
+    # GroupParams contract), and needs no modular inverse
     x = ct.c2 * power(ct.c1, params.p - 1 - sk, params) % params.p
     if x == 0:
         raise MalformedElementError("degenerate encapsulation")

@@ -374,6 +374,21 @@ def test_redirect_needs_three_parties():
         redirect_trial(world)
 
 
+@pytest.mark.parametrize("kind", DEFENDED_KINDS, ids=[k.value for k in DEFENDED_KINDS])
+def test_single_shot_trials_check_their_requirements_before_any_session(kind):
+    # both need the unauthenticated model: an authenticated world is refused
+    # before a session starts, not part-way through the flow
+    for trial in (forge_trial, redirect_trial):
+        world = World(kind, ProtocolConfig(n_e=8), Model.AM, 29, (b"alice", b"bob", b"carol"))
+        with pytest.raises(ValueError, match="unauthenticated"):
+            trial(world)
+        assert world.records() == [] and world.undelivered == []
+    world = um_world(ProtocolKind.KEX2, 29)
+    with pytest.raises(ValueError, match="does not apply to kex2"):
+        forge_trial(world)
+    assert world.records() == []
+
+
 def test_every_strategy_is_declared():
     assert set(STRATEGIES) == set(AttackStrategy)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,7 @@ from saslab.model import (
     transcript_replay,
 )
 from saslab.primitives import (
+    MAX_MESSAGE_SIZE,
     MODP2048,
     TOY256,
     Encapsulation,
@@ -248,6 +250,53 @@ def test_inject_refuses_a_bad_party_name(field):
         world.schedule(Inject(env))
     assert [r.events for r in world.records()] == events
     assert not world.parties[b"bob"].sessions
+
+
+OVERSIZED = bytes(MAX_MESSAGE_SIZE + 1)
+# each shape the wire refuses, built from a pending envelope
+BAD_WIRE_ACTIONS = {
+    "modify-str-payload": lambda env: Modify(env, env.payload.hex()),
+    "modify-oversized-payload": lambda env: Modify(env, OVERSIZED),
+    "inject-not-an-envelope": lambda env: Inject(tuple(vars(env).values())),
+    "inject-str-session": lambda env: Inject(replace(env, session=env.session.label())),
+    "inject-str-seq": lambda env: Inject(replace(env, seq="0")),
+    "inject-bool-seq": lambda env: Inject(replace(env, seq=False)),
+    "inject-str-payload": lambda env: Inject(replace(env, payload=env.payload.hex())),
+    "inject-oversized-payload": lambda env: Inject(replace(env, payload=OVERSIZED)),
+    "inject-list-receiver": lambda env: Inject(replace(env, receiver=[env.receiver])),
+}
+
+
+@pytest.mark.parametrize("shape", list(BAD_WIRE_ACTIONS))
+def test_the_wire_refuses_a_malformed_action(shape):
+    # checked before any envelope is taken, session created or event logged
+    world = make_world(kind=ProtocolKind.KEX2, model=Model.UM, seed=5)
+    world.start_session(b"alice", b"bob")
+    action = BAD_WIRE_ACTIONS[shape](world.undelivered[0])
+    undelivered = list(world.undelivered)
+    events = [r.events for r in world.records()]
+    with pytest.raises(RuleViolationError):
+        world.schedule(action)
+    assert world.undelivered == undelivered
+    assert [r.events for r in world.records()] == events
+    assert not world.parties[b"bob"].sessions
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=[k.value for k in ProtocolKind])
+def test_an_aborted_session_refuses_delivery(kind):
+    # bob aborts on a junk first message; the real one, injected after it,
+    # must not run bob's machine again or log a second abort
+    world = make_world(kind=kind, model=Model.UM, seed=15)
+    sid = world.start_session(b"alice", b"bob")
+    env = world.undelivered[0]
+    world.schedule(Modify(env, b"junk"))
+    bob = world.session_record(b"bob", sid)
+    assert bob.status is SessionStatus.ABORTED
+    events = [r.events for r in world.records()]
+    with pytest.raises(RuleViolationError, match="aborted"):
+        world.schedule(Inject(env))
+    assert [r.events for r in world.records()] == events
+    assert bob.event_types() == ["created", "received", "aborted"]
 
 
 def test_test_query_returns_a_key_once():

@@ -42,7 +42,6 @@ from saslab.primitives import (
     pke_decrypt,
     pke_encrypt,
     power,
-    power_table,
     random_element,
 )
 from saslab.rng import HashDrbg
@@ -204,24 +203,24 @@ def _tables():
     """(params, table) pairs: each group's generator table as shipped, and
     modp2048 for g at stride 64."""
     return (
-        (TOY256, power_table(TOY256, TOY256.g)),
+        (TOY256, generator_table(TOY256)),
         (MODP2048, PowerTable(MODP2048.g, MODP2048.p, MODP2048.q.bit_length(), stride=64)),
-        (MODP2048, power_table(MODP2048, MODP2048.g)),
+        (MODP2048, generator_table(MODP2048)),
     )
 
 
 def test_power_table_covers_the_group_exponents():
     for params, table in _tables():
         assert table.limit > params.q
-    assert power_table(MODP2048, MODP2048.g).limit > MODP2048.q
+    assert generator_table(MODP2048).limit > MODP2048.q
 
 
 def test_power_table_stride_follows_the_modulus_size():
     # a generator table lives for the whole process: toy256 keeps stride 1;
     # modp2048 is strided to stay near 0.5 MB, at no more work per power than
     # the 6-bit layout's 350 multiplications and 204 squarings
-    assert power_table(TOY256, TOY256.g).stride == 1
-    table = power_table(MODP2048, MODP2048.g)
+    assert generator_table(TOY256).stride == 1
+    table = generator_table(MODP2048)
     assert table.stride > 1
     entries = len(table._rows) << 8
     assert entries * MODP2048.element_size <= 550_000
@@ -306,12 +305,12 @@ def test_empty_power_table_hands_every_exponent_to_pow():
 def test_generator_table_built_once_per_modulus_and_generator(monkeypatch):
     builds = []
 
-    def counting(params, base):
-        builds.append((params.p, base))
-        return power_table(params, base)
+    def counting(base, p, exponent_bits, stride=1):
+        builds.append((p, base))
+        return PowerTable(base, p, exponent_bits, stride)
 
     monkeypatch.setattr(primitives, "_GENERATOR_TABLES", {})
-    monkeypatch.setattr(primitives, "power_table", counting)
+    monkeypatch.setattr(primitives, "PowerTable", counting)
     rng = HashDrbg(31)
     renamed = GroupParams(p=TOY256.p, g=TOY256.g, q=TOY256.q, name="toy256-copy")
     for params in (TOY256, renamed, SMALL):
@@ -769,9 +768,45 @@ def test_expect_fields_enforces_schema():
         decode_fields(payload[:-1])
 
 
+def _is_probable_prime(n: int, rounds: int = 40) -> bool:
+    """Miller-Rabin with `rounds` bases drawn from a stream seeded by n."""
+    if n < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % small == 0:
+            return n == small
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    rng = HashDrbg(n % (1 << 64))
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def validate_group(params: GroupParams) -> None:
+    """The GroupParams contract in full: p and q prime and g of order q."""
+    if not _is_probable_prime(params.p):
+        raise MalformedElementError("modulus is not prime")
+    if not _is_probable_prime(params.q):
+        raise MalformedElementError("subgroup order is not prime")
+    if pow(params.g, params.q, params.p) != 1 or params.g == 1:
+        raise MalformedElementError("generator does not have order q")
+
+
 def test_shipped_groups_validate():
-    TOY256.validate()
-    MODP2048.validate()
+    validate_group(TOY256)
+    validate_group(MODP2048)
     assert group_by_name("toy256") is TOY256
     assert group_by_name("modp2048") is MODP2048
     with pytest.raises(ValueError):
@@ -781,7 +816,7 @@ def test_shipped_groups_validate():
 def test_small_demo_group_fails_strict_validation():
     # (p=23, g=5, q=11) is fine for arithmetic demos but 5 has order 22.
     with pytest.raises(MalformedElementError):
-        SMALL.validate()
+        validate_group(SMALL)
 
 
 def test_element_encoding_roundtrip():
