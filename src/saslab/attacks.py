@@ -165,6 +165,9 @@ def _require(strategy: AttackStrategy, world: World):
     reason = unmet_requirement(strategy, world.kind, world.cfg)
     if reason is None and world.model is not Model.UM:
         reason = "attack requires the unauthenticated model"
+    needed = STRATEGIES[strategy].parties
+    if reason is None and not set(needed) <= set(world.parties):
+        reason = f"{strategy.value} needs the parties {b', '.join(needed).decode()}"
     if reason is not None:
         raise ValueError(reason)
 

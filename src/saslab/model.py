@@ -381,13 +381,16 @@ class World:
     ) -> str:
         """Compare the two sessions' entropy values over the tamper-proof
         channel, complete or abort both sessions accordingly, and return the
-        verdict, "accept" or "reject". Each session is verified once; one not
-        yet started, aborted or short of its entropy raises SequencingError."""
+        verdict, "accept" or "reject". Each session is verified once, against
+        another; one not yet started, aborted or short of its entropy raises
+        SequencingError."""
         records = []
         for party, sid in ((initiator, initiator_sid), (responder, responder_sid)):
             if party == sid.responder and sid not in self._party(party).sessions:
                 raise SequencingError("verification requested before the session started")
             records.append(self.session_record(party, sid))
+        if records[0] is records[1]:
+            raise RuleViolationError("a session cannot be verified against itself")
         for record in records:
             if record.status is SessionStatus.ABORTED:
                 raise SequencingError("session aborted before verification")

@@ -312,33 +312,45 @@ def generator_table(params: GroupParams) -> PowerTable:
 
 
 # Exponents of the elements g^e this process published as a public key or a
-# c1, keyed by (p, g, element) and evicted oldest first. A trial publishes a
-# few and raises them before it ends, so a peer key or c1 is nearly always
-# still here when raised; 64 entries take under 50 kB on modp2048. Only
-# _keygen and kem_encaps_star publish; random elements and the collision
-# loop's candidates are never raised and are not kept.
+# c1, keyed by (p, g, element): only _keygen and kem_encaps_star publish, so
+# random elements and the collision loop's candidates are never kept. Beside
+# them, the shared powers g^E by E, and each encapsulation under a published
+# g^e with its (e, x). A trial uses what it keeps before it ends, so 64 entries
+# a map suffice: under 50 kB each on modp2048, 90 kB for the encapsulations.
 REMEMBERED_EXPONENTS = 64
 _EXPONENTS: dict[tuple[int, int, int], int] = {}
+_POWERS: dict[tuple[int, int, int], int] = {}
+_ENCAPSULATIONS: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+
+
+def _keep(memo: dict, key: tuple, value):
+    """Insert key -> value into one of the maps above, evicting its oldest entry."""
+    memo[key] = value
+    if len(memo) > REMEMBERED_EXPONENTS:
+        del memo[next(iter(memo))]
+    return value
 
 
 def _remember(params: GroupParams, e: int) -> int:
     """Publish g^e: compute it from the generator table and keep e for power."""
     element = generator_table(params).pow(e)
-    _EXPONENTS[params.p, params.g, element] = e
-    if len(_EXPONENTS) > REMEMBERED_EXPONENTS:
-        del _EXPONENTS[next(iter(_EXPONENTS))]
+    _keep(_EXPONENTS, (params.p, params.g, element), e)
     return element
 
 
-def power(element: int, k: int, params: GroupParams) -> int:
+def power(element: int, k: int, params: GroupParams, shared: bool = False) -> int:
     """pow(element, k, p) for an element in [1, p - 1] and any integer k.
 
     For a remembered g^e this is g^(e*k mod (p-1)) from the generator table,
-    the same value by Fermat since p is prime (the GroupParams contract)."""
+    the same value by Fermat since p is prime (the GroupParams contract). A
+    shared value, one that both ends of a trial raise, is kept by exponent."""
     e = _EXPONENTS.get((params.p, params.g, element))
     if e is None:
         return pow(element, k, params.p)
-    return generator_table(params).pow(e * k % (params.p - 1))
+    key = (params.p, params.g, e * k % (params.p - 1))
+    if shared:
+        return _POWERS.get(key) or _keep(_POWERS, key, generator_table(params).pow(key[2]))
+    return generator_table(params).pow(key[2])
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +413,7 @@ def kex_agree(own: KeyPair, peer_public: int, params: GroupParams) -> SharedKey:
     """
     if not params.contains(peer_public):
         raise MalformedElementError("peer public element out of range")
-    return derive_key(power(peer_public, own.secret, params), params)
+    return derive_key(power(peer_public, own.secret, params, shared=True), params)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +477,14 @@ def kem_encaps_star(
         raise MalformedElementError("public key out of range")
     if not params.contains(x):
         raise MalformedElementError("secret element out of range")
+    e = _EXPONENTS.get((params.p, params.g, pk))  # before _remember can evict pk
     r = encaps_randomness(x, pk, params, mode, rng)
     ct = Encapsulation(
         c1=_remember(params, r),
-        c2=(x * power(pk, r, params)) % params.p,
+        c2=(x * power(pk, r, params, shared=True)) % params.p,
     )
+    if e is not None:  # decapsulation under e gives x back exactly (kem_decaps_star)
+        _keep(_ENCAPSULATIONS, (params.p, params.g, ct.c1, ct.c2), (e, x))
     return ct, derive_key(x, params)
 
 
@@ -491,8 +506,11 @@ def kem_decaps_star(
     if not (params.contains(ct.c1) and params.contains(ct.c2)):
         raise MalformedElementError("malformed encapsulation")
     # c1^(p-1-sk) = c1^-sk for every c1 in [1, p-1] by Fermat, p being prime (the
-    # GroupParams contract), and needs no modular inverse
-    x = ct.c2 * power(ct.c1, params.p - 1 - sk, params) % params.p
+    # GroupParams contract), and needs no modular inverse. For a ct this process
+    # encapsulated under g^e that is x * g^(re) * g^(r(p-1-e)) = x when sk == e.
+    e, x = _ENCAPSULATIONS.get((params.p, params.g, ct.c1, ct.c2), (None, None))
+    if e != sk:
+        x = ct.c2 * power(ct.c1, params.p - 1 - sk, params) % params.p
     if x == 0:
         raise MalformedElementError("degenerate encapsulation")
     return x, derive_key(x, params)

@@ -16,7 +16,7 @@ from saslab.attacks import (
     redirect_trial,
 )
 from saslab.harness import ConfigError, ExperimentConfig, run_experiment
-from saslab.model import AdversaryView, Model, RuleViolationError, World, _record_to_dict
+from saslab.model import AdversaryView, Model, World, _record_to_dict
 from saslab.primitives import TOY256, KemMode, decode_fields, generator_table
 from saslab.protocols import SPECS, ProtocolConfig, ProtocolKind
 from saslab.rng import derive_seed
@@ -361,17 +361,22 @@ def test_single_shot_trials_make_no_variable_base_pow(monkeypatch):
 
 
 def test_a_collision_trial_remembers_a_handful_of_exponents(monkeypatch):
-    # the three key pairs; the loop's candidates are never remembered
+    # the three key pairs, and the one value bob and the attacker share; the
+    # loop's candidates and their powers are never remembered
     monkeypatch.setattr(primitives, "_EXPONENTS", {})
+    monkeypatch.setattr(primitives, "_POWERS", {})
     outcome = attack_kex2_collision(um_world(ProtocolKind.KEX2, 28, n_e=8), 1 << 12)
     assert outcome.success and outcome.iterations > 3
     assert len(primitives._EXPONENTS) == 3
+    assert len(primitives._POWERS) == 1
 
 
 def test_redirect_needs_three_parties():
+    # refused before a session starts, not at the first injection toward carol
     world = um_world(ProtocolKind.MT_AUTH, 7, n_e=8)
-    with pytest.raises(RuleViolationError):
+    with pytest.raises(ValueError, match="needs the parties alice, bob, carol"):
         redirect_trial(world)
+    assert world.records() == [] and world.undelivered == []
 
 
 @pytest.mark.parametrize("kind", DEFENDED_KINDS, ids=[k.value for k in DEFENDED_KINDS])

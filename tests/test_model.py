@@ -229,6 +229,28 @@ def test_a_session_is_verified_once(kind):
         world.test(b"alice", sid)
 
 
+def test_a_session_is_not_verified_against_itself():
+    # the adversary answers alice with its own key, so it holds her key; were
+    # her session verified against itself it would complete, and the test
+    # query would hand over a key the adversary knows
+    world = make_world(kind=ProtocolKind.KEX2, model=Model.UM, seed=3, n_e=16)
+    sid = world.start_session(b"alice", b"bob")
+    group = world.cfg.group
+    (_, pka), = decode_fields(world.undelivered[0].payload)
+    world.schedule(Drop(world.undelivered[0]))
+    own = primitives.kex_keygen(group, world.adversary_rng)
+    reply = primitives.encode_fields([("pkb", group.encode_element(own.public))])
+    world.schedule(Inject(MessageEnvelope(b"bob", b"alice", sid, 1, reply)))
+    alice = world.session_record(b"alice", sid)
+    assert alice.machine.key == primitives.kex_agree(own, group.decode_element(pka), group)
+    events = list(alice.events)
+    with pytest.raises(RuleViolationError, match="against itself"):
+        world.i_f_verify(b"alice", sid, b"alice", sid)
+    assert alice.status is SessionStatus.IN_PROCESS and alice.events == events
+    with pytest.raises(RuleViolationError):
+        world.test(b"alice", sid)
+
+
 @pytest.mark.parametrize("name", [b"\xff", b"", b"x" * 65, "carol"],
                          ids=["not-utf8", "empty", "too-long", "str"])
 def test_a_world_refuses_a_bad_party_name(name):

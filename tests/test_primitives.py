@@ -403,10 +403,79 @@ def test_remembered_exponents_evict_the_oldest(monkeypatch):
 
 
 def test_only_primitives_names_the_remembered_exponents():
-    # attack code runs in the same process, so no other module may read the map
+    # attack code runs in the same process, so no other module may read the maps
+    names = r"\b(_EXPONENTS|_POWERS|_ENCAPSULATIONS|_keep)\b"
     for path in Path(primitives.__file__).parent.glob("*.py"):
         if path.name != "primitives.py":
-            assert not re.search(r"\b_EXPONENTS\b", path.read_text()), path.name
+            assert not re.search(names, path.read_text()), path.name
+
+
+def _check_agreement(params: GroupParams, seed: int) -> None:
+    rng = HashDrbg(seed)
+    a, b = kex_keygen(params, rng), kex_keygen(params, rng)
+    shared = derive_key(pow(b.public, a.secret, params.p), params)
+    assert kex_agree(a, b.public, params) == shared
+    # the second end finds g^(ab) among the remembered powers
+    assert (params.p, params.g, a.secret * b.secret % (params.p - 1)) in primitives._POWERS
+    assert kex_agree(b, a.public, params) == shared
+
+
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_both_ends_agree_as_pow(seed):
+    _check_agreement(TOY256, seed)
+
+
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=3, deadline=None)
+def test_both_ends_agree_as_pow_full_size_group(seed):
+    _check_agreement(MODP2048, seed)
+
+
+@pytest.mark.parametrize("params", [TOY256, MODP2048], ids=["toy256", "modp2048"])
+def test_a_recorded_encapsulation_decapsulates_as_the_formula(params, monkeypatch):
+    rng = HashDrbg(41)
+    pair, other = kem_keygen(params, rng), kem_keygen(params, rng)
+    ct, key = kem_encaps(pair.public, params, KemMode.PROBABILISTIC, rng)
+    entry = (params.p, params.g, ct.c1, ct.c2)
+    assert primitives._ENCAPSULATIONS[entry][0] == pair.secret
+    keys = (pair.secret, pair.secret + params.q, other.secret)
+    for sk in keys:
+        x = ct.c2 * pow(ct.c1, params.p - 1 - sk, params.p) % params.p
+        assert kem_decaps_star(sk, ct, params) == (x, derive_key(x, params))
+    assert [kem_decaps_star(sk, ct, params)[1] == key for sk in keys] == [True, True, False]
+    # the recorded x answers only the key it was recorded for
+    monkeypatch.setitem(primitives._ENCAPSULATIONS, entry, (pair.secret, 5))
+    answers = [kem_decaps_star(sk, ct, params)[0] for sk in keys]
+    assert answers[0] == 5 and 5 not in answers[1:]
+
+
+def test_remembered_powers_and_encapsulations_evict_the_oldest(monkeypatch):
+    for name in ("_EXPONENTS", "_POWERS", "_ENCAPSULATIONS"):
+        monkeypatch.setattr(primitives, name, {})
+    capacity = primitives.REMEMBERED_EXPONENTS
+    p, g = TOY256.p, TOY256.g
+    rng = HashDrbg(43)
+    pair = kex_keygen(TOY256, rng)
+    ks = range(2, capacity + 5)
+    for k in ks:
+        assert power(pair.public, k, TOY256, shared=True) == pow(pair.public, k, p)
+    assert list(primitives._POWERS) == [(p, g, pair.secret * k % (p - 1)) for k in ks[3:]]
+    kept = dict(primitives._POWERS)
+    assert power(pair.public, 1, TOY256) == pair.public  # a value only one end raises
+    assert primitives._POWERS == kept
+
+    encapsulated = []  # a fresh key per ct, so each key is still remembered when used
+    for _ in range(capacity + 3):
+        owner = kem_keygen(TOY256, rng)
+        ct, _ = kem_encaps(owner.public, TOY256, KemMode.DETERMINISTIC, rng)
+        encapsulated.append((owner, ct))
+    assert [key[2:] for key in primitives._ENCAPSULATIONS] == [
+        (ct.c1, ct.c2) for _, ct in encapsulated[3:]
+    ]
+    for owner, ct in (encapsulated[0], encapsulated[-1]):  # evicted, and still recorded
+        x = ct.c2 * pow(ct.c1, p - 1 - owner.secret, p) % p
+        assert kem_decaps_star(owner.secret, ct, TOY256) == (x, derive_key(x, TOY256))
 
 
 # ---------------------------------------------------------------------------

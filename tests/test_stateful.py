@@ -5,10 +5,10 @@ two concurrent sessions of one kind. Each step is one action: start a
 session, deliver, modify or drop a pending envelope, inject an envelope
 (malformed shapes included), re-inject one the world sent earlier, corrupt
 a party, reveal a session's key or state, expire it, ask the test query, or
-verify two sessions. One more step delivers every pending envelope in
-order, as the honest scheduler does, so that flows reach verification. It
-reaches orders a fixed enumeration does not, such as a reveal or an expire
-between two messages.
+verify two sessions (sometimes one session against itself). One more step
+delivers every pending envelope in order, as the honest scheduler does, so
+that flows reach verification. It reaches orders a fixed enumeration does
+not, such as a reveal or an expire between two messages.
 
 After every step these invariants hold:
 
@@ -20,6 +20,8 @@ After every step these invariants hold:
 - the test query answers at most once per world, and only for a session
   never revealed whose participants are not corrupted;
 - an accept without override implies equal entropies;
+- a session completes only in an accepting verification against another
+  session;
 - events are only ever appended;
 - under AM, every received payload equals the payload its sender sent
   with that seq.
@@ -82,6 +84,7 @@ class WorldMachine(RuleBasedStateMachine):
         self.logs = {}  # (party, sid) -> its events when last seen
         self.settled = {}  # (party, sid) -> (status, event count) when first seen settled
         self.answers = 0  # test queries answered
+        self.accepted = []  # the (party, sid) pairs of every accepting verification
 
     @initialize(kind=st.sampled_from(list(ProtocolKind)), seed=st.integers(0, 1 << 16),
                 identities=st.booleans())
@@ -201,9 +204,12 @@ class WorldMachine(RuleBasedStateMachine):
                     if a is not b and a.session.nonce == b.session.nonce]
         if partners and data.draw(st.booleans()):
             first, second = data.draw(st.sampled_from(partners))
-        else:
-            first, second = self._sessions(data), self._sessions(data)
+        else:  # sometimes a session against itself
+            first = self._sessions(data)
+            second = first if data.draw(st.booleans()) else self._sessions(data)
         verdict = self._do(self.world.i_f_verify, *first, *second, override)
+        if verdict == "accept":
+            self.accepted.append((first, second))
         if verdict == "accept" and not override:
             ours, theirs = (self.world.session_record(*end) for end in (first, second))
             assert ours.entropies == theirs.entropies
@@ -231,6 +237,14 @@ class WorldMachine(RuleBasedStateMachine):
             holds = (record.status is SessionStatus.COMPLETED
                      and "expired" not in record.event_types())
             assert (record.live_key is not None) == holds, record.event_types()
+
+    @invariant()
+    def completed_only_against_another_session(self):
+        records = self._records()
+        assert all(records[first] is not records[second] for first, second in self.accepted)
+        verified = {end for pair in self.accepted for end in pair}
+        for key, record in records.items():
+            assert record.status is not SessionStatus.COMPLETED or key in verified, key
 
     @invariant()
     def test_answers_at_most_once(self):
