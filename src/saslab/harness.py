@@ -13,7 +13,6 @@ region.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import io
@@ -21,7 +20,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 from .attacks import STRATEGIES, AttackStrategy, unmet_requirement
 from .model import Model, SessionStatus, World, run_honest
@@ -209,6 +207,8 @@ def run_experiment(config: ExperimentConfig) -> TrialSummary:
     config.validate()
     started = time.perf_counter()
     if config.parallelism > 1 and config.trials > 1:
+        import concurrent.futures
+
         workers = min(config.parallelism, config.trials)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(
@@ -286,6 +286,8 @@ def build_report(
 ) -> dict:
     """Assemble the versioned report; wall-clock data stays out of the
     hashed content region."""
+    from datetime import datetime, timezone
+
     content = {
         "report_version": REPORT_VERSION,
         "kind": kind,

@@ -185,6 +185,8 @@ def _check_injected(env: MessageEnvelope) -> None:
         raise RuleViolationError("an envelope carries a SessionId and an int seq")
     if not all(map(_valid_name, (env.sender, env.receiver, sid.initiator, sid.responder))):
         raise RuleViolationError("party name must be 1..64 bytes of UTF-8")
+    if sid.initiator == sid.responder:
+        raise RuleViolationError(f"{sid.initiator!r} cannot hold a session with itself")
     _check_payload(env.payload)
 
 
@@ -281,6 +283,8 @@ class World:
         """External call that triggers the protocol at the initiating party."""
         init = self._party(initiator)
         self._party(responder)
+        if initiator == responder:
+            raise RuleViolationError(f"{initiator!r} cannot hold a session with itself")
         while True:
             sid = SessionId(initiator, responder, self._sid_rng.randbytes(8))
             if sid not in init.sessions:

@@ -7,9 +7,9 @@ answers exactly what it stands in for, so a run whose maps are emptied before
 every trial and a run that finds them warm from earlier trials must give the
 same report bytes. Every seeded pin depends on this.
 
-The count of generator-table powers in one honest trial with empty maps is a
-deterministic operation counter: it moves only when a protocol raises more or
-fewer values.
+The count of generator-table powers in one honest, forging or redirecting
+trial with empty maps is a deterministic operation counter: it moves only
+when a protocol or an attack raises more or fewer values.
 """
 
 import pytest
@@ -44,6 +44,11 @@ def _forget():
         getattr(primitives, name).clear()
 
 
+def _cold_world(*args):  # every trial builds its world first
+    _forget()
+    return World(*args)
+
+
 def _count_table_powers(monkeypatch) -> list:
     calls = []
     original = PowerTable.pow
@@ -62,11 +67,7 @@ def test_cold_and_warm_maps_give_the_same_reports(monkeypatch):
     warm = _reports()
     warm_powers = len(calls)
 
-    def cold_world(*args):  # every trial builds its world first
-        _forget()
-        return World(*args)
-
-    monkeypatch.setattr(harness, "World", cold_world)
+    monkeypatch.setattr(harness, "World", _cold_world)
     calls.clear()
     cold = _reports()
     assert cold == warm
@@ -88,3 +89,23 @@ def test_table_powers_per_honest_trial_with_empty_maps(kind, powers, group, monk
     init, resp = run_honest(world)
     assert init.kappa == resp.kappa is not None
     assert len(calls) == powers
+
+
+# (random-forge, redirect) per trial of the benchmark's forge-toy256 mix
+SINGLE_SHOT_POWERS = {
+    "kex3": (5, 3), "kem3-two-entropy": (4, 4), "kem3-commit": (13, 7), "kem4": (7, 4),
+    "kem6": (7, 4),
+}
+
+
+@pytest.mark.parametrize("kind, strategy, powers", [
+    (kind, strategy, powers)
+    for kind, counts in SINGLE_SHOT_POWERS.items()
+    for strategy, powers in zip(("random-forge", "redirect"), counts)
+])
+def test_table_powers_per_single_shot_trial_with_empty_maps(kind, strategy, powers, monkeypatch):
+    generator_table(group_by_name("toy256"))
+    calls = _count_table_powers(monkeypatch)
+    monkeypatch.setattr(harness, "World", _cold_world)
+    run_experiment(ExperimentConfig(protocol=kind, strategy=strategy, n_e=8, trials=3, seed=SEED))
+    assert len(calls) == 3 * powers

@@ -251,6 +251,18 @@ def test_a_session_is_not_verified_against_itself():
         world.test(b"alice", sid)
 
 
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=[k.value for k in ProtocolKind])
+def test_a_party_cannot_start_a_session_with_itself(kind):
+    # refused before the nonce is drawn or a record made: the next session
+    # gets the id a fresh world would give its first
+    world = make_world(kind=kind, seed=16)
+    with pytest.raises(RuleViolationError, match="with itself"):
+        run_honest(world, b"alice", b"alice")
+    assert not world.records() and not world.undelivered
+    assert world.start_session(b"alice", b"bob") == make_world(kind=kind, seed=16).start_session(
+        b"alice", b"bob")
+
+
 @pytest.mark.parametrize("name", [b"\xff", b"", b"x" * 65, "carol"],
                          ids=["not-utf8", "empty", "too-long", "str"])
 def test_a_world_refuses_a_bad_party_name(name):
@@ -286,6 +298,8 @@ BAD_WIRE_ACTIONS = {
     "inject-str-payload": lambda env: Inject(replace(env, payload=env.payload.hex())),
     "inject-oversized-payload": lambda env: Inject(replace(env, payload=OVERSIZED)),
     "inject-list-receiver": lambda env: Inject(replace(env, receiver=[env.receiver])),
+    "inject-self-session": lambda env: Inject(
+        replace(env, session=SessionId(env.receiver, env.receiver, env.session.nonce))),
 }
 
 
