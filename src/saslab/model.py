@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .primitives import MAX_MESSAGE_SIZE, SUITE_HEADER, SharedKey, decode_fields, group_by_name
+from .primitives import (MAX_ENTROPY_BITS, MAX_MESSAGE_SIZE, MIN_ENTROPY_BITS, SUITE_HEADER,
+                         SharedKey, decode_fields, group_by_name)
 from .protocols import (
     SPECS,
     Machine,
@@ -268,10 +269,12 @@ class World:
     def _party(self, name: bytes) -> _Party:
         try:
             return self.parties[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name, a list say
             raise RuleViolationError(f"unknown party {name!r}")
 
     def session_record(self, party: bytes, sid: SessionId) -> SessionRecord:
+        if not isinstance(sid, SessionId):
+            raise RuleViolationError(f"not a SessionId: {sid!r}")
         record = self._party(party).sessions.get(sid)
         if record is None:
             raise RuleViolationError(f"no session {sid.label()} at {party!r}")
@@ -281,15 +284,14 @@ class World:
         self, initiator: bytes, responder: bytes, message: bytes | None = None
     ) -> SessionId:
         """External call that triggers the protocol at the initiating party."""
-        init = self._party(initiator)
-        self._party(responder)
-        if initiator == responder:
+        init, resp = self._party(initiator), self._party(responder)
+        if init is resp:
             raise RuleViolationError(f"{initiator!r} cannot hold a session with itself")
-        while True:
-            sid = SessionId(initiator, responder, self._sid_rng.randbytes(8))
+        while True:  # the parties' own names: a name equal to one, of another type, is that party
+            sid = SessionId(init.name, resp.name, self._sid_rng.randbytes(8))
             if sid not in init.sessions:
                 break
-        record = self._new_session(init, responder, sid, "initiator", message)
+        record = self._new_session(init, resp.name, sid, "initiator", message)
         out = record.machine.advance(None)
         if out is not None:
             self._emit(record, out)
@@ -390,9 +392,12 @@ class World:
         SequencingError."""
         records = []
         for party, sid in ((initiator, initiator_sid), (responder, responder_sid)):
-            if party == sid.responder and sid not in self._party(party).sessions:
+            if not isinstance(sid, SessionId):
+                raise RuleViolationError(f"not a SessionId: {sid!r}")
+            record = self._party(party).sessions.get(sid)
+            if record is None and party == sid.responder:
                 raise SequencingError("verification requested before the session started")
-            records.append(self.session_record(party, sid))
+            records.append(record or self.session_record(party, sid))  # which raises: no session
         if records[0] is records[1]:
             raise RuleViolationError("a session cannot be verified against itself")
         for record in records:
@@ -675,6 +680,8 @@ def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRe
         flags = ("kem2_key_only_entropy", "include_receiver_identity", "seed_is_hex")
         if type(body["n_e"]) is not int or any(type(body[flag]) is not bool for flag in flags):
             raise TypeError("n_e must be an int and every flag a bool")
+        if not MIN_ENTROPY_BITS <= cfg.n_e <= MAX_ENTROPY_BITS:
+            raise ValueError(f"n_e {cfg.n_e} is outside [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}]")
         seed = bytes.fromhex(body["seed"]) if body["seed_is_hex"] else body["seed"]
         if type(seed) is not bytes and not (type(seed) is int and 0 <= seed < 1 << 64):
             raise ValueError(f"seed {seed!r} is neither hex nor an int in [0, 2^64)")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .rng import HashDrbg
+from .rng import HashDrbg, expand
 
 # Domain-separation tags, recorded in the suite header so transcripts are
 # replayable against the exact hash configuration that produced them.
@@ -99,12 +99,7 @@ def hash_to_range(tag: str, data: bytes, upper: int) -> int:
     if upper <= 0:
         raise ValueError("upper bound must be positive")
     need = (upper.bit_length() + 7) // 8 + 16
-    stream = b""
-    counter = 0
-    while len(stream) < need:
-        stream += _tagged_hash(tag, counter.to_bytes(4, "big"), data)
-        counter += 1
-    return int.from_bytes(stream[:need], "big") % upper
+    return int.from_bytes(expand(tag.encode("ascii"), need, width=4, suffix=data), "big") % upper
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +519,6 @@ def kem_decaps(sk: int, ct: Encapsulation, params: GroupParams) -> SharedKey:
 # Hybrid public-key encryption (carries commitment blinders)
 # ---------------------------------------------------------------------------
 
-def _keystream(key: SharedKey, length: int) -> bytes:
-    stream = b""
-    counter = 0
-    while len(stream) < length:
-        stream += _tagged_hash(STREAM_TAG, key.key, counter.to_bytes(8, "big"))
-        counter += 1
-    return stream[:length]
-
-
 def pke_encrypt(
     pk: int, params: GroupParams, plaintext: bytes, rng: HashDrbg
 ) -> bytes:
@@ -540,8 +526,8 @@ def pke_encrypt(
     if len(plaintext) > MAX_MESSAGE_SIZE:
         raise SizeError("plaintext too long")
     ct, key = kem_encaps(pk, params, KemMode.PROBABILISTIC, rng)
-    body = bytes(a ^ b for a, b in zip(plaintext, _keystream(key, len(plaintext))))
-    return ct.encode(params) + body
+    stream = expand(STREAM_TAG.encode("ascii") + key.key, len(plaintext))
+    return ct.encode(params) + bytes(a ^ b for a, b in zip(plaintext, stream))
 
 
 def pke_decrypt(sk: int, params: GroupParams, ciphertext: bytes) -> bytes:
@@ -550,8 +536,8 @@ def pke_decrypt(sk: int, params: GroupParams, ciphertext: bytes) -> bytes:
         raise MalformedElementError("truncated ciphertext")
     ct = Encapsulation.decode(ciphertext[:header], params)
     key = kem_decaps(sk, ct, params)
-    body = ciphertext[header:]
-    return bytes(a ^ b for a, b in zip(body, _keystream(key, len(body))))
+    stream = expand(STREAM_TAG.encode("ascii") + key.key, len(ciphertext) - header)
+    return bytes(a ^ b for a, b in zip(ciphertext[header:], stream))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,7 @@ class ProtocolKind(Enum):
     KEM3_COMMIT = "kem3-commit"
     KEM4 = "kem4"
     KEM6 = "kem6"
+    __hash__ = object.__hash__  # singletons: SPECS[kind] skips Enum's Python-level hash
 
 
 class Side(Enum):
@@ -166,13 +167,13 @@ class ProtocolConfig:
     include_receiver_identity: bool = True
 
 
-def _entropy_rule(spec: ProtocolSpec, cfg: ProtocolConfig, label: str, receiver: bytes):
+def _entropy_rule(kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes):
     """The receiver and element names, in order, that entropy value `label` of a kind's flow
     hashes: the receiver is blank where the value binds none or identities are off."""
-    rule = spec.entropies[label]
+    rule = SPECS[kind].entropies[label]
     if rule.receiver is None or not cfg.include_receiver_identity:
         receiver = b""
-    key_only = cfg.kem2_key_only_entropy and spec.kind is ProtocolKind.KEM2  # kem2's key-only profile
+    key_only = cfg.kem2_key_only_entropy and kind is ProtocolKind.KEM2  # kem2's key-only profile
     return receiver, ("key",) if key_only else tuple(rule.elements)
 
 
@@ -180,7 +181,7 @@ def entropy_input(
     kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
 ) -> tuple[bytes, list[tuple[str, bytes]]]:
     """What entropy value `label` hashes first, given `values` of a leading run of its elements."""
-    receiver, names = _entropy_rule(SPECS[kind], cfg, label, receiver)
+    receiver, names = _entropy_rule(kind, cfg, label, receiver)
     if tuple(values) != names[: len(values)]:
         raise ValueError(f"{label} hashes {', '.join(names)} in order, not {', '.join(values)}")
     return receiver, list(values.items())
@@ -190,13 +191,7 @@ def session_entropy(
     kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
 ) -> EntropyValue:
     """The entropy value `label` of a kind's flow over the elements it hashes out of `values`."""
-    return _session_entropy(SPECS[kind], cfg, label, receiver, values)
-
-
-def _session_entropy(
-    spec: ProtocolSpec, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
-) -> EntropyValue:
-    receiver, names = _entropy_rule(spec, cfg, label, receiver)
+    receiver, names = _entropy_rule(kind, cfg, label, receiver)
     return entropy(receiver, [(name, values[name]) for name in names], cfg.n_e)
 
 
@@ -249,7 +244,7 @@ class Machine:
     def _entropy(self, label: str, **values: bytes) -> None:
         receiver_side = self.spec.entropies[label].receiver
         receiver = self.self_id if receiver_side is self.side else self.peer_id
-        self.entropies[label] = _session_entropy(self.spec, self.cfg, label, receiver, values)
+        self.entropies[label] = session_entropy(self.spec.kind, self.cfg, label, receiver, values)
 
     def advance(self, incoming: bytes | None = None) -> bytes | None:
         """Process a start signal (None) or an incoming payload.

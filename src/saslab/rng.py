@@ -1,9 +1,10 @@
 """Deterministic random source used by every randomized operation.
 
 Experiments must be bit-reproducible across platforms and Python versions,
-so nothing here relies on random.Random internals. The generator is a
-SHA-256 counter-mode DRBG; child seeds are derived by hashing, which keeps
-parallel trials independent and replayable.
+so nothing here relies on random.Random internals. One counter-mode
+SHA-256 expander, `expand`, makes every stream: the DRBG's, the KEM's hash
+to a range and the PKE keystream. Child seeds are derived by hashing, which
+keeps parallel trials independent and replayable.
 """
 
 from __future__ import annotations
@@ -24,6 +25,17 @@ def derive_seed(seed: bytes | int, *context: bytes) -> bytes:
     return h.digest()
 
 
+def expand(prefix: bytes, length: int, start: int = 0, width: int = 8, suffix: bytes = b"") -> bytes:
+    """The first `length` bytes of SHA-256(prefix || counter || suffix) for counter = start,
+    start + 1, ..., each counter written as `width` big-endian bytes."""
+    # the first block ahead of the loop: the cheapest form for a one-block DRBG refill
+    stream = hashlib.sha256(prefix + start.to_bytes(width, "big") + suffix).digest()
+    while len(stream) < length:
+        start += 1
+        stream += hashlib.sha256(prefix + start.to_bytes(width, "big") + suffix).digest()
+    return stream[:length]
+
+
 class HashDrbg:
     """SHA-256 counter-mode deterministic byte/integer generator."""
 
@@ -37,14 +49,13 @@ class HashDrbg:
     def randbytes(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("byte count must be non-negative")
-        while len(self._buffer) < n:
-            block = hashlib.sha256(
-                self._key + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            self._buffer += block
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
+        buffer = self._buffer
+        if len(buffer) < n:  # append the next whole blocks, enough for n bytes on their own
+            blocks = (n + 31) // 32
+            buffer += expand(self._key, 32 * blocks, self._counter)
+            self._counter += blocks
+        self._buffer = buffer[n:]
+        return buffer[:n]
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling."""

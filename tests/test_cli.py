@@ -263,6 +263,23 @@ def test_replay_malformed_header_exits_one_with_one_line(fault, tmp_path, capsys
     assert captured.err.count("\n") == 1
 
 
+def test_replay_out_of_range_n_e_is_a_header_fault(tmp_path, capsys):
+    # refused with the header's message, not replayed until the machines abort
+    from saslab.model import TRANSCRIPT_MAGIC, Model, World, run_honest, transcript_export
+    from saslab.protocols import ProtocolConfig, ProtocolKind
+
+    world = World(ProtocolKind.KEX3, ProtocolConfig(), Model.AM, 7)
+    run_honest(world, b"alice", b"bob")
+    body = json.loads(transcript_export(world)[len(TRANSCRIPT_MAGIC) + 4 :])
+    blob = json.dumps({**body, "n_e": 100}).encode()
+    path = tmp_path / "run.bin"
+    path.write_bytes(TRANSCRIPT_MAGIC + len(blob).to_bytes(4, "big") + blob)
+    assert run_cli("replay", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "saslab: transcript error: malformed transcript header: "
+        "ValueError: n_e 100 is outside [4, 64]\n")
+
+
 def test_replay_missing_file(capsys):
     code = run_cli("replay", "/nonexistent/path.bin")
     assert code == 1

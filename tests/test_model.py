@@ -286,6 +286,56 @@ def test_inject_refuses_a_bad_party_name(field):
     assert not world.parties[b"bob"].sessions
 
 
+# each malformed query the world refuses, on a session with every message
+# delivered and not yet verified
+BAD_QUERIES = {
+    "verify-str-sid": lambda world, sid: world.i_f_verify(b"alice", sid, b"bob", sid.label()),
+    "verify-list-sid": lambda world, sid: world.i_f_verify(b"alice", sid, b"bob", [sid]),
+    "verify-int-sid": lambda world, sid: world.i_f_verify(b"alice", 0, b"bob", sid),
+    "view-verify-str-sid": lambda world, sid: AdversaryView(world).verify(
+        b"alice", sid.label(), b"bob", sid),
+    "view-verify-list-sid": lambda world, sid: AdversaryView(world).verify(
+        b"alice", sid, b"bob", [sid]),
+    "view-verify-int-sid": lambda world, sid: AdversaryView(world).verify(b"alice", sid, b"bob", 7),
+    "reveal_key-str-sid": lambda world, sid: world.reveal_key(b"alice", sid.label()),
+    "reveal_key-none-sid": lambda world, sid: world.reveal_key(b"alice", None),
+    "expire-str-sid": lambda world, sid: world.expire(b"bob", sid.label()),
+    "expire-none-sid": lambda world, sid: world.expire(b"bob", None),
+    "test-str-sid": lambda world, sid: world.test(b"alice", sid.label()),
+    "test-none-sid": lambda world, sid: world.test(b"alice", None),
+    "reveal_state-list-sid": lambda world, sid: world.reveal_state(b"bob", [sid]),
+    "corrupt-list-party": lambda world, sid: world.corrupt([b"alice"]),
+    "session_record-list-party": lambda world, sid: world.session_record([b"bob"], sid),
+}
+
+
+@pytest.mark.parametrize("shape", list(BAD_QUERIES))
+def test_a_query_refuses_a_malformed_party_or_sid(shape):
+    # a typed refusal, before any event is logged or any record settled
+    world = make_world(model=Model.UM, seed=3)
+    sid = world.start_session(b"alice", b"bob")
+    while world.undelivered:
+        world.schedule(Deliver(world.undelivered[0]))
+    before = [(r.status, r.live_key, r.events) for r in world.records()]
+    with pytest.raises(RuleViolationError):
+        BAD_QUERIES[shape](world, sid)
+    assert [(r.status, r.live_key, r.events) for r in world.records()] == before
+    assert not any(party.corrupted for party in world.parties.values())
+    assert world.i_f_verify(b"alice", sid, b"bob", sid) == "accept"  # the test query is unused
+    assert world.test(b"alice", sid) is not None
+
+
+def test_a_name_equal_to_a_party_name_is_that_party():
+    # a memoryview hashes and compares as its bytes; the session id carries the
+    # parties' own names, so the run and its records are those of bytes names
+    world = make_world(seed=3)
+    init, resp = run_honest(world, memoryview(b"alice"), b"bob")
+    assert type(init.session.initiator) is bytes and init.parties == (b"alice", b"bob")
+    assert resp.status is SessionStatus.COMPLETED
+    assert [r.events for r in world.records()] == [
+        r.events for r in run_honest(make_world(seed=3))]
+
+
 OVERSIZED = bytes(MAX_MESSAGE_SIZE + 1)
 # each shape the wire refuses, built from a pending envelope
 BAD_WIRE_ACTIONS = {
@@ -676,6 +726,21 @@ def test_transcript_export_refuses_other_than_one_session():
     run_honest(world)
     with pytest.raises(TranscriptError, match="one session, not 2"):
         transcript_export(world)
+
+
+@pytest.mark.parametrize("n_e", [100, 65, 3, 2, 0, -1])
+def test_transcript_replay_refuses_an_entropy_width_out_of_range(n_e):
+    # a header fault, found before any world is built; not a diverging replay
+    import json
+
+    from saslab.model import TRANSCRIPT_MAGIC
+
+    world = World(ProtocolKind.KEX3, ProtocolConfig(), Model.AM, 22)
+    run_honest(world)
+    body = json.loads(transcript_export(world)[len(TRANSCRIPT_MAGIC) + 4 :])
+    forged = json.dumps({**body, "n_e": n_e}).encode()
+    with pytest.raises(TranscriptError, match=rf"malformed transcript header: .*n_e {n_e} "):
+        transcript_replay(TRANSCRIPT_MAGIC + len(forged).to_bytes(4, "big") + forged)
 
 
 def test_transcript_replay_with_altered_seed_changes_key():

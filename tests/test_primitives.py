@@ -641,6 +641,46 @@ def test_pke_roundtrip_property(message):
     assert pke_decrypt(pair.secret, TOY256, pke_encrypt(pair.public, TOY256, message, rng)) == message
 
 
+# Known answers of the counter-mode expander's callers: each spans more than one
+# SHA-256 block, so a change to the counter's width, start or place moves them.
+PKE_PLAINTEXT = b"blinder bytes that span two blocks of the stream"
+PKE_CIPHERTEXT = (
+    "706643d9eabaea774f21d952ed053949bc1364e3654d11cac27c398314eec667"  # c1
+    "84e928c4918a7d593e35713376fd6daac7f0f12bf4fecd9518e0bfe6f49fca8e"  # c2
+    "cef85cbef8e3b7bbe861f26a0169f59ab2c94be6e137148a99f99f10a3698cfe"  # body
+    "0a4f5f3de68ff9aeda3a8170dcfacb3b"
+)
+HASH_TO_RANGE_PINS = {
+    # 48 bytes expanded (2 blocks)
+    "toy256": "50c6c8df20af220b9c9280b5ebf3ea34607aaf2f24b1bcee9b8e52ac26f8b39b",
+    # 272 bytes expanded (9 blocks)
+    "modp2048": (
+        "760412c792c00dd39e3746027be38c861bfebd5fc711c56cb348b88f96adc48c"
+        "51d578f642c9f4c78580a0ed86ba8a4d26c8fba620d1f034e36da77e230031c1"
+        "5bab39823461cbc37ae363436df6571a8025c4d2be83b5b7f91f9a94cb6f67c9"
+        "3b728a489bc2961b0677eaed97bdd0ffe71f114c481c24e2748052419379421a"
+        "67812798b5f7bb52b970dc7be317b3d02d2e371abf67fcf2312374b4af8ec77d"
+        "f0f74e3883c31d04d1e807d5c0bf13c74283b9e95b964bdc53db8eb5b40c296e"
+        "9f480982743cb9831f3ca5e2aa165c93b290cf36c94b494cdfebac8875bb4424"
+        "a8c5500d3391c8903452f0f7d5fc3efdfaa9ce906ade93f792b821817707d73f"
+    ),
+}
+
+
+def test_pke_encrypt_known_answer():
+    pair = kem_keygen(TOY256, HashDrbg(b"pke-key"))
+    ciphertext = pke_encrypt(pair.public, TOY256, PKE_PLAINTEXT, HashDrbg(b"pke-rng"))
+    assert ciphertext.hex() == PKE_CIPHERTEXT
+    assert pke_decrypt(pair.secret, TOY256, ciphertext) == PKE_PLAINTEXT
+
+
+@pytest.mark.parametrize("params", [TOY256, MODP2048], ids=["toy256", "modp2048"])
+def test_hash_to_range_known_answer(params):
+    # the de-randomized KEM's r - 1 = H(x || pk) mod (q - 1), here of fixed bytes
+    value = primitives.hash_to_range(primitives.DERAND_TAG, b"known-answer", params.q - 1)
+    assert f"{value:x}" == HASH_TO_RANGE_PINS[params.name]
+
+
 # ---------------------------------------------------------------------------
 # session entropy
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ to how they hash must leave each vector as it is.
 
 import pytest
 
-from saslab.rng import HashDrbg, derive_seed
+import hashlib
+
+from saslab.rng import HashDrbg, derive_seed, expand
 
 SEED_VECTORS = [
     ((7,), "4c99d8b928eca69602a1dab981c2ec427131cd51fa912aca470d2c7503bb980d"),
@@ -45,6 +47,33 @@ def test_drbg_first_64_bytes_pinned(seed, stream):
     # the same bytes when drawn in pieces
     rng = HashDrbg(seed)
     assert (rng.randbytes(5) + rng.randbytes(40) + rng.randbytes(19)).hex() == stream
+
+
+# randbytes(100) after randbytes(5): 27 bytes are left of block 0, so the other
+# 73 come from a refill that starts at counter 1 and spans three blocks
+REFILL_STREAM = (
+    "5b12146c76f761f6c0a512bb43eca7e44ba0b4ea6b4a43dc2598a6602517a837"
+    "1df575a76f2800e3d91d18a1ce46bff9903b910c0849ef4a3d5a4c9aff4d4b02"
+    "c324c2717e71106fc94b79ebb305ec2f0d0bb715b029d81a074384b4ac27e436"
+    "416971a7"
+)
+
+
+def test_drbg_refill_at_a_nonzero_counter_pinned():
+    rng = HashDrbg(b"refill")
+    rng.randbytes(5)
+    assert rng.randbytes(100).hex() == REFILL_STREAM
+
+
+@pytest.mark.parametrize("length, start, width, suffix", [
+    (0, 0, 8, b""), (1, 0, 8, b""), (32, 5, 8, b""), (33, 0, 4, b"tail"), (100, 7, 2, b"x"),
+])
+def test_expand_is_the_counter_mode_layout(length, start, width, suffix):
+    blocks = b"".join(
+        hashlib.sha256(b"prefix" + (start + i).to_bytes(width, "big") + suffix).digest()
+        for i in range(4)
+    )
+    assert expand(b"prefix", length, start, width, suffix) == blocks[:length]
 
 
 def test_derive_seed_separates_context_parts():

@@ -5,7 +5,8 @@ two concurrent sessions of one kind. Each step is one action: start a
 session, deliver, modify or drop a pending envelope, inject an envelope
 (malformed shapes included), re-inject one the world sent earlier, corrupt
 a party, reveal a session's key or state, expire it, ask the test query, or
-verify two sessions (sometimes one session against itself). One more step
+verify two sessions (sometimes one session against itself); a query may
+name a malformed party or a sid that is not a SessionId. One more step
 delivers every pending envelope in order, as the honest scheduler does, so
 that flows reach verification. It reaches orders a fixed enumeration does
 not, such as a reveal or an expire between two messages.
@@ -68,6 +69,8 @@ SETTLED_EVENTS = {
 
 # names as the adversary may write them: the parties, a stranger, and malformed ones
 NAMES = st.sampled_from(PARTIES + (b"zed",)) | st.sampled_from(["bob", b"", b"\xff", [b"bob"]])
+# session ids that are not a SessionId
+BAD_SIDS = st.sampled_from(["alice~bob~00", None, 0, []])
 SEQS = st.integers(0, 3) | st.sampled_from(["0", None, True])
 PAYLOAD_EDITS = st.sampled_from(["flip", "truncate", "replay", "junk", "str", "oversized"])
 STEPS = settings(derandomize=True, max_examples=50, stateful_step_count=30, deadline=None)
@@ -103,11 +106,14 @@ class WorldMachine(RuleBasedStateMachine):
 
     def _sessions(self, data):
         """A (party, sid) to name in a query: mostly a session that exists,
-        sometimes a party paired with another party's sid."""
+        sometimes a party paired with another party's sid, a malformed name
+        or a sid that is not a SessionId."""
         records = self.world.records()
         ends = [(record.parties[0], record.session) for record in records]
         others = [(party, record.session) for record in records for party in PARTIES]
-        return data.draw(st.sampled_from(ends) | st.sampled_from(others))
+        malformed = (st.tuples(NAMES, st.sampled_from([sid for _, sid in ends]))
+                     | st.tuples(st.sampled_from(PARTIES), BAD_SIDS))
+        return data.draw(st.sampled_from(ends) | st.sampled_from(others) | malformed)
 
     def _edit(self, payload, edit, data):
         if edit == "flip" and payload:
@@ -174,7 +180,7 @@ class WorldMachine(RuleBasedStateMachine):
         self._do(self.world.schedule, Inject(data.draw(st.sampled_from(self.sent))))
 
     @precondition(lambda self: not any(p.corrupted for p in self.world.parties.values()))
-    @rule(party=st.sampled_from(PARTIES))
+    @rule(party=NAMES)
     def corrupt(self, party):
         # one party at most, so that sessions between the other two stay fresh
         self._do(self.world.corrupt, party)
