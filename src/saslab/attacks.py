@@ -10,7 +10,9 @@ Two families:
 
   negative tests   single-shot substitutions (random forge) and third-party
                    redirects against the 3/4/6-pass protocols, which succeed
-                   only at the residual n_e-bit collision rate
+                   only at the residual n_e-bit collision rate; the kex3 and
+                   kem3-commit forges run the initiator's column in alice's
+                   place, and forge_trial says why the others do not
 
 Same-key sends one re-encapsulation, so it stays out of the loop. A kex2 or
 combined candidate costs a draw, two powers and a hash, a replica three powers:
@@ -50,11 +52,11 @@ from .primitives import (
     kem_keygen,
     kex_agree,
     kex_keygen,
-    pke_encrypt,
     power,
     random_element,
 )
-from .protocols import SPECS, ProtocolConfig, ProtocolKind, entropy_input, session_entropy
+from .protocols import (SPECS, Machine, ProtocolConfig, ProtocolKind, build_machine,
+                        entropy_input, session_entropy)
 
 DEFENDED_KINDS = (
     ProtocolKind.KEX3,
@@ -264,16 +266,16 @@ def attack_kem_same_key(world: World) -> AttackOutcome:
     g = view.cfg.group
 
     env1 = view.pending()[0]
-    (pka_raw,) = [v for _, v in decode_fields(env1.payload)]
+    ((first, pka_raw),) = decode_fields(env1.payload)
     pka = g.decode_element(pka_raw)
     own = kem_keygen(g, view.rng)
-    view.modify(env1, encode_fields([("pk", g.encode_element(own.public))]))
+    view.modify(env1, encode_fields([(first, g.encode_element(own.public))]))
 
     env2 = view.pending()[0]
-    (ct_raw,) = [v for _, v in decode_fields(env2.payload)]
+    ((second, ct_raw),) = decode_fields(env2.payload)
     x, attacker_key = kem_decaps_star(own.secret, Encapsulation.decode(ct_raw, g), g)
     ct_e, _ = kem_encaps_star(pka, x, g, view.cfg.kem_mode, view.rng)
-    view.modify(env2, encode_fields([("ct", ct_e.encode(g))]))
+    view.modify(env2, encode_fields([(second, ct_e.encode(g))]))
 
     verdict = view.verify(b"alice", sid, b"bob", sid)
     alice = world.session_record(b"alice", sid)
@@ -304,49 +306,43 @@ def _relay(view: AdversaryView, forged: dict[str, bytes]) -> None:
             view.deliver(env)
 
 
+def _stand_in(view: AdversaryView, own: Machine) -> None:
+    """Carry the flow with the attacker's own machine in the initiator's place:
+    each initiator message becomes its next output, each reply is fed to it, then delivered."""
+    out = own.advance(None)
+    while view.pending():
+        env = view.pending()[0]
+        if env.sender == own.self_id:
+            view.modify(env, out)
+        else:
+            out = own.advance(env.payload)
+            view.deliver(env)
+
+
 def forge_trial(world: World) -> AttackOutcome:
     """Substitute a coherent forgery at the one undetermined point of the
     flow and hope the n_e-bit digests collide."""
     _require(AttackStrategy.RANDOM_FORGE, world)
-    kind = world.kind
     sid = world.start_session(b"alice", b"bob")
     view = AdversaryView(world)
     g = view.cfg.group
-
-    if kind is ProtocolKind.KEX3:
-        # commit to, then open, an element of the attacker's own
-        own = kex_keygen(g, view.rng)
-        c_e, d_e = commit(g.encode_element(own.public), view.rng)
-        forged = {"com": c_e.encode(), "open": d_e.encode()}
-
-    elif kind is ProtocolKind.KEM3_TWO_ENTROPY:
-        # a nonce of the attacker's own; the encapsulation passes untouched
+    if view.kind is ProtocolKind.KEM3_TWO_ENTROPY:
+        # a nonce of the attacker's own, relaying alice's real ct (her column
+        # would encapsulate again: three more table powers)
         c_e, d_e = commit(view.rng.randbytes(32), view.rng)
-        forged = {"com": c_e.encode(), "open": d_e.encode()}
-
-    elif kind is ProtocolKind.KEM3_COMMIT:
-        # commit to a secret of the attacker's own, then encapsulate it and
-        # encrypt the blinder under the initiator's key once that is seen
-        x_e = random_element(g, view.rng)
-        c_e, d_e = commit(g.encode_element(x_e), view.rng)
-        view.modify(view.pending()[0], encode_fields([("com", c_e.encode())]))
-        env2 = view.pending()[0]
-        pka = g.decode_element(dict(decode_fields(env2.payload))["pk"])
-        view.deliver(env2)
-        ct_e, _ = kem_encaps_star(pka, x_e, g, view.cfg.kem_mode, view.rng)
-        forged = {"ct": ct_e.encode(g), "ctd": pke_encrypt(pka, g, d_e.blinder, view.rng)}
-
-    else:  # kem4 and kem6, the last of RANDOM_FORGE's targets
-        # an encapsulation of the attacker's own under the initiator's key,
-        # carried through the second transfer leg in the responder's place
+        _relay(view, {"com": c_e.encode(), "open": d_e.encode()})
+    elif view.kind in (ProtocolKind.KEM4, ProtocolKind.KEM6):
+        # the attacker's own encapsulation under alice's key, on B's leg in bob's
+        # place (B's column draws N_B before it encapsulates: other ct bytes)
         env1 = view.pending()[0]
         pk = g.decode_element(dict(decode_fields(env1.payload))["pk"])
         view.deliver(env1)
         ct_e, _ = kem_encaps(pk, g, view.cfg.kem_mode, view.rng)
         c_e, d_e = commit(ct_e.encode(g), view.rng)
-        forged = {"com_ct": c_e.encode(), "open_ct": d_e.encode()}
-
-    _relay(view, forged)
+        _relay(view, {"com_ct": c_e.encode(), "open_ct": d_e.encode()})
+    else:  # kex3 and kem3-commit: the initiator's own column, in the attacker's hands
+        side = SPECS[view.kind].starting_side
+        _stand_in(view, build_machine(view.kind, view.cfg, side, b"alice", b"bob", view.rng))
     verdict = view.verify(b"alice", sid, b"bob", sid)
     return AttackOutcome(verdict == "accept", iterations=1)
 

@@ -177,17 +177,23 @@ def _check_payload(payload: bytes) -> None:
         raise RuleViolationError(f"a payload is bytes, at most {MAX_MESSAGE_SIZE} of them")
 
 
+def _check_sid(sid: SessionId) -> None:
+    """A session id as the world builds one: two distinct valid names, a bytes nonce."""
+    if not isinstance(sid, SessionId) or type(sid.nonce) is not bytes:
+        raise RuleViolationError(f"not a SessionId with a bytes nonce: {sid!r}")
+    if not (_valid_name(sid.initiator) and _valid_name(sid.responder)):
+        raise RuleViolationError("party name must be 1..64 bytes of UTF-8")
+    if sid.initiator == sid.responder:
+        raise RuleViolationError(f"{sid.initiator!r} cannot hold a session with itself")
+
+
 def _check_injected(env: MessageEnvelope) -> None:
     """An injected envelope is the one the world did not build: check all of it."""
     if not isinstance(env, MessageEnvelope):
         raise RuleViolationError(f"not an envelope: {env!r}")
-    sid = env.session
-    if not isinstance(sid, SessionId) or type(sid.nonce) is not bytes or type(env.seq) is not int:
-        raise RuleViolationError("an envelope carries a SessionId and an int seq")
-    if not all(map(_valid_name, (env.sender, env.receiver, sid.initiator, sid.responder))):
-        raise RuleViolationError("party name must be 1..64 bytes of UTF-8")
-    if sid.initiator == sid.responder:
-        raise RuleViolationError(f"{sid.initiator!r} cannot hold a session with itself")
+    _check_sid(env.session)
+    if type(env.seq) is not int or not (_valid_name(env.sender) and _valid_name(env.receiver)):
+        raise RuleViolationError("an envelope carries an int seq and valid party names")
     _check_payload(env.payload)
 
 
@@ -272,10 +278,18 @@ class World:
         except (KeyError, TypeError):  # TypeError: an unhashable name, a list say
             raise RuleViolationError(f"unknown party {name!r}")
 
+    def _find(self, party: bytes, sid: SessionId) -> SessionRecord | None:
+        """The party's session `sid` or None; only a miss checks that the world could build it."""
+        try:  # _party raises no TypeError: it refuses an unhashable name
+            record = self._party(party).sessions.get(sid)
+        except TypeError:  # an unhashable nonce, a list say
+            record = None
+        if record is None:
+            _check_sid(sid)
+        return record
+
     def session_record(self, party: bytes, sid: SessionId) -> SessionRecord:
-        if not isinstance(sid, SessionId):
-            raise RuleViolationError(f"not a SessionId: {sid!r}")
-        record = self._party(party).sessions.get(sid)
+        record = self._find(party, sid)
         if record is None:
             raise RuleViolationError(f"no session {sid.label()} at {party!r}")
         return record
@@ -392,9 +406,7 @@ class World:
         SequencingError."""
         records = []
         for party, sid in ((initiator, initiator_sid), (responder, responder_sid)):
-            if not isinstance(sid, SessionId):
-                raise RuleViolationError(f"not a SessionId: {sid!r}")
-            record = self._party(party).sessions.get(sid)
+            record = self._find(party, sid)
             if record is None and party == sid.responder:
                 raise SequencingError("verification requested before the session started")
             records.append(record or self.session_record(party, sid))  # which raises: no session
@@ -510,11 +522,6 @@ class AdversaryView:
     them honest: party machines, records, and live keys are unreachable.
     """
 
-    _ALLOWED = (
-        "pending", "deliver", "modify", "inject", "drop", "corrupt",
-        "verify", "rng", "cfg", "kind", "model",
-    )
-
     def __init__(self, world: World):
         object.__setattr__(self, "_world", world)
 
@@ -532,10 +539,6 @@ class AdversaryView:
     @property
     def kind(self) -> ProtocolKind:
         return self._world.kind
-
-    @property
-    def model(self) -> Model:
-        return self._world.model
 
     def pending(self) -> tuple[MessageEnvelope, ...]:
         return tuple(self._world.undelivered)

@@ -8,7 +8,9 @@ from saslab import primitives
 from saslab.attacks import (
     DEFENDED_KINDS,
     STRATEGIES,
+    AttackOutcome,
     AttackStrategy,
+    _relay,
     attack_kem2_replica,
     attack_kem_same_key,
     attack_kex2_collision,
@@ -17,7 +19,18 @@ from saslab.attacks import (
 )
 from saslab.harness import ConfigError, ExperimentConfig, run_experiment
 from saslab.model import AdversaryView, Model, World, _record_to_dict
-from saslab.primitives import TOY256, KemMode, decode_fields, generator_table
+from saslab.primitives import (
+    TOY256,
+    KemMode,
+    commit,
+    decode_fields,
+    encode_fields,
+    generator_table,
+    kem_encaps_star,
+    kex_keygen,
+    pke_encrypt,
+    random_element,
+)
 from saslab.protocols import SPECS, ProtocolConfig, ProtocolKind
 from saslab.rng import derive_seed
 
@@ -303,6 +316,55 @@ def test_random_forge_held_to_residual_rate(kind):
     assert envelope(summary.successes, trials, 2**-8), summary.successes
     # the collision channel is real: at p = 2^-8 silence would be suspicious
     assert summary.successes >= 1, "no residual collisions at all"
+
+
+def _hand_built_forge(world):
+    """The kex3 and kem3-commit forges as written before forge_trial ran the
+    initiator's own column for them: the reference its records must match."""
+    kind = world.kind
+    sid = world.start_session(b"alice", b"bob")
+    view = AdversaryView(world)
+    g = view.cfg.group
+
+    if kind is ProtocolKind.KEX3:
+        # commit to, then open, an element of the attacker's own
+        own = kex_keygen(g, view.rng)
+        c_e, d_e = commit(g.encode_element(own.public), view.rng)
+        forged = {"com": c_e.encode(), "open": d_e.encode()}
+
+    elif kind is ProtocolKind.KEM3_COMMIT:
+        # commit to a secret of the attacker's own, then encapsulate it and
+        # encrypt the blinder under the initiator's key once that is seen
+        x_e = random_element(g, view.rng)
+        c_e, d_e = commit(g.encode_element(x_e), view.rng)
+        view.modify(view.pending()[0], encode_fields([("com", c_e.encode())]))
+        env2 = view.pending()[0]
+        pka = g.decode_element(dict(decode_fields(env2.payload))["pk"])
+        view.deliver(env2)
+        ct_e, _ = kem_encaps_star(pka, x_e, g, view.cfg.kem_mode, view.rng)
+        forged = {"ct": ct_e.encode(g), "ctd": pke_encrypt(pka, g, d_e.blinder, view.rng)}
+
+    _relay(view, forged)
+    verdict = view.verify(b"alice", sid, b"bob", sid)
+    return AttackOutcome(verdict == "accept", iterations=1)
+
+
+@pytest.mark.parametrize("mode", list(KemMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("kind", [ProtocolKind.KEX3, ProtocolKind.KEM3_COMMIT],
+                         ids=lambda kind: kind.value)
+def test_standing_in_with_the_initiator_column_is_the_hand_built_forge(kind, mode):
+    # same outcome, same records and the same adversary draws, seed by seed;
+    # at n_e = 4 some trials land, so accepting and rejecting runs both count
+    landed = 0
+    for seed in range(100):
+        worlds = [um_world(kind, seed, n_e=4, kem_mode=mode) for _ in range(2)]
+        outcomes = [forge_trial(worlds[0]), _hand_built_forge(worlds[1])]
+        assert outcomes[0] == outcomes[1], seed
+        records = [[_record_to_dict(r) for r in world.records()] for world in worlds]
+        assert records[0] == records[1], seed
+        assert worlds[0].adversary_rng.randbytes(32) == worlds[1].adversary_rng.randbytes(32)
+        landed += outcomes[0].success
+    assert 0 < landed < 100
 
 
 def test_random_forge_rejects_undefended_targets():

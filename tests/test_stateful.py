@@ -6,7 +6,7 @@ session, deliver, modify or drop a pending envelope, inject an envelope
 (malformed shapes included), re-inject one the world sent earlier, corrupt
 a party, reveal a session's key or state, expire it, ask the test query, or
 verify two sessions (sometimes one session against itself); a query may
-name a malformed party or a sid that is not a SessionId. One more step
+name a malformed party or a malformed sid. One more step
 delivers every pending envelope in order, as the honest scheduler does, so
 that flows reach verification. It reaches orders a fixed enumeration does
 not, such as a reveal or an expire between two messages.
@@ -69,8 +69,10 @@ SETTLED_EVENTS = {
 
 # names as the adversary may write them: the parties, a stranger, and malformed ones
 NAMES = st.sampled_from(PARTIES + (b"zed",)) | st.sampled_from(["bob", b"", b"\xff", [b"bob"]])
-# session ids that are not a SessionId
-BAD_SIDS = st.sampled_from(["alice~bob~00", None, 0, []])
+# session ids that are not a SessionId, or whose fields the world never builds
+BAD_SIDS = st.sampled_from(["alice~bob~00", None, 0, [], SessionId("alice", "bob", bytes(8)),
+                            SessionId(b"\xff", b"bob", bytes(8)),
+                            SessionId(b"alice", b"bob", [0] * 8)])
 SEQS = st.integers(0, 3) | st.sampled_from(["0", None, True])
 PAYLOAD_EDITS = st.sampled_from(["flip", "truncate", "replay", "junk", "str", "oversized"])
 STEPS = settings(derandomize=True, max_examples=50, stateful_step_count=30, deadline=None)
@@ -107,7 +109,7 @@ class WorldMachine(RuleBasedStateMachine):
     def _sessions(self, data):
         """A (party, sid) to name in a query: mostly a session that exists,
         sometimes a party paired with another party's sid, a malformed name
-        or a sid that is not a SessionId."""
+        or a malformed sid."""
         records = self.world.records()
         ends = [(record.parties[0], record.session) for record in records]
         others = [(party, record.session) for record in records for party in PARTIES]
