@@ -14,9 +14,13 @@ Two families:
                    kem3-commit forges run the initiator's column in alice's
                    place, and forge_trial says why the others do not
 
-Same-key sends one re-encapsulation, so it stays out of the loop. A kex2 or
-combined candidate costs a draw, two powers and a hash, a replica three powers:
-all from the generator table, the initiator's key by its remembered exponent.
+Same-key sends one re-encapsulation, so it stays out of the loop. A kex2
+candidate costs a draw, two powers and two hashes, one in derive_key and one
+in the entropy digest; a combined candidate a draw, two powers and the
+digest; a replica a draw, three powers, its exponent (hashed to a range in
+the deterministic mode, drawn in the probabilistic one), derive_key and the
+digest. Every power comes from the generator table, the initiator's key by
+its remembered exponent.
 
 Each strategy is declared once, in STRATEGIES: its targets, trial runner,
 parties, and the rule that labels a combination defended or a
@@ -74,6 +78,7 @@ class AttackStrategy(Enum):
     KEM2_COMBINED = "kem2-combined"
     RANDOM_FORGE = "random-forge"
     REDIRECT = "redirect"
+    __hash__ = object.__hash__  # singletons: STRATEGIES[strategy] skips Enum's Python-level hash
 
 
 @dataclass
@@ -297,21 +302,21 @@ def attack_kem_same_key(world: World) -> AttackOutcome:
 
 def _relay(view: AdversaryView, forged: dict[str, bytes]) -> None:
     """Carry the rest of the flow, substituting the forged fields."""
-    while view.pending():
-        env = view.pending()[0]
+    while pending := view.pending():
+        env = pending[0]
         fields = decode_fields(env.payload)
-        if any(label in forged for label, _ in fields):
-            view.modify(env, encode_fields([(k, forged.get(k, v)) for k, v in fields]))
-        else:
+        if forged.keys().isdisjoint(dict(fields)):
             view.deliver(env)
+        else:
+            view.modify(env, encode_fields([(k, forged.get(k, v)) for k, v in fields]))
 
 
 def _stand_in(view: AdversaryView, own: Machine) -> None:
     """Carry the flow with the attacker's own machine in the initiator's place:
     each initiator message becomes its next output, each reply is fed to it, then delivered."""
     out = own.advance(None)
-    while view.pending():
-        env = view.pending()[0]
+    while pending := view.pending():
+        env = pending[0]
         if env.sender == own.self_id:
             view.modify(env, out)
         else:
@@ -359,8 +364,8 @@ def redirect_trial(world: World) -> AttackOutcome:
     redirected = SessionId(b"alice", b"carol", sid.nonce)
     view = AdversaryView(world)
 
-    while view.pending():
-        env = view.pending()[0]
+    while pending := view.pending():
+        env = pending[0]
         if env.sender == b"alice":
             view.inject(
                 MessageEnvelope(b"alice", b"carol", redirected, env.seq, env.payload)

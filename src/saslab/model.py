@@ -60,15 +60,21 @@ class TranscriptError(Exception):
     """Transcript is truncated, corrupt, or from an incompatible suite."""
 
 
+# The wire records, SessionId and MessageEnvelope, are built for every session and
+# message. Each fills its instance dict in one update, where the generated __init__
+# of a frozen dataclass calls object.__setattr__ once per field; equality, hashing,
+# repr, replace() and vars() stay the dataclass's.
+
 @dataclass(frozen=True)
 class SessionId:
     initiator: bytes
     responder: bytes
     nonce: bytes
 
-    def __post_init__(self):
-        if len(self.nonce) != 8:
+    def __init__(self, initiator: bytes, responder: bytes, nonce: bytes):
+        if len(nonce) != 8:
             raise ValueError("session nonce must be 8 bytes")
+        vars(self).update(initiator=initiator, responder=responder, nonce=nonce)
 
     def __hash__(self):  # consistent with ==: equal ids have equal nonces
         return hash(self.nonce)
@@ -84,6 +90,11 @@ class MessageEnvelope:
     session: SessionId
     seq: int
     payload: bytes
+
+    def __init__(self, sender: bytes, receiver: bytes, session: SessionId, seq: int,
+                 payload: bytes):
+        vars(self).update(sender=sender, receiver=receiver, session=session, seq=seq,
+                          payload=payload)
 
 
 class SessionStatus(Enum):
@@ -161,14 +172,26 @@ class Drop:
     envelope: MessageEnvelope
 
 
+# Names that passed _valid_name, each checked once. A process meets a few party
+# names, so the set stays far below its bound; past it, a new name is checked each time.
+MAX_VALID_NAMES = 1024
+_VALID_NAMES: set[bytes] = set()
+
+
 def _valid_name(name: bytes) -> bool:
     """Whether `name` is 1..64 bytes of UTF-8: records, labels and logs decode it."""
-    if type(name) is not bytes or not 0 < len(name) <= MAX_PARTY_NAME:
+    if type(name) is not bytes:  # first: a bytearray or a subclass equal to a valid name is not one
+        return False
+    if name in _VALID_NAMES:
+        return True
+    if not 0 < len(name) <= MAX_PARTY_NAME:
         return False
     try:
         name.decode()
     except UnicodeDecodeError:
         return False
+    if len(_VALID_NAMES) < MAX_VALID_NAMES:
+        _VALID_NAMES.add(name)
     return True
 
 
@@ -198,11 +221,12 @@ def _check_injected(env: MessageEnvelope) -> None:
 
 
 class _Party:
+    _rng = None  # what every party starts with, kept on the class until set
+    corrupted = False
+
     def __init__(self, name: bytes, world_seed: bytes | int):
         self.name = name
         self._world_seed = world_seed
-        self._rng = None
-        self.corrupted = False
         self.sessions: dict[SessionId, SessionRecord] = {}
 
     @property
@@ -229,6 +253,9 @@ class World:
     """One experiment world: a set of parties, a protocol kind, a delivery
     model, and deterministic per-party random streams."""
 
+    _test_used = False
+    _adversary_rng = _hidden_rng = _bit = None  # streams built on first use, below
+
     def __init__(
         self,
         kind: ProtocolKind,
@@ -242,15 +269,16 @@ class World:
         self.model = model
         self.seed = seed
         self.party_names = tuple(party_names)
+        if type(cfg.n_e) is not int or not MIN_ENTROPY_BITS <= cfg.n_e <= MAX_ENTROPY_BITS:
+            raise ValueError(f"n_e must be an int in [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}], "
+                             f"not {cfg.n_e!r}")
         if not all(map(_valid_name, self.party_names)):
             raise ValueError("party name must be 1..64 bytes of UTF-8")
         if len(set(self.party_names)) != len(self.party_names):
             raise ValueError("party names must be unique")
         self.parties = {name: _Party(name, seed) for name in self.party_names}
         self._sid_rng = HashDrbg(derive_seed(seed, b"session"))
-        self._test_used = False
         self.undelivered: list[MessageEnvelope] = []
-        self._adversary_rng = self._hidden_rng = self._bit = None
 
     # Built on first use, once per world, into plain attributes (3.11's
     # cached_property takes a lock on first read): honest and redirect trials
@@ -314,13 +342,11 @@ class World:
     def _new_session(self, party: _Party, peer: bytes, sid: SessionId, role: str,
                      message: bytes | None = None) -> SessionRecord:
         """A new session at `party`, running its role's figure column."""
-        side = SPECS[self.kind].starting_side
-        machine = build_machine(
-            self.kind, self.cfg, side if role == "initiator" else side.other,
-            party.name, peer, party.rng, message,
-        )
+        spec = SPECS[self.kind]
+        side = spec.starting_side if role == "initiator" else spec.starting_side.other
+        machine = build_machine(self.kind, self.cfg, side, party.name, peer, party.rng, message)
         record = party.sessions[sid] = SessionRecord((party.name, peer), sid, role, machine)
-        record.log("created", kind=self.kind.value, role=role)
+        record.log("created", kind=spec.name, role=role)
         return record
 
     def _emit(self, record: SessionRecord, payload: bytes) -> MessageEnvelope:
@@ -404,14 +430,11 @@ class World:
         verdict, "accept" or "reject". Each session is verified once, against
         another; one not yet started, aborted or short of its entropy raises
         SequencingError."""
-        records = []
-        for party, sid in ((initiator, initiator_sid), (responder, responder_sid)):
-            record = self._find(party, sid)
-            if record is None and party == sid.responder:
-                raise SequencingError("verification requested before the session started")
-            records.append(record or self.session_record(party, sid))  # which raises: no session
-        if records[0] is records[1]:
+        first = self._verifying(initiator, initiator_sid)
+        second = self._verifying(responder, responder_sid)
+        if first is second:
             raise RuleViolationError("a session cannot be verified against itself")
+        records = (first, second)
         for record in records:
             if record.status is SessionStatus.ABORTED:
                 raise SequencingError("session aborted before verification")
@@ -419,7 +442,7 @@ class World:
                 raise RuleViolationError(f"session {record.session.label()} already verified")
             if not record.machine.done or not record.machine.entropies:
                 raise SequencingError("verification requested before entropy was computed")
-        ours, theirs = (record.machine.entropies for record in records)
+        ours, theirs = first.machine.entropies, second.machine.entropies
         if override:
             if not (self._party(initiator).corrupted or self._party(responder).corrupted):
                 raise RuleViolationError("override requires a corrupted party")
@@ -429,10 +452,11 @@ class World:
             verdict = "accept" if ours == theirs else "reject"
             ordered = sorted(ours)
             groups = [[lbl] for lbl in ordered] if SPECS[self.kind].separate_rounds else [ordered]
-            # a round accepts when its own values agree; a label the other side lacks rejects
+            # a round accepts when its own values agree, as all do when the dicts are equal;
+            # a label the other side lacks rejects
             rounds = [
-                (labels, "accept" if all(ours[lbl] == theirs.get(lbl) for lbl in labels)
-                 else "reject")
+                (labels, "accept" if verdict == "accept"
+                 or all(ours[lbl] == theirs.get(lbl) for lbl in labels) else "reject")
                 for labels in groups
             ]
         for record in records:
@@ -455,6 +479,15 @@ class World:
             else:
                 record.status = SessionStatus.ABORTED
         return verdict
+
+    def _verifying(self, party: bytes, sid: SessionId) -> SessionRecord:
+        """The session one end of a verification names."""
+        record = self._find(party, sid)
+        if record is None:
+            if party == sid.responder:
+                raise SequencingError("verification requested before the session started")
+            self.session_record(party, sid)  # which raises: no session
+        return record
 
     # -- adversary queries ------------------------------------------------------
 

@@ -20,6 +20,7 @@ Canonical serialization (bit-exact across runs):
 from __future__ import annotations
 
 import hashlib
+import struct
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -83,11 +84,7 @@ REJECT = _Reject()
 
 
 def _tagged_hash(tag: str, *parts: bytes) -> bytes:
-    h = hashlib.sha256()
-    h.update(tag.encode("ascii"))
-    for part in parts:
-        h.update(part)
-    return h.digest()
+    return hashlib.sha256(tag.encode("ascii") + b"".join(parts)).digest()
 
 
 def hash_to_range(tag: str, data: bytes, upper: int) -> int:
@@ -106,16 +103,38 @@ def hash_to_range(tag: str, data: bytes, upper: int) -> int:
 # Canonical TLV serialization
 # ---------------------------------------------------------------------------
 
-def encode_fields(fields: Sequence[tuple[str, bytes]]) -> bytes:
-    parts = []
-    for label, value in fields:
+MAX_LABEL_HEADERS = 256
+
+
+class _LabelHeaders(dict):
+    """Each label's TLV header, [u8 length][label], built and checked on its
+    first use. Labels are the few wire and entropy names of the protocols, so
+    the map stays far below its bound; a label met past it is checked each time."""
+
+    def __missing__(self, label: str) -> bytes:
         raw = label.encode("ascii")
         if not 0 < len(raw) < 256:
             raise ValueError("label must be 1..255 ASCII bytes")
-        if len(value) >= 1 << 32:
-            raise SizeError("value too long for TLV encoding")
-        parts += (len(raw).to_bytes(1, "big"), raw, len(value).to_bytes(4, "big"), value)
+        head = bytes([len(raw)]) + raw
+        if len(self) < MAX_LABEL_HEADERS:
+            self[label] = head
+        return head
+
+
+_LABEL_HEADERS = _LabelHeaders()
+
+
+def encode_fields(fields: Sequence[tuple[str, bytes]]) -> bytes:
+    parts = []
+    for label, value in fields:
+        try:
+            parts += (_LABEL_HEADERS[label], len(value).to_bytes(4, "big"), value)
+        except OverflowError:
+            raise SizeError("value too long for TLV encoding") from None
     return b"".join(parts)
+
+
+_U32 = struct.Struct(">I")  # a TLV value length
 
 
 def decode_fields(payload: bytes) -> list[tuple[str, bytes]]:
@@ -130,7 +149,8 @@ def decode_fields(payload: bytes) -> list[tuple[str, bytes]]:
         start = pos + 1 + label_len  # where the value length begins
         if label_len == 0 or start + 4 > end:
             raise ValueError("truncated TLV field")
-        pos = start + 4 + int.from_bytes(payload[start : start + 4], "big")
+        (size,) = _U32.unpack_from(payload, start)
+        pos = start + 4 + size
         if pos > end:
             raise ValueError("truncated TLV value")
         fields.append((payload[start - label_len : start].decode("ascii"), payload[start + 4 : pos]))
@@ -138,7 +158,27 @@ def decode_fields(payload: bytes) -> list[tuple[str, bytes]]:
 
 
 def expect_fields(payload: bytes, labels: Sequence[str]) -> list[bytes]:
-    """Parse a payload and require exactly the given label sequence."""
+    """Parse a payload and require exactly the given label sequence.
+
+    One pass matches each expected label's header in place and takes its
+    value; a payload that does not match exactly is parsed again by
+    decode_fields, which says what is wrong with it."""
+    if type(payload) is not bytes:
+        payload = bytes(memoryview(payload))
+    values, pos, end = [], 0, len(payload)
+    for label in labels:
+        head = _LABEL_HEADERS[label]
+        if not payload.startswith(head, pos):
+            break
+        pos += len(head) + 4  # where the value begins
+        if pos > end:
+            break
+        (size,) = _U32.unpack_from(payload, pos - 4)
+        values.append(payload[pos : pos + size])
+        pos += size  # past the end if the value is cut short: the check below fails
+    else:
+        if pos == end:
+            return values
     fields = decode_fields(payload)
     if [label for label, _ in fields] != list(labels):
         raise ValueError(
@@ -159,7 +199,8 @@ class GroupParams:
     p is the modulus, g generates the subgroup of prime order q, and
     q divides p - 1. Construction checks only the cheap structural facts;
     the primality of p and q and the order of g are the caller's contract,
-    which the test suite checks for the shipped groups.
+    which the test suite checks for the shipped groups. element_size, the
+    byte width of the canonical group-element encoding, is computed here too.
     """
 
     p: int
@@ -172,17 +213,14 @@ class GroupParams:
             raise MalformedElementError("generator out of range")
         if self.q < 2 or (self.p - 1) % self.q != 0:
             raise MalformedElementError("subgroup order must divide p - 1")
-
-    @property
-    def element_size(self) -> int:
-        """Byte width of the canonical group-element encoding."""
-        return (self.p.bit_length() + 7) // 8
+        object.__setattr__(self, "element_size", (self.p.bit_length() + 7) // 8)
 
     def contains(self, x: int) -> bool:
         return 1 <= x <= self.p - 1
 
+    # encode_element and decode_element check contains() inline
     def encode_element(self, x: int) -> bytes:
-        if not self.contains(x):
+        if not 1 <= x < self.p:
             raise MalformedElementError(f"element {x} out of range")
         return x.to_bytes(self.element_size, "big")
 
@@ -190,7 +228,7 @@ class GroupParams:
         if len(raw) != self.element_size:
             raise MalformedElementError("wrong element encoding length")
         x = int.from_bytes(raw, "big")
-        if not self.contains(x):
+        if not 1 <= x < self.p:
             raise MalformedElementError("decoded element out of range")
         return x
 
@@ -519,6 +557,12 @@ def kem_decaps(sk: int, ct: Encapsulation, params: GroupParams) -> SharedKey:
 # Hybrid public-key encryption (carries commitment blinders)
 # ---------------------------------------------------------------------------
 
+def _xor_stream(key: SharedKey, data: bytes) -> bytes:
+    """data XOR the key's keystream, as one big-integer XOR of equal-length strings."""
+    stream = expand(STREAM_TAG.encode("ascii") + key.key, len(data))
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
+
+
 def pke_encrypt(
     pk: int, params: GroupParams, plaintext: bytes, rng: HashDrbg
 ) -> bytes:
@@ -526,8 +570,7 @@ def pke_encrypt(
     if len(plaintext) > MAX_MESSAGE_SIZE:
         raise SizeError("plaintext too long")
     ct, key = kem_encaps(pk, params, KemMode.PROBABILISTIC, rng)
-    stream = expand(STREAM_TAG.encode("ascii") + key.key, len(plaintext))
-    return ct.encode(params) + bytes(a ^ b for a, b in zip(plaintext, stream))
+    return ct.encode(params) + _xor_stream(key, plaintext)
 
 
 def pke_decrypt(sk: int, params: GroupParams, ciphertext: bytes) -> bytes:
@@ -535,9 +578,7 @@ def pke_decrypt(sk: int, params: GroupParams, ciphertext: bytes) -> bytes:
     if len(ciphertext) < header:
         raise MalformedElementError("truncated ciphertext")
     ct = Encapsulation.decode(ciphertext[:header], params)
-    key = kem_decaps(sk, ct, params)
-    stream = expand(STREAM_TAG.encode("ascii") + key.key, len(ciphertext) - header)
-    return bytes(a ^ b for a, b in zip(ciphertext[header:], stream))
+    return _xor_stream(kem_decaps(sk, ct, params), ciphertext[header:])
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +698,6 @@ def entropy(
     if not MIN_ENTROPY_BITS <= n_e <= MAX_ENTROPY_BITS:
         raise ValueError(f"entropy width must be in [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}]")
     elements = list(elements)
-    if len({label for label, _ in elements}) != len(elements):
+    if len(dict(elements)) != len(elements):
         raise ValueError("duplicate entropy element label")
     return EntropyValue(entropy_bits(entropy_prefix(receiver, elements), n_e), n_e)

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Optional, Sequence
 
 from .primitives import (
     Commitment,
@@ -115,12 +115,18 @@ class EntropySpec:
     order, to the message index (1-based) at which it becomes determined, or
     "derived" for values computed from earlier ones. A main value must not
     depend on anything determined only by the final message; secondary
-    values exist precisely to cover the final message.
+    values exist precisely to cover the final message. names, the element
+    names in hash order, is built with the spec: a row is replaced, not
+    edited in place.
     """
 
     receiver: Optional[Side]
     elements: dict
     main: bool = True
+    names: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.elements))
 
 
 @dataclass(frozen=True)
@@ -141,8 +147,10 @@ class ProtocolSpec:
     schedule: tuple[tuple[str, ...], ...] = ()
     # transfer kinds: A's and B's plan of the schedule (see _plan), built with the row
     plans: tuple = field(default=(), init=False, repr=False, compare=False)
+    name: str = field(default="", init=False, repr=False, compare=False)  # the kind's value
 
     def __post_init__(self):
+        object.__setattr__(self, "name", self.kind.value)
         if self.schedule:
             object.__setattr__(self, "plans", (_plan(self, Side.A), _plan(self, Side.B)))
 
@@ -167,21 +175,22 @@ class ProtocolConfig:
     include_receiver_identity: bool = True
 
 
-def _entropy_rule(kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes):
-    """The receiver and element names, in order, that entropy value `label` of a kind's flow
+def _entropy_rule(spec: ProtocolSpec, cfg: ProtocolConfig, label: str, receiver: bytes):
+    """The receiver and element names, in order, that entropy value `label` of a SPECS row
     hashes: the receiver is blank where the value binds none or identities are off."""
-    rule = SPECS[kind].entropies[label]
+    rule = spec.entropies[label]
     if rule.receiver is None or not cfg.include_receiver_identity:
         receiver = b""
-    key_only = cfg.kem2_key_only_entropy and kind is ProtocolKind.KEM2  # kem2's key-only profile
-    return receiver, ("key",) if key_only else tuple(rule.elements)
+    if cfg.kem2_key_only_entropy and spec.kind is ProtocolKind.KEM2:  # kem2's key-only profile
+        return receiver, ("key",)
+    return receiver, rule.names
 
 
 def entropy_input(
     kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
 ) -> tuple[bytes, list[tuple[str, bytes]]]:
     """What entropy value `label` hashes first, given `values` of a leading run of its elements."""
-    receiver, names = _entropy_rule(kind, cfg, label, receiver)
+    receiver, names = _entropy_rule(SPECS[kind], cfg, label, receiver)
     if tuple(values) != names[: len(values)]:
         raise ValueError(f"{label} hashes {', '.join(names)} in order, not {', '.join(values)}")
     return receiver, list(values.items())
@@ -191,7 +200,7 @@ def session_entropy(
     kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
 ) -> EntropyValue:
     """The entropy value `label` of a kind's flow over the elements it hashes out of `values`."""
-    receiver, names = _entropy_rule(kind, cfg, label, receiver)
+    receiver, names = _entropy_rule(SPECS[kind], cfg, label, receiver)
     return entropy(receiver, [(name, values[name]) for name in names], cfg.n_e)
 
 
@@ -214,6 +223,13 @@ class Machine:
     are gone from then on.
     """
 
+    # what a machine holds until its run sets it, kept on the class
+    done = False
+    aborted = False
+    key: SharedKey | None = None
+    delivered_message: bytes | None = None
+    _expected: Sequence[str] = ()  # the labels the next payload must carry
+
     def __init__(
         self,
         spec: ProtocolSpec,
@@ -232,19 +248,17 @@ class Machine:
         self.peer_id = peer_id
         self.rng = rng
         self.message = message
-        self.done = False
-        self.aborted = False
         self.entropies: dict[str, EntropyValue] = {}
-        self.key: SharedKey | None = None
-        self.delivered_message: bytes | None = None
         self._step = 0
         self._flow = spec.column(self)
-        self._expected: list[str] = []
 
     def _entropy(self, label: str, **values: bytes) -> None:
-        receiver_side = self.spec.entropies[label].receiver
-        receiver = self.self_id if receiver_side is self.side else self.peer_id
-        self.entropies[label] = session_entropy(self.spec.kind, self.cfg, label, receiver, values)
+        """session_entropy on the machine's own row, the receiver chosen by side."""
+        bound = self.spec.entropies[label].receiver
+        receiver, names = _entropy_rule(
+            self.spec, self.cfg, label, self.self_id if bound is self.side else self.peer_id)
+        self.entropies[label] = entropy(receiver, list(zip(names, map(values.__getitem__, names))),
+                                        self.cfg.n_e)
 
     def advance(self, incoming: bytes | None = None) -> bytes | None:
         """Process a start signal (None) or an incoming payload.

@@ -16,13 +16,11 @@ def derive_seed(seed: bytes | int, *context: bytes) -> bytes:
     """Derive a 32-byte child seed from a parent seed and context labels."""
     if isinstance(seed, int):
         seed = seed.to_bytes(8, "big")
-    h = hashlib.sha256(b"SEED/v1")
-    h.update(len(seed).to_bytes(4, "big"))
-    h.update(seed)
-    for part in context:
-        h.update(len(part).to_bytes(4, "big"))
-        h.update(part)
-    return h.digest()
+    # SEED/v1, then the seed and each context label as [u32 length][bytes], hashed as one buffer
+    parts = [b"SEED/v1"]
+    for part in (seed, *context):
+        parts += (len(part).to_bytes(4, "big"), part)
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def expand(prefix: bytes, length: int, start: int = 0, width: int = 8, suffix: bytes = b"") -> bytes:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from saslab import primitives
+from saslab import model, primitives
 from saslab.attacks import forge_trial, redirect_trial
 from saslab.model import (
     AdversaryView,
@@ -263,27 +263,55 @@ def test_a_party_cannot_start_a_session_with_itself(kind):
         b"alice", b"bob")
 
 
-@pytest.mark.parametrize("name", [b"\xff", b"", b"x" * 65, "carol"],
-                         ids=["not-utf8", "empty", "too-long", "str"])
+@pytest.mark.parametrize("name", [b"\xff", b"", b"x" * 65, "carol", bytearray(b"carol"),
+                                  type("Name", (bytes,), {})(b"carol")],
+                         ids=["not-utf8", "empty", "too-long", "str", "bytearray", "bytes-subclass"])
 def test_a_world_refuses_a_bad_party_name(name):
-    with pytest.raises(ValueError, match="party name"):
-        World(ProtocolKind.KEX2, ProtocolConfig(), Model.UM, 1, (b"alice", b"bob", name))
+    # valid names are remembered once checked; the type check still comes first,
+    # so a name equal to a remembered one but of another type is refused, every time
+    World(ProtocolKind.KEX2, ProtocolConfig(), Model.UM, 1, (b"alice", b"bob", b"carol"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="party name"):
+            World(ProtocolKind.KEX2, ProtocolConfig(), Model.UM, 1, (b"alice", b"bob", name))
+
+
+def test_remembered_party_names_are_bounded(monkeypatch):
+    # past MAX_VALID_NAMES a name is checked each time, not kept
+    monkeypatch.setattr(model, "_VALID_NAMES", set())
+    monkeypatch.setattr(model, "MAX_VALID_NAMES", 2)
+    names = (b"alice", b"bob", b"carol", b"dave")
+    World(ProtocolKind.KEX2, ProtocolConfig(), Model.UM, 1, names)
+    assert model._VALID_NAMES == {b"alice", b"bob"}
+    for bad in (b"\xff", b"", b"x" * 65, "dave", bytearray(b"dave")):
+        with pytest.raises(ValueError, match="party name"):
+            World(ProtocolKind.KEX2, ProtocolConfig(), Model.UM, 1, names + (bad,))
+    assert model._VALID_NAMES == {b"alice", b"bob"}
+
+
+@pytest.mark.parametrize("n_e", [3, 65, "x", 8.0, True], ids=["3", "65", "str", "float", "bool"])
+def test_a_world_refuses_an_impossible_entropy_width(n_e):
+    # refused at construction, as a bad party name is, not by an abort
+    # at the first entropy step after the powers are paid for
+    with pytest.raises(ValueError, match="n_e"):
+        World(ProtocolKind.KEX3, ProtocolConfig(n_e=n_e), Model.AM, 1)
 
 
 @pytest.mark.parametrize("field", ["sender", "initiator", "responder"])
 def test_inject_refuses_a_bad_party_name(field):
     # an injected envelope is the one the world did not build: it is refused
-    # before any session is created or any event logged
+    # before any session is created or any event logged, also where the bad
+    # name equals one the world has already checked
     world = make_world(kind=ProtocolKind.KEX2, model=Model.UM, seed=14)
     nonce = world.start_session(b"alice", b"bob").nonce
-    names = {"sender": b"alice", "initiator": b"alice", "responder": b"bob", field: b"\xff"}
-    sid = SessionId(names["initiator"], names["responder"], nonce)
-    env = MessageEnvelope(names["sender"], b"bob", sid, 0, world.undelivered[0].payload)
     events = [r.events for r in world.records()]
-    with pytest.raises(RuleViolationError, match="party name"):
-        world.schedule(Inject(env))
-    assert [r.events for r in world.records()] == events
-    assert not world.parties[b"bob"].sessions
+    for bad in (b"\xff", bytearray(b"alice"), "alice"):
+        names = {"sender": b"alice", "initiator": b"alice", "responder": b"bob", field: bad}
+        sid = SessionId(names["initiator"], names["responder"], nonce)
+        env = MessageEnvelope(names["sender"], b"bob", sid, 0, world.undelivered[0].payload)
+        with pytest.raises(RuleViolationError, match="party name"):
+            world.schedule(Inject(env))
+        assert [r.events for r in world.records()] == events
+        assert not world.parties[b"bob"].sessions
 
 
 # each malformed query the world refuses, on a session with every message

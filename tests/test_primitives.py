@@ -843,9 +843,34 @@ def test_decode_fields_edge_layouts():
 
 
 @pytest.mark.parametrize("label", ["", "x" * 256, "p\u00e9"])
-def test_encode_fields_rejects_bad_labels(label):
+def test_encode_fields_rejects_bad_labels(label, monkeypatch):
+    # refused on every call: before any label's header is kept, and after
+    # valid labels' headers are, and never kept itself
+    monkeypatch.setattr(primitives, "_LABEL_HEADERS", primitives._LabelHeaders())
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            encode_fields([(label, b"2")])
+    encode_fields([("ok", b"1"), ("pk", b"")])
+    assert set(primitives._LABEL_HEADERS) == {"ok", "pk"}
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            encode_fields([("ok", b"1"), (label, b"2")])
+        with pytest.raises(ValueError):
+            expect_fields(encode_fields([("ok", b"1")]), ["ok", label])
+    assert set(primitives._LABEL_HEADERS) == {"ok", "pk"}
+
+
+def test_label_headers_are_bounded(monkeypatch):
+    # past MAX_LABEL_HEADERS a label is checked and encoded each time, not kept
+    monkeypatch.setattr(primitives, "_LABEL_HEADERS", primitives._LabelHeaders())
+    labels = [f"l{i}" for i in range(primitives.MAX_LABEL_HEADERS + 10)]
+    for label in labels:
+        payload = encode_fields([(label, b"v")])
+        assert payload == bytes([len(label)]) + label.encode() + b"\x00\x00\x00\x01v"
+        assert expect_fields(payload, [label]) == [b"v"]
+    assert len(primitives._LABEL_HEADERS) == primitives.MAX_LABEL_HEADERS
     with pytest.raises(ValueError):
-        encode_fields([("ok", b"1"), (label, b"2")])
+        encode_fields([("", b"v")])
 
 
 def test_encode_fields_layout():
@@ -866,6 +891,40 @@ def test_decode_fields_accepts_bytes_like_input(wrap):
     decoded = decode_fields(wrap(encode_fields(fields)))
     assert decoded == fields
     assert all(type(value) is bytes for _, value in decoded)
+
+
+def _expect_by_decoding(payload, labels):
+    """expect_fields as decode_fields and one comparison of the labels."""
+    fields = decode_fields(payload)
+    if [label for label, _ in fields] != list(labels):
+        raise ValueError("payload schema mismatch")
+    return [value for _, value in fields]
+
+
+@given(
+    fields=st.lists(
+        st.tuples(st.sampled_from(["pk", "ct", "com", "open_m"]), st.binary(max_size=6)),
+        max_size=4,
+    ),
+    labels=st.lists(st.sampled_from(["pk", "ct", "com", "open_m"]), max_size=4),
+    cut=st.integers(min_value=0, max_value=40),
+    extra=st.binary(max_size=3),
+)
+@example(fields=[("pk", b"ab")], labels=["pk"], cut=0, extra=b"\x02pk\x00\x00")
+@settings(max_examples=300, deadline=None)
+def test_expect_fields_is_decoding_then_comparing_labels(fields, labels, cut, extra):
+    # on whole, cut, extended and relabelled payloads the one pass returns
+    # what decoding and comparing the labels returns, and raises where it raises
+    whole = encode_fields(fields)
+    for payload in (whole, whole[: len(whole) - cut], whole + extra, bytearray(whole)):
+        try:
+            expected = _expect_by_decoding(payload, labels)
+        except ValueError:
+            with pytest.raises(ValueError):
+                expect_fields(payload, labels)
+        else:
+            assert expect_fields(payload, labels) == expected
+            assert all(type(value) is bytes for value in expected)
 
 
 def test_expect_fields_enforces_schema():

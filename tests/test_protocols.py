@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from saslab import protocols
@@ -26,6 +28,7 @@ from saslab.primitives import (
 )
 from saslab.protocols import (
     SPECS,
+    EntropySpec,
     Machine,
     ProtocolConfig,
     ProtocolError,
@@ -464,6 +467,62 @@ def test_entropy_receiver_metadata_covers_all_kinds(monkeypatch):
             for label, value in machine.entropies.items():
                 declared = list(SPECS[kind].entropies[label].elements)
                 assert hashed[id(value)] == declared, (kind, machine.side, label)
+
+
+ENTROPY_PROFILES = {
+    "identities": ProtocolConfig(),
+    "no-identities": ProtocolConfig(include_receiver_identity=False),
+    "kem2-key-only": ProtocolConfig(kem2_key_only_entropy=True),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_session_entropy_is_entropy_over_the_declared_elements(kind):
+    # the rule built with each SPECS row hashes what the row declares: the
+    # bound receiver or none, then its elements in declared order, or the
+    # key alone under kem2's key-only profile (which no other kind heeds)
+    for profile, cfg in ENTROPY_PROFILES.items():
+        for label, rule in SPECS[kind].entropies.items():
+            values = {name: name.encode() * 5 for name in ("key", *rule.elements, "unused")}
+            key_only = cfg.kem2_key_only_entropy and kind is ProtocolKind.KEM2
+            names = ["key"] if key_only else list(rule.elements)
+            bound = rule.receiver is not None and cfg.include_receiver_identity
+            expected = entropy(b"bob" if bound else b"", [(n, values[n]) for n in names], cfg.n_e)
+            assert session_entropy(kind, cfg, label, b"bob", values) == expected, (profile, label)
+
+
+def test_a_swapped_specs_row_reaches_the_machines(monkeypatch):
+    # kem3-commit's E without pk, the first mutant of ROADMAP item 1: both
+    # machines hash the mutant's elements whether the row's entropy spec or
+    # the whole row is replaced, so no per-row rule is kept outside the row
+    kind, cfg = ProtocolKind.KEM3_COMMIT, ProtocolConfig(n_e=64)
+    real, hashed = protocols.entropy, []
+
+    def recording(receiver, elements, n_e):
+        hashed.append([label for label, _ in elements])
+        return real(receiver, elements, n_e)
+
+    monkeypatch.setattr(protocols, "entropy", recording)
+    a, b, _ = drive_pair(kind, cfg)
+    shipped = a.entropies["E"]
+    assert b.entropies["E"] == shipped and hashed == [["pk", "com", "key"]] * 2
+    rule = SPECS[kind].entropies["E"]
+    mutant = EntropySpec(rule.receiver, {k: v for k, v in rule.elements.items() if k != "pk"})
+    swaps = {
+        "spec": (SPECS[kind].entropies, "E", mutant),
+        "row": (SPECS, kind, dataclasses.replace(SPECS[kind], entropies={"E": mutant})),
+    }
+    for swap, (mapping, key, value) in swaps.items():
+        with monkeypatch.context() as patch:
+            patch.setitem(mapping, key, value)
+            hashed.clear()
+            a2, b2, _ = drive_pair(kind, cfg)
+            assert hashed == [["com", "key"]] * 2, swap
+            assert a2.key == a.key and a2.entropies["E"] == b2.entropies["E"] != shipped, swap
+            records = run_honest(World(kind, cfg, Model.AM, 5))
+            assert hashed[2:] == [["com", "key"]] * 2, swap
+            assert records[0].entropies == records[1].entropies, swap
+    assert SPECS[kind].entropies["E"] is rule
 
 
 def test_state_snapshot_redacts_nothing_needed():
