@@ -16,6 +16,7 @@ from pathlib import Path
 from .acceptance import ACCEPTANCE_SEED, CRITERIA, run_criteria
 from .attacks import STRATEGIES, AttackStrategy
 from .harness import (
+    KEM2_ENTROPY_PROFILES,
     ConfigError,
     ExperimentConfig,
     TrialSummary,
@@ -27,7 +28,7 @@ from .harness import (
     sweep,
 )
 from .model import Model, TranscriptError, World, run_honest, transcript_export, transcript_replay
-from .primitives import GROUPS, MAX_ENTROPY_BITS, MIN_ENTROPY_BITS
+from .primitives import GROUPS, MAX_ENTROPY_BITS, MIN_ENTROPY_BITS, KemMode
 from .protocols import SPECS, ProtocolKind
 
 PROTOCOL_NAMES = [k.value for k in ProtocolKind]
@@ -59,9 +60,9 @@ def _add_common_flags(parser, with_budget=True, ne_list=False):
         "--group", choices=sorted(GROUPS), default="toy256",
         help="prime group (toy256 keeps attack loops fast)",
     )
-    parser.add_argument("--kem-mode", choices=["det", "prob"], default="det")
+    parser.add_argument("--kem-mode", choices=sorted(m.value for m in KemMode), default="det")
     parser.add_argument(
-        "--kem2-entropy", choices=["full", "key-only"], default="full",
+        "--kem2-entropy", choices=KEM2_ENTROPY_PROFILES, default="full",
         help="entropy input profile of the 2-pass encapsulation protocol",
     )
     if with_budget:
@@ -112,9 +113,12 @@ def build_parser() -> _Parser:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        numbers = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
+        numbers = []
+    if not numbers:  # none is refused: an empty --only would select every criterion
         raise ConfigError(f"{flag} expects integers, got {text!r}")
+    return numbers
 
 
 def _print_summary(summary: TrialSummary):
@@ -154,10 +158,8 @@ def _cmd_experiment(args) -> int:
             raise ConfigError(f"--protocol is required for {strategy}")
         args.protocol = target.value
     widths = _parse_int_list(str(args.ne), "--ne")
-    if not widths:
-        raise ConfigError("sweep needs at least one entropy width")
     trials = _parse_int_list(str(args.trials), "--trials")
-    if len(trials) != 1 and (args.command != "sweep" or not trials):
+    if len(trials) != 1 and args.command != "sweep":
         raise ConfigError("--trials expects a single integer here")
     if len(trials) == 1:
         trials = trials * len(widths)
@@ -194,7 +196,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_selftest(args) -> int:
     if not 0 <= args.seed < 1 << 64:
         raise ConfigError("seed must be within [0, 2^64)")
-    numbers = _parse_int_list(args.only, "--only") if args.only else None
+    numbers = None if args.only is None else _parse_int_list(args.only, "--only")
     unknown = sorted(set(numbers or ()) - set(CRITERIA))
     if unknown:
         raise ConfigError(f"no criterion {unknown[0]}; criteria are 1..{max(CRITERIA)}")

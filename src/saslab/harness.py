@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 
 from .attacks import STRATEGIES, AttackStrategy, unmet_requirement
 from .model import Model, SessionStatus, World, run_honest
-from .primitives import MAX_ENTROPY_BITS, MIN_ENTROPY_BITS, SUITE_HEADER, KemMode, group_by_name
+from .primitives import SUITE_HEADER, KemMode, group_by_name
 from .protocols import SPECS, ProtocolConfig, ProtocolKind
 from .rng import derive_seed
 
 REPORT_VERSION = 1
+KEM2_ENTROPY_PROFILES = ("full", "key-only")  # the entropy input profiles of kem2
 
 
 class ConfigError(ValueError):
@@ -45,7 +46,7 @@ class ExperimentConfig:
     budget: int | None = None  # None: 2^(n_e + 4)
     seed: int = 0
     parallelism: int = 1
-    kem2_entropy: str = "full"  # "full" | "key-only"
+    kem2_entropy: str = "full"  # one of KEM2_ENTROPY_PROFILES
     include_receiver_identity: bool = True
 
     # -- resolution ---------------------------------------------------------
@@ -64,48 +65,39 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
 
-    def mode(self) -> KemMode:
-        try:
-            return KemMode(self.kem_mode)
-        except ValueError:
-            raise ConfigError(f"kem mode must be det or prob, not {self.kem_mode!r}")
-
     def effective_budget(self) -> int:
         return self.budget if self.budget is not None else 1 << (self.n_e + 4)
 
     def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            group=group_by_name(self.group),
-            n_e=self.n_e,
-            kem_mode=self.mode(),
-            kem2_key_only_entropy=self.kem2_entropy == "key-only",
-            include_receiver_identity=self.include_receiver_identity,
-        )
+        try:
+            return ProtocolConfig(
+                group=group_by_name(self.group),
+                n_e=self.n_e,
+                kem_mode=KemMode(self.kem_mode),
+                kem2_key_only_entropy=self.kem2_entropy == "key-only",
+                include_receiver_identity=self.include_receiver_identity,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
     def validate(self) -> None:
         kind = self.kind()
         strategy = self.strategy_enum()
-        self.mode()
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
-        if self.budget is not None and self.budget < 1:
-            raise ConfigError("budget must be at least 1")
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigError("seed must be within [0, 2^64)")
-        if not MIN_ENTROPY_BITS <= self.n_e <= MAX_ENTROPY_BITS:
-            raise ConfigError(f"n_e must be within [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}]")
-        if self.kem2_entropy not in ("full", "key-only"):
-            raise ConfigError("kem2 entropy profile must be full or key-only")
+        cfg = self.protocol_config()  # group, n_e, kem mode and flag, checked where they live
+        if type(self.trials) is not int or self.trials < 1:  # type() refuses a bool too
+            raise ConfigError("trials must be an int of at least 1")
+        if self.budget is not None and (type(self.budget) is not int or self.budget < 1):
+            raise ConfigError("budget must be an int of at least 1")
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            raise ConfigError("seed must be an int within [0, 2^64)")
+        if self.kem2_entropy not in KEM2_ENTROPY_PROFILES:
+            raise ConfigError(f"kem2 entropy profile must be {' or '.join(KEM2_ENTROPY_PROFILES)}")
         if self.kem2_entropy == "key-only" and kind is not ProtocolKind.KEM2:
             raise ConfigError("key-only entropy is a kem2 configuration")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be at least 1")
-        try:
-            group_by_name(self.group)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        if type(self.parallelism) is not int or self.parallelism < 1:
+            raise ConfigError("parallelism must be an int of at least 1")
         if strategy is not None:
-            reason = unmet_requirement(strategy, kind, self.protocol_config())
+            reason = unmet_requirement(strategy, kind, cfg)
             if reason is not None:
                 raise ConfigError(reason)
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .primitives import (MAX_ENTROPY_BITS, MAX_MESSAGE_SIZE, MIN_ENTROPY_BITS, SUITE_HEADER,
-                         SharedKey, decode_fields, group_by_name)
+from .primitives import MAX_MESSAGE_SIZE, SUITE_HEADER, SharedKey, decode_fields, group_by_name
 from .protocols import (
     SPECS,
     Machine,
@@ -269,9 +268,8 @@ class World:
         self.model = model
         self.seed = seed
         self.party_names = tuple(party_names)
-        if type(cfg.n_e) is not int or not MIN_ENTROPY_BITS <= cfg.n_e <= MAX_ENTROPY_BITS:
-            raise ValueError(f"n_e must be an int in [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}], "
-                             f"not {cfg.n_e!r}")
+        if type(seed) is not bytes and not (type(seed) is int and 0 <= seed < 1 << 64):
+            raise ValueError(f"seed {seed!r} is neither bytes nor an int in [0, 2^64)")
         if not all(map(_valid_name, self.party_names)):
             raise ValueError("party name must be 1..64 bytes of UTF-8")
         if len(set(self.party_names)) != len(self.party_names):
@@ -705,7 +703,7 @@ def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRe
     run = body.get("run")
     if not isinstance(run, dict) or run.get("driver") != "honest":
         raise TranscriptError("only honest-run transcripts can be replayed")
-    try:  # every header field present and in its domain, both ends among the parties
+    try:  # every header field present; ProtocolConfig and World check their own values
         cfg = ProtocolConfig(
             group=group_by_name(body["group"]),
             n_e=body["n_e"],
@@ -713,14 +711,9 @@ def transcript_replay(raw: bytes) -> tuple[World, tuple[SessionRecord, SessionRe
             kem2_key_only_entropy=body["kem2_key_only_entropy"],
             include_receiver_identity=body["include_receiver_identity"],
         )
-        flags = ("kem2_key_only_entropy", "include_receiver_identity", "seed_is_hex")
-        if type(body["n_e"]) is not int or any(type(body[flag]) is not bool for flag in flags):
-            raise TypeError("n_e must be an int and every flag a bool")
-        if not MIN_ENTROPY_BITS <= cfg.n_e <= MAX_ENTROPY_BITS:
-            raise ValueError(f"n_e {cfg.n_e} is outside [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}]")
+        if type(body["seed_is_hex"]) is not bool:
+            raise TypeError("seed_is_hex must be a bool")
         seed = bytes.fromhex(body["seed"]) if body["seed_is_hex"] else body["seed"]
-        if type(seed) is not bytes and not (type(seed) is int and 0 <= seed < 1 << 64):
-            raise ValueError(f"seed {seed!r} is neither hex nor an int in [0, 2^64)")
         world = World(
             ProtocolKind(body["kind"]), cfg, Model(body["model"]), seed,
             tuple(p.encode() for p in body["parties"]),

@@ -262,7 +262,7 @@ GROUPS = {"toy256": TOY256, "modp2048": MODP2048}
 def group_by_name(name: str) -> GroupParams:
     try:
         return GROUPS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key, such as a list
         raise ValueError(f"unknown group {name!r}; choose from {sorted(GROUPS)}")
 
 

@@ -57,6 +57,8 @@ from .primitives import (
     GroupParams,
     KemMode,
     KeyPair,
+    MAX_ENTROPY_BITS,
+    MIN_ENTROPY_BITS,
     Opening,
     REJECT,
     SharedKey,
@@ -163,16 +165,26 @@ class ProtocolError(Exception):
     """Schema violation, malformed element, rejected opening, or abort."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
+    """A run's settings, checked when built and frozen: a config that exists is
+    valid; dataclasses.replace(cfg, ...) builds a variant, checked again. Kem2's
+    key-only profile hashes the key alone (the same-key attack's target); without
+    receiver identities (a negative control) no entropy value binds a name."""
+
     group: GroupParams = TOY256
-    n_e: int = 16
+    n_e: int = 16  # the width of the entropy value compared out of band
     kem_mode: KemMode = KemMode.DETERMINISTIC
-    # kem2 only: drop the public values from the entropy input, mirroring the
-    # key-only digest variant (the same-key attack target).
     kem2_key_only_entropy: bool = False
-    # negative-control switch: compute entropies without receiver identities
     include_receiver_identity: bool = True
+
+    def __post_init__(self):  # a bad field raises ValueError naming it
+        for name, cls in (("group", GroupParams), ("n_e", int), ("kem_mode", KemMode),
+                          ("kem2_key_only_entropy", bool), ("include_receiver_identity", bool)):
+            if type(value := getattr(self, name)) is not cls:  # exactly: a bool is not an n_e
+                raise ValueError(f"{name} must be of type {cls.__name__}, not {value!r}")
+        if not MIN_ENTROPY_BITS <= self.n_e <= MAX_ENTROPY_BITS:
+            raise ValueError(f"n_e {self.n_e} is outside [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}]")
 
 
 def _entropy_rule(spec: ProtocolSpec, cfg: ProtocolConfig, label: str, receiver: bytes):

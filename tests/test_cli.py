@@ -76,6 +76,21 @@ def test_out_of_range_input_exits_one_with_one_line(argv, capsys):
     assert captured.out == ""  # nothing ran
 
 
+@pytest.mark.parametrize("only", ["", ","], ids=["empty", "comma"])
+def test_selftest_only_naming_no_criterion_exits_one(only, monkeypatch, capsys):
+    # an --only that names no criterion is refused, not read as all ten
+    import saslab.cli
+
+    def battery(numbers, seed):
+        raise AssertionError(f"the battery ran for --only {only!r}: {numbers!r}")
+
+    monkeypatch.setattr(saslab.cli, "run_criteria", battery)
+    assert run_cli("selftest", "--only", only) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "configuration error" in captured.err
+    assert captured.out == ""
+
+
 def test_defended_violation_exits_two(capsys):
     # find a seed whose single forge trial at n_e=4 lands the 2^-4 collision;
     # a 1-trial rate of 1.0 exceeds the bound envelope and must gate

@@ -185,6 +185,20 @@ def test_sweep_empty_list_rejected():
         dict(protocol="kex3", seed=1 << 64),
         dict(protocol="kex2", strategy="kex2-collision", budget=0),
         dict(protocol="kex2", strategy="kex2-collision", budget=-4),
+        dict(protocol="kex3", trials="5"),
+        dict(protocol="kex3", trials=True),
+        dict(protocol="kex2", strategy="kex2-collision", budget="3"),
+        dict(protocol="kex2", strategy="kex2-collision", budget=True),
+        dict(protocol="kex3", seed=1.5),
+        dict(protocol="kex3", seed=True),
+        dict(protocol="kex3", parallelism="2"),
+        dict(protocol="kex3", parallelism=2.0),
+        dict(protocol="kex3", n_e="8"),
+        dict(protocol="kex3", n_e=8.0),
+        dict(protocol="kex3", n_e=True),
+        dict(protocol="kex3", kem_mode="DET"),
+        dict(protocol="kex3", include_receiver_identity="no"),
+        dict(protocol="kex3", group=["toy256"]),
     ],
 )
 def test_invalid_configs_rejected(kwargs):

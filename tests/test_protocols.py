@@ -525,6 +525,56 @@ def test_a_swapped_specs_row_reaches_the_machines(monkeypatch):
     assert SPECS[kind].entropies["E"] is rule
 
 
+BAD_CONFIG_FIELDS = [
+    *(("n_e", value) for value in (3, 65, "8", 8.0, True)),
+    *(("kem_mode", value) for value in ("det", "prob", None)),
+    *((flag, value) for flag in ("kem2_key_only_entropy", "include_receiver_identity")
+      for value in ("no", 1, None)),
+    *(("group", value) for value in ("toy256", None)),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_CONFIG_FIELDS,
+                         ids=[f"{name}={value!r}" for name, value in BAD_CONFIG_FIELDS])
+def test_a_protocol_config_refuses_a_bad_field(name, value):
+    # refused when built, naming the field: a string kem mode would run the
+    # probabilistic branch, a string flag would read as true, and a bool n_e
+    # would be a one-bit code
+    with pytest.raises(ValueError, match=name):
+        ProtocolConfig(**{name: value})
+    with pytest.raises(ValueError, match=name):  # a variant is checked as it is built
+        dataclasses.replace(ProtocolConfig(), **{name: value})
+
+
+def test_a_protocol_config_is_frozen_and_its_variants_are_checked():
+    # a World keeps the config it was given: changing it after construction
+    # would run a width the construction never saw
+    cfg = ProtocolConfig(n_e=8)
+    world = World(ProtocolKind.KEX3, cfg, Model.AM, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_e = 3
+    assert world.cfg is cfg and cfg.n_e == 8
+    init, resp = run_honest(world)
+    assert init.status is resp.status is SessionStatus.COMPLETED
+    with pytest.raises(ValueError, match=r"^n_e 65 is outside \[4, 64\]$"):
+        dataclasses.replace(cfg, n_e=65)
+    assert dataclasses.replace(cfg, n_e=64, kem_mode=KemMode.PROBABILISTIC) == ProtocolConfig(
+        n_e=64, kem_mode=KemMode.PROBABILISTIC)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, True, "07", bytearray(b"\x07")])
+def test_a_world_refuses_a_bad_seed(seed):
+    # a seed is bytes, or an int that fits the 8 bytes derive_seed encodes
+    with pytest.raises(ValueError, match="seed"):
+        World(ProtocolKind.KEX3, ProtocolConfig(), Model.AM, seed)
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1, b"", b"\x07"])
+def test_a_world_takes_each_end_of_the_seed_range(seed):
+    init, resp = run_honest(World(ProtocolKind.KEX3, ProtocolConfig(), Model.AM, seed))
+    assert init.status is resp.status is SessionStatus.COMPLETED
+
+
 def test_state_snapshot_redacts_nothing_needed():
     # the suspended side exposes its ephemeral secret; a finished one nothing
     cfg = ProtocolConfig()
