@@ -47,6 +47,7 @@ from .primitives import (
     derive_key,
     encaps_randomness,
     encode_fields,
+    entropy,
     entropy_bits,
     entropy_prefix,
     generator_table,
@@ -60,7 +61,7 @@ from .primitives import (
     random_element,
 )
 from .protocols import (SPECS, Machine, ProtocolConfig, ProtocolKind, build_machine,
-                        entropy_input, session_entropy)
+                        entropy_rule)
 
 DEFENDED_KINDS = (
     ProtocolKind.KEX3,
@@ -111,10 +112,9 @@ class StrategySpec:
 
 
 def _no_receiver_identity(kind: ProtocolKind, cfg: ProtocolConfig) -> bool:
-    """A redirect lands when no entropy value binds the receiver's identity."""
-    return not cfg.include_receiver_identity or all(
-        value.receiver is None for value in SPECS[kind].entropies.values()
-    )
+    """A redirect lands when the entropy rule blanks every value's receiver."""
+    spec = SPECS[kind]
+    return not any(entropy_rule(spec, cfg, label, b"bob")[0] for label in spec.entropies)
 
 
 # The runners look the attack functions up when called, so a function
@@ -210,9 +210,11 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
         key_eb = kex_agree(own, g.decode_element(reply_raw), g)
     else:
         x_b, key_eb = kem_decaps_star(own.secret, Encapsulation.decode(reply_raw, g), g)
-    digest = (view.kind, view.cfg, "E", env1.receiver)  # "E" declares the two wire labels
-    e_bob = session_entropy(*digest, {first: own_raw, second: reply_raw, "key": key_eb.key})
-    prefix = entropy_prefix(*entropy_input(*digest, {first: pka_raw}))  # hashed once
+    receiver, names = entropy_rule(SPECS[view.kind], view.cfg, "E", env1.receiver)
+    if names != (first, second, "key"):  # the candidates finish a digest of this layout
+        raise ValueError(f"E hashes {', '.join(names)}, not {first}, {second}, key in order")
+    e_bob = entropy(receiver, zip(names, (own_raw, reply_raw, key_eb.key)), view.cfg.n_e)
+    prefix = entropy_prefix(receiver, [(first, pka_raw)])  # hashed once
 
     iterations = 0
     for iterations in range(1, budget + 1):

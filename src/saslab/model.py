@@ -655,7 +655,10 @@ def transcript_export(world: World) -> bytes:
     (sid,) = sessions
     run = {"driver": "honest", "initiator": sid.initiator.decode(),
            "responder": sid.responder.decode()}
-    message = world.parties[sid.initiator].sessions[sid].machine.message
+    try:  # an injected session's initiator may be no party of the world, or hold no record
+        message = world.parties[sid.initiator].sessions[sid].machine.message
+    except KeyError:
+        raise TranscriptError(f"not an honest run: no initiator record of {sid.label()}")
     if message is not None:
         run["message"] = message.hex()
     seed = world.seed

@@ -40,8 +40,8 @@ a message's steps in wire order, except that commits come last: kem4's
 second message draws N_B before the encapsulation and its commitment.
 Everything the rest of the package knows about a kind is in its SPECS entry,
 kem6's included: which elements each entropy value hashes, in which order,
-and whose identity it binds. session_entropy computes a value from that
-entry, for the machines and the attacks alike.
+and whose identity it binds. entropy_rule reads that entry, for the
+machines and the attacks alike.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class ProtocolConfig:
             raise ValueError(f"n_e {self.n_e} is outside [{MIN_ENTROPY_BITS}, {MAX_ENTROPY_BITS}]")
 
 
-def _entropy_rule(spec: ProtocolSpec, cfg: ProtocolConfig, label: str, receiver: bytes):
+def entropy_rule(spec: ProtocolSpec, cfg: ProtocolConfig, label: str, receiver: bytes):
     """The receiver and element names, in order, that entropy value `label` of a SPECS row
     hashes: the receiver is blank where the value binds none or identities are off."""
     rule = spec.entropies[label]
@@ -196,24 +196,6 @@ def _entropy_rule(spec: ProtocolSpec, cfg: ProtocolConfig, label: str, receiver:
     if cfg.kem2_key_only_entropy and spec.kind is ProtocolKind.KEM2:  # kem2's key-only profile
         return receiver, ("key",)
     return receiver, rule.names
-
-
-def entropy_input(
-    kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
-) -> tuple[bytes, list[tuple[str, bytes]]]:
-    """What entropy value `label` hashes first, given `values` of a leading run of its elements."""
-    receiver, names = _entropy_rule(SPECS[kind], cfg, label, receiver)
-    if tuple(values) != names[: len(values)]:
-        raise ValueError(f"{label} hashes {', '.join(names)} in order, not {', '.join(values)}")
-    return receiver, list(values.items())
-
-
-def session_entropy(
-    kind: ProtocolKind, cfg: ProtocolConfig, label: str, receiver: bytes, values: dict
-) -> EntropyValue:
-    """The entropy value `label` of a kind's flow over the elements it hashes out of `values`."""
-    receiver, names = _entropy_rule(SPECS[kind], cfg, label, receiver)
-    return entropy(receiver, [(name, values[name]) for name in names], cfg.n_e)
 
 
 def _open(c: Commitment, raw_opening: bytes) -> bytes:
@@ -265,9 +247,9 @@ class Machine:
         self._flow = spec.column(self)
 
     def _entropy(self, label: str, **values: bytes) -> None:
-        """session_entropy on the machine's own row, the receiver chosen by side."""
+        """Entropy value `label` by the machine's own row, the receiver chosen by side."""
         bound = self.spec.entropies[label].receiver
-        receiver, names = _entropy_rule(
+        receiver, names = entropy_rule(
             self.spec, self.cfg, label, self.self_id if bound is self.side else self.peer_id)
         self.entropies[label] = entropy(receiver, list(zip(names, map(values.__getitem__, names))),
                                         self.cfg.n_e)

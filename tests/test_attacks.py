@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import math
 
 import pytest
 
-from saslab import primitives
+from saslab import attacks, primitives
 from saslab.attacks import (
     DEFENDED_KINDS,
     STRATEGIES,
@@ -31,7 +32,7 @@ from saslab.primitives import (
     pke_encrypt,
     random_element,
 )
-from saslab.protocols import SPECS, ProtocolConfig, ProtocolKind
+from saslab.protocols import SPECS, EntropySpec, ProtocolConfig, ProtocolKind
 from saslab.rng import derive_seed
 
 # master seed of every run_experiment batch below
@@ -239,6 +240,36 @@ def test_two_pass_wire_labels_are_the_declared_entropy_elements(kind):
         view.deliver(env)
     first, second, key = SPECS[kind].entropies["E"].elements
     assert labels == [[first], [second]] and key == "key"
+
+
+# E layouts the collision loop cannot finish: it hashes the first wire label
+# once per trial, then each candidate's second label and key
+BAD_E_LAYOUTS = {
+    "swapped": lambda first, second: (second, first, "key"),
+    "second-left-out": lambda first, second: (first, "key"),
+    "key-first": lambda first, second: ("key", first, second),
+}
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.KEX2, ProtocolKind.KEM2], ids=["kex2", "kem2"])
+def test_the_collision_loop_refuses_an_entropy_row_it_cannot_finish(kind, monkeypatch):
+    # a SPECS row whose E no longer lists the two wire labels then key is
+    # refused with ValueError before any candidate is tried
+    spec, finished = SPECS[kind], []
+    rule = spec.entropies["E"]
+    run = STRATEGIES[AttackStrategy.KEX2_ENTROPY_COLLISION
+                     if kind is ProtocolKind.KEX2 else AttackStrategy.KEM2_REPLICA].run
+    monkeypatch.setattr(attacks, "entropy_bits", lambda h, n_e: finished.append(h) or 0)
+    for name, layout in BAD_E_LAYOUTS.items():
+        names = layout(*rule.names[:2])
+        mutant = EntropySpec(rule.receiver, {n: rule.elements[n] for n in names})
+        with monkeypatch.context() as patch:
+            patch.setitem(SPECS, kind, dataclasses.replace(spec, entropies={"E": mutant}))
+            with pytest.raises(ValueError, match="E hashes"):
+                run(um_world(kind, 11), 8)
+        assert finished == [], name
+    outcome = run(um_world(kind, 11), 8)  # the shipped row runs its candidates
+    assert len(finished) == outcome.iterations > 0
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from saslab.primitives import (
     PowerTable,
     decode_fields,
     derive_key,
+    encode_fields,
 )
 from saslab.protocols import ProtocolConfig, ProtocolKind
 from saslab.rng import HashDrbg
@@ -855,11 +856,21 @@ def test_transcript_replay_detects_a_diverging_recording():
         transcript_replay(framed)
 
 
-@pytest.mark.parametrize("case", ["forge", "drop", "reveal"])
+@pytest.mark.parametrize("case", ["forge", "drop", "reveal", "stranger", "unstarted"])
 def test_transcript_export_refuses_a_run_replay_cannot_reproduce(case):
     # export replays the blob it built: a run the adversary altered, or one a
-    # query followed, is not the honest run of its seeds, so it is refused
-    if case == "forge":
+    # query followed, is not the honest run of its seeds, so it is refused;
+    # so is a session only its responder holds, opened by an injected pka
+    # from a party the world does not hold or from one that never started it
+    if case in ("stranger", "unstarted"):
+        world = make_world(kind=ProtocolKind.KEX2, model=Model.UM, seed=5)
+        sender = b"mallory" if case == "stranger" else b"alice"
+        g = world.cfg.group
+        sid = SessionId(sender, b"bob", b"12345678")
+        pka = encode_fields([("pka", g.encode_element(g.g))])
+        world.schedule(Inject(MessageEnvelope(sender, b"bob", sid, 0, pka)))
+        world.schedule(Drop(world.undelivered[0]))
+    elif case == "forge":
         world = World(ProtocolKind.KEX3, ProtocolConfig(n_e=8), Model.UM, 5,
                       (b"alice", b"bob", b"carol"))
         forge_trial(world)

@@ -36,8 +36,7 @@ from saslab.protocols import (
     Side,
     build_machine,
     compile_mt,
-    entropy_input,
-    session_entropy,
+    entropy_rule,
 )
 from saslab.rng import HashDrbg
 
@@ -204,51 +203,6 @@ def test_kem2_key_only_entropy_flag():
     a, b, _ = drive_pair(ProtocolKind.KEM2, cfg)
     expected = entropy(b"", [("key", a.key.key)], cfg.n_e)
     assert a.entropies == {"E": expected} == b.entropies
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
-def test_entropy_input_is_a_leading_run_of_session_entropy(kind):
-    # every leading run of every entropy value, finished with the rest,
-    # gives session_entropy's value
-    for cfg in (ProtocolConfig(), ProtocolConfig(include_receiver_identity=False)):
-        for label, spec in SPECS[kind].entropies.items():
-            values = {name: name.encode() * 3 for name in spec.elements}
-            whole = session_entropy(kind, cfg, label, b"bob", values)
-            names = list(values)
-            for k in range(len(names) + 1):
-                receiver, run = entropy_input(
-                    kind, cfg, label, b"bob", {n: values[n] for n in names[:k]}
-                )
-                rest = [(n, values[n]) for n in names[k:]]
-                assert entropy(receiver, run + rest, cfg.n_e) == whole
-
-
-@pytest.mark.parametrize(
-    "kind, cfg, values",
-    [
-        (ProtocolKind.KEM2, ProtocolConfig(kem2_key_only_entropy=True), {"pk": b"p"}),
-        (ProtocolKind.KEM2, ProtocolConfig(kem2_key_only_entropy=True),
-         {"pk": b"p", "ct": b"c", "key": b"k"}),
-        (ProtocolKind.KEX2, ProtocolConfig(), {"pkb": b"b"}),
-        (ProtocolKind.KEX2, ProtocolConfig(), {"pkb": b"b", "pka": b"a"}),
-        (ProtocolKind.KEX2, ProtocolConfig(), {"pka": b"a", "key": b"k"}),
-        (ProtocolKind.KEX2, ProtocolConfig(), {"pka": b"a", "pkb": b"b", "key": b"k", "x": b""}),
-    ],
-    ids=["key-only-pk", "key-only-all", "kex2-second", "kex2-reordered", "kex2-gap", "kex2-extra"],
-)
-def test_entropy_input_rejects_what_is_not_a_leading_run(kind, cfg, values):
-    with pytest.raises(ValueError):
-        entropy_input(kind, cfg, "E", b"bob", values)
-
-
-def test_session_entropy_takes_the_key_alone_under_key_only_profile():
-    cfg = ProtocolConfig(kem2_key_only_entropy=True)
-    values = {"pk": b"p", "ct": b"c", "key": b"k"}
-    assert session_entropy(ProtocolKind.KEM2, cfg, "E", b"bob", values) == entropy(
-        b"", [("key", b"k")], cfg.n_e
-    )
-    with pytest.raises(KeyError):  # a value it hashes is missing
-        session_entropy(ProtocolKind.KEM2, cfg, "E", b"bob", {"pk": b"p"})
 
 
 def test_receiver_identity_enters_entropy():
@@ -477,18 +431,33 @@ ENTROPY_PROFILES = {
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
-def test_session_entropy_is_entropy_over_the_declared_elements(kind):
-    # the rule built with each SPECS row hashes what the row declares: the
-    # bound receiver or none, then its elements in declared order, or the
-    # key alone under kem2's key-only profile (which no other kind heeds)
+def test_session_entropy_is_entropy_over_the_declared_elements(kind, monkeypatch):
+    # entropy_rule gives what each SPECS row declares: the bound receiver or
+    # none, then its elements in declared order, or the key alone under kem2's
+    # key-only profile (which no other kind heeds); and entropy over the
+    # values a machine holds, taken by that rule, is the machine's value
+    real, held = Machine._entropy, []
+
+    def recording(machine, label, **values):
+        held.append((machine, label, values))
+        real(machine, label, **values)
+
+    monkeypatch.setattr(Machine, "_entropy", recording)
+    # drive_pair's parties; a value that binds no side is offered a name to blank
+    identity = {Side.A: b"alice", Side.B: b"bob", None: b"bob"}
     for profile, cfg in ENTROPY_PROFILES.items():
-        for label, rule in SPECS[kind].entropies.items():
-            values = {name: name.encode() * 5 for name in ("key", *rule.elements, "unused")}
+        held.clear()
+        drive_pair(kind, cfg)
+        assert sorted(label for _, label, _ in held) == sorted([*SPECS[kind].entropies] * 2)
+        for machine, label, values in held:
+            rule = SPECS[kind].entropies[label]
             key_only = cfg.kem2_key_only_entropy and kind is ProtocolKind.KEM2
-            names = ["key"] if key_only else list(rule.elements)
             bound = rule.receiver is not None and cfg.include_receiver_identity
-            expected = entropy(b"bob" if bound else b"", [(n, values[n]) for n in names], cfg.n_e)
-            assert session_entropy(kind, cfg, label, b"bob", values) == expected, (profile, label)
+            receiver, names = entropy_rule(SPECS[kind], cfg, label, identity[rule.receiver])
+            assert receiver == (identity[rule.receiver] if bound else b""), (profile, label)
+            assert names == (("key",) if key_only else tuple(rule.elements)), (profile, label)
+            expected = entropy(receiver, [(n, values[n]) for n in names], cfg.n_e)
+            assert machine.entropies[label] == expected, (profile, label, machine.side)
 
 
 def test_a_swapped_specs_row_reaches_the_machines(monkeypatch):
