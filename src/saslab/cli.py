@@ -44,16 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common_flags(parser, with_budget=True, ne_list=False):
-    if ne_list:
-        parser.add_argument(
-            "--ne", default="16", help="comma-separated entropy widths, e.g. 4,8,12"
-        )
-    else:
-        parser.add_argument(
-            "--ne", type=int, default=16,
-            help=f"entropy width in bits ({MIN_ENTROPY_BITS}..{MAX_ENTROPY_BITS})",
-        )
+def _add_common_flags(parser, with_budget=True):
+    parser.add_argument("--ne", default="16", help=f"entropy width in bits ({MIN_ENTROPY_BITS}.."
+                        f"{MAX_ENTROPY_BITS}); a sweep takes a list, e.g. 4,8,12")
     parser.add_argument("--trials", default="1", help="number of independent trials")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
@@ -97,7 +90,7 @@ def build_parser() -> _Parser:
     sweep_p = sub.add_parser("sweep", help="repeat an experiment across entropy widths")
     sweep_p.add_argument("--protocol", choices=PROTOCOL_NAMES, required=True)
     sweep_p.add_argument("--strategy", choices=strategies + ["honest"], default="honest")
-    _add_common_flags(sweep_p, ne_list=True)
+    _add_common_flags(sweep_p)
 
     selftest_p = sub.add_parser("selftest", help="run the acceptance battery")
     selftest_p.add_argument(
@@ -157,12 +150,11 @@ def _cmd_experiment(args) -> int:
         if target is None:
             raise ConfigError(f"--protocol is required for {strategy}")
         args.protocol = target.value
-    widths = _parse_int_list(str(args.ne), "--ne")
-    trials = _parse_int_list(str(args.trials), "--trials")
-    if len(trials) != 1 and args.command != "sweep":
-        raise ConfigError("--trials expects a single integer here")
-    if len(trials) == 1:
-        trials = trials * len(widths)
+    widths = _parse_int_list(args.ne, "--ne")
+    trials = _parse_int_list(args.trials, "--trials")
+    if len(widths) + len(trials) != 2 and args.command != "sweep":
+        raise ConfigError("--ne and --trials each expect a single integer here")
+    trials = trials * len(widths) if len(trials) == 1 else trials
     base = ExperimentConfig(
         protocol=args.protocol,
         strategy=None if strategy == "honest" else strategy,
@@ -180,17 +172,23 @@ def _cmd_experiment(args) -> int:
     if getattr(args, "transcript", None) is not None:
         world = World(base.kind(), base.protocol_config(), Model.AM, _trial_seed(base, 0))
         run_honest(world)
-        args.transcript.write_bytes(transcript_export(world))
-        print(f"transcript written to {args.transcript}")
+        _write(args.transcript, transcript_export(world), "transcript")
     if args.out is not None:
         if args.format == "csv":
-            args.out.write_text(report_csv_text(summaries))
+            _write(args.out, report_csv_text(summaries).encode(), "report")
         else:
             kind = "sweep" if args.command == "sweep" else "experiment"
             report = build_report(summaries, kind=kind, config=base)
-            args.out.write_bytes(report_json_bytes(report))
-        print(f"report written to {args.out}")
+            _write(args.out, report_json_bytes(report), "report")
     return exit_code_for(summaries)
+
+
+def _write(path: Path, data: bytes, what: str) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what}: {exc}")
+    print(f"{what} written to {path}")
 
 
 def _cmd_selftest(args) -> int:

@@ -37,6 +37,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment's settings, checked when built and frozen, like ProtocolConfig.
+    Its kind, strategy and ProtocolConfig are resolved then too and kept outside
+    the fields, which alone make equality, to_dict() and the report hashes."""
+
     protocol: str
     strategy: str | None = None  # None: honest runs
     group: str = "toy256"
@@ -49,28 +53,17 @@ class ExperimentConfig:
     kem2_entropy: str = "full"  # one of KEM2_ENTROPY_PROFILES
     include_receiver_identity: bool = True
 
-    # -- resolution ---------------------------------------------------------
-
-    def kind(self) -> ProtocolKind:
+    def __post_init__(self):
         try:
-            return ProtocolKind(self.protocol)
+            kind = ProtocolKind(self.protocol)
         except ValueError:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-
-    def strategy_enum(self) -> AttackStrategy | None:
-        if self.strategy is None or self.strategy == "honest":
-            return None
         try:
-            return AttackStrategy(self.strategy)
+            strategy = None if self.strategy in (None, "honest") else AttackStrategy(self.strategy)
         except ValueError:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-
-    def effective_budget(self) -> int:
-        return self.budget if self.budget is not None else 1 << (self.n_e + 4)
-
-    def protocol_config(self) -> ProtocolConfig:
-        try:
-            return ProtocolConfig(
+        try:  # group, n_e, kem mode and flag, checked where they live
+            cfg = ProtocolConfig(
                 group=group_by_name(self.group),
                 n_e=self.n_e,
                 kem_mode=KemMode(self.kem_mode),
@@ -79,11 +72,6 @@ class ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc))
-
-    def validate(self) -> None:
-        kind = self.kind()
-        strategy = self.strategy_enum()
-        cfg = self.protocol_config()  # group, n_e, kem mode and flag, checked where they live
         if type(self.trials) is not int or self.trials < 1:  # type() refuses a bool too
             raise ConfigError("trials must be an int of at least 1")
         if self.budget is not None and (type(self.budget) is not int or self.budget < 1):
@@ -96,27 +84,37 @@ class ExperimentConfig:
             raise ConfigError("key-only entropy is a kem2 configuration")
         if type(self.parallelism) is not int or self.parallelism < 1:
             raise ConfigError("parallelism must be an int of at least 1")
-        if strategy is not None:
-            reason = unmet_requirement(strategy, kind, cfg)
-            if reason is not None:
-                raise ConfigError(reason)
+        if strategy is not None and (reason := unmet_requirement(strategy, kind, cfg)):
+            raise ConfigError(reason)
+        object.__setattr__(self, "_resolved", (kind, strategy, cfg))
+
+    def kind(self) -> ProtocolKind:
+        return self._resolved[0]
+
+    def strategy_enum(self) -> AttackStrategy | None:
+        return self._resolved[1]
+
+    def protocol_config(self) -> ProtocolConfig:
+        return self._resolved[2]
+
+    def effective_budget(self) -> int:
+        return self.budget if self.budget is not None else 1 << (self.n_e + 4)
 
     # -- semantics ----------------------------------------------------------
 
     def expectation(self) -> str:
         """Whether this combination is expected to hold the bound
         ("defended") or to break it ("demonstration")."""
-        strategy = self.strategy_enum()
-        if strategy is None:
-            return "defended"
-        if STRATEGIES[strategy].demonstration(self.kind(), self.protocol_config()):
+        kind, strategy, cfg = self._resolved
+        if strategy is not None and STRATEGIES[strategy].demonstration(kind, cfg):
             return "demonstration"
         return "defended"
 
     def theoretical_bound(self) -> float:
-        if self.strategy_enum() is None:
+        kind, strategy, _ = self._resolved
+        if strategy is None:
             return 1.0  # expected completion rate of honest runs
-        return min(1.0, SPECS[self.kind()].residual_factor * 2.0 ** -self.n_e)
+        return min(1.0, SPECS[kind].residual_factor * 2.0 ** -self.n_e)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -166,13 +164,12 @@ def _trial_seed(config: ExperimentConfig, index: int) -> bytes:
     return derive_seed(config.seed, b"trial", index.to_bytes(8, "big"))
 
 
-def _trial_batch(config_dict: dict, indices: list[int]) -> list[tuple[bool, int]]:
+def _trial_batch(config: ExperimentConfig, indices: list[int]) -> list[tuple[bool, int]]:
     """(success, iterations used) for each of the given trials of one
-    experiment. What the trials share is resolved once per batch; each trial
-    builds only its world. run_honest is looked up when called, so a
+    experiment. What the trials share was resolved when the config was built;
+    each trial builds only its world. run_honest is looked up when called, so a
     replacement on this module is the one that runs."""
-    config = ExperimentConfig(**config_dict)
-    kind, cfg, strategy = config.kind(), config.protocol_config(), config.strategy_enum()
+    kind, strategy, cfg = config._resolved
     results = []
     if strategy is None:
         for i in indices:
@@ -196,7 +193,6 @@ def run_experiment(config: ExperimentConfig) -> TrialSummary:
     Deterministic for a fixed config: per-trial seeds depend only on the
     master seed and the trial index, and aggregation is order-independent.
     """
-    config.validate()
     started = time.perf_counter()
     if config.parallelism > 1 and config.trials > 1:
         import concurrent.futures
@@ -204,11 +200,11 @@ def run_experiment(config: ExperimentConfig) -> TrialSummary:
         workers = min(config.parallelism, config.trials)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(
-                _trial_batch, [config.to_dict()] * workers,
+                _trial_batch, [config] * workers,
                 [list(range(w, config.trials, workers)) for w in range(workers)],
             ))
     else:
-        batches = [_trial_batch(config.to_dict(), list(range(config.trials)))]
+        batches = [_trial_batch(config, list(range(config.trials)))]
     results = [result for batch in batches for result in batch]
     successes = sum(1 for ok, _ in results if ok)
     iterations = [its for _, its in results]
@@ -248,20 +244,15 @@ def sweep(
     n_e_values: list[int],
     trials_per_point: list[int] | None = None,
 ) -> list[TrialSummary]:
-    """One summary per entropy width: the security-vs-usability curve."""
+    """One summary per entropy width: the security-vs-usability curve. Every
+    point is built, and so checked, before the first one runs."""
     if not n_e_values:
         raise ConfigError("sweep needs at least one entropy width")
     if trials_per_point is not None and len(trials_per_point) != len(n_e_values):
         raise ConfigError("trials list must match the entropy width list")
-    summaries = []
-    for i, n_e in enumerate(n_e_values):
-        point = dataclasses.replace(
-            config,
-            n_e=n_e,
-            trials=trials_per_point[i] if trials_per_point else config.trials,
-        )
-        summaries.append(run_experiment(point))
-    return summaries
+    trials = trials_per_point or [config.trials] * len(n_e_values)
+    points = [dataclasses.replace(config, n_e=n, trials=t) for n, t in zip(n_e_values, trials)]
+    return [run_experiment(point) for point in points]
 
 
 # ---------------------------------------------------------------------------

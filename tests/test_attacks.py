@@ -400,7 +400,7 @@ def test_standing_in_with_the_initiator_column_is_the_hand_built_forge(kind, mod
 
 def test_random_forge_rejects_undefended_targets():
     with pytest.raises(ConfigError):
-        ExperimentConfig(protocol="kem2", strategy="random-forge", trials=5).validate()
+        ExperimentConfig(protocol="kem2", strategy="random-forge", trials=5)
 
 
 # ---------------------------------------------------------------------------

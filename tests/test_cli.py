@@ -64,9 +64,13 @@ def test_invalid_combination_exits_one(capsys):
         ("attack", "--strategy", "kex2-collision", "--ne", "8", "--budget", "-4",
          "--trials", "2"),
         ("sweep", "--protocol", "kex3", "--ne", "4", "--trials", ""),
+        ("run", "--protocol", "kex3", "--ne", "4,8"),
+        ("attack", "--strategy", "random-forge", "--protocol", "kex3", "--ne", "8,9"),
+        ("sweep", "--protocol", "kex3", "--ne", "4,100"),
     ],
     ids=["negative-seed", "seed-2^64", "criterion-11", "selftest-negative-seed",
-         "negative-budget", "sweep-no-trials"],
+         "negative-budget", "sweep-no-trials", "run-ne-list", "attack-ne-list",
+         "sweep-later-width-100"],
 )
 def test_out_of_range_input_exits_one_with_one_line(argv, capsys):
     code = run_cli(*argv)
@@ -136,6 +140,23 @@ def test_csv_report(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("protocol,strategy")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("run", "--protocol", "kex3", "--trials", "2"), "--out"),
+        (("run", "--protocol", "kex3", "--trials", "2", "--format", "csv"), "--out"),
+        (("run", "--protocol", "kex3", "--trials", "2"), "--transcript"),
+    ],
+    ids=["json-report", "csv-report", "transcript"],
+)
+def test_unwritable_output_exits_one_with_one_line(argv, flag, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.bin"
+    assert run_cli(*argv, flag, str(target)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "configuration error: cannot write" in err
+    assert not target.exists()
 
 
 def test_sweep_command(capsys):

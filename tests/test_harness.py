@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from saslab import harness
 from saslab.attacks import STRATEGIES
 from saslab.harness import (
     ConfigError,
@@ -169,6 +170,18 @@ def test_sweep_empty_list_rejected():
         sweep(ExperimentConfig(protocol="kex3"), [])
 
 
+@pytest.mark.parametrize("widths,trials", [([4, 100], [2000, 10]), ([4, 8], [2000, 0])],
+                         ids=["width-100", "zero-trials"])
+def test_sweep_refuses_a_bad_point_before_any_trial(widths, trials, monkeypatch):
+    def batch(config, indices):
+        raise AssertionError(f"a trial ran at n_e {config.n_e}")
+
+    monkeypatch.setattr(harness, "_trial_batch", batch)
+    config = ExperimentConfig(protocol="kex3", strategy="random-forge", seed=7)
+    with pytest.raises(ConfigError):
+        sweep(config, widths, trials_per_point=trials)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -203,7 +216,7 @@ def test_sweep_empty_list_rejected():
 )
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
-        ExperimentConfig(**kwargs).validate()
+        ExperimentConfig(**kwargs)
 
 
 def test_wilson_interval_sane():
@@ -223,19 +236,21 @@ def test_budget_defaults_to_entropy_scaled():
 
 @pytest.mark.parametrize("strategy", [None, "random-forge", "redirect"])
 def test_trial_settings_resolved_once_per_batch(strategy, monkeypatch):
-    # the protocol config is built per batch, not per trial
-    real = ExperimentConfig.protocol_config
-    calls = []
+    # a ProtocolConfig is built once per ExperimentConfig or replace, and none
+    # while run_experiment runs its batch, at 1 trial or at 20
+    real = harness.ProtocolConfig
+    built = []
 
-    def counted(self):
-        calls.append(self.trials)
-        return real(self)
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(ExperimentConfig, "protocol_config", counted)
-    counts = {}
+    monkeypatch.setattr(harness, "ProtocolConfig", counted)
+    config = ExperimentConfig(protocol="kex3", strategy=strategy, n_e=8, seed=7)
+    counts = [len(built)]
     for trials in (1, 20):
-        calls.clear()
-        config = ExperimentConfig(protocol="kex3", strategy=strategy, n_e=8, trials=trials, seed=7)
-        assert run_experiment(config).trials == trials
-        counts[trials] = len(calls)
-    assert counts[20] == counts[1] <= 3
+        point = dataclasses.replace(config, trials=trials)
+        counts.append(len(built))
+        assert run_experiment(point).trials == trials
+        counts.append(len(built))
+    assert counts == [1, 2, 2, 3, 3]
