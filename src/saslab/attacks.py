@@ -168,7 +168,9 @@ def unmet_requirement(
     return None
 
 
-def _require(strategy: AttackStrategy, world: World):
+def _begin(strategy: AttackStrategy, world: World) -> tuple[SessionId, AdversaryView]:
+    """Every attack's opening: refuse a world the strategy cannot attack, then
+    start alice's session with bob and hand the attacker its view."""
     reason = unmet_requirement(strategy, world.kind, world.cfg)
     if reason is None and world.model is not Model.UM:
         reason = "attack requires the unauthenticated model"
@@ -177,6 +179,7 @@ def _require(strategy: AttackStrategy, world: World):
         reason = f"{strategy.value} needs the parties {b', '.join(needed).decode()}"
     if reason is not None:
         raise ValueError(reason)
+    return world.start_session(b"alice", b"bob"), AdversaryView(world)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +191,7 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
     its reply, then try candidates toward the initiator until the two sides'
     short digests collide. Past the kind's key pair and answer, only the
     candidate step depends on the strategy."""
-    _require(strategy, world)
-
-    sid = world.start_session(b"alice", b"bob")
-    view = AdversaryView(world)
+    sid, view = _begin(strategy, world)
     g = view.cfg.group
     kex = view.kind is ProtocolKind.KEX2
     combined = strategy is AttackStrategy.KEM2_COMBINED
@@ -266,10 +266,7 @@ def attack_kem2_replica(
 def attack_kem_same_key(world: World) -> AttackOutcome:
     """Swap in the attacker's public key, decapsulate the responder's secret,
     and re-encapsulate the exact same secret toward the initiator."""
-    _require(AttackStrategy.KEM_SAME_KEY, world)
-
-    sid = world.start_session(b"alice", b"bob")
-    view = AdversaryView(world)
+    sid, view = _begin(AttackStrategy.KEM_SAME_KEY, world)
     g = view.cfg.group
 
     env1 = view.pending()[0]
@@ -329,9 +326,7 @@ def _stand_in(view: AdversaryView, own: Machine) -> None:
 def forge_trial(world: World) -> AttackOutcome:
     """Substitute a coherent forgery at the one undetermined point of the
     flow and hope the n_e-bit digests collide."""
-    _require(AttackStrategy.RANDOM_FORGE, world)
-    sid = world.start_session(b"alice", b"bob")
-    view = AdversaryView(world)
+    sid, view = _begin(AttackStrategy.RANDOM_FORGE, world)
     g = view.cfg.group
     if view.kind is ProtocolKind.KEM3_TWO_ENTROPY:
         # a nonce of the attacker's own, relaying alice's real ct (her column
@@ -361,10 +356,8 @@ def forge_trial(world: World) -> AttackOutcome:
 def redirect_trial(world: World) -> AttackOutcome:
     """Deliver the starter's flow, unmodified, to a third party instead of
     the intended peer, relabeling envelopes so both ends stay in-session."""
-    _require(AttackStrategy.REDIRECT, world)
-    sid = world.start_session(b"alice", b"bob")
+    sid, view = _begin(AttackStrategy.REDIRECT, world)
     redirected = SessionId(b"alice", b"carol", sid.nonce)
-    view = AdversaryView(world)
 
     while pending := view.pending():
         env = pending[0]

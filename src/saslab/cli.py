@@ -10,6 +10,7 @@ stdout; reports go to --out as JSON or CSV.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -20,14 +21,14 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     TrialSummary,
-    _trial_seed,
     build_report,
     exit_code_for,
     report_csv_text,
     report_json_bytes,
     sweep,
+    trial_world,
 )
-from .model import Model, TranscriptError, World, run_honest, transcript_export, transcript_replay
+from .model import TranscriptError, run_honest, transcript_export, transcript_replay
 from .primitives import GROUPS, MAX_ENTROPY_BITS, MIN_ENTROPY_BITS, KemMode
 from .protocols import SPECS, ProtocolKind
 
@@ -157,7 +158,7 @@ def _cmd_experiment(args) -> int:
     trials = trials * len(widths) if len(trials) == 1 else trials
     base = ExperimentConfig(
         protocol=args.protocol,
-        strategy=None if strategy == "honest" else strategy,
+        strategy=strategy,
         group=args.group,
         kem_mode=args.kem_mode,
         n_e=widths[0],
@@ -166,11 +167,15 @@ def _cmd_experiment(args) -> int:
         seed=args.seed,
         kem2_entropy=args.kem2_entropy,
     )
+    outputs = {"report": args.out, "transcript": getattr(args, "transcript", None)}
+    for what, path in outputs.items():  # refused before any trial runs
+        if path is not None and not os.access(path.parent, os.W_OK):
+            raise ConfigError(f"cannot write {what}: {path.parent} is not a writable directory")
     summaries = sweep(base, widths, trials_per_point=trials)
     for summary in summaries:
         _print_summary(summary)
-    if getattr(args, "transcript", None) is not None:
-        world = World(base.kind(), base.protocol_config(), Model.AM, _trial_seed(base, 0))
+    if outputs["transcript"] is not None:
+        world = trial_world(base, 0)
         run_honest(world)
         _write(args.transcript, transcript_export(world), "transcript")
     if args.out is not None:

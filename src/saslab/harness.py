@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .attacks import STRATEGIES, AttackStrategy, unmet_requirement
+from .attacks import STRATEGIES, AttackOutcome, AttackStrategy, unmet_requirement
 from .model import Model, SessionStatus, World, run_honest
 from .primitives import SUITE_HEADER, KemMode, group_by_name
 from .protocols import SPECS, ProtocolConfig, ProtocolKind
@@ -39,7 +39,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """An experiment's settings, checked when built and frozen, like ProtocolConfig.
     Its kind, strategy and ProtocolConfig are resolved then too and kept outside
-    the fields, which alone make equality, to_dict() and the report hashes."""
+    the fields, which alone make equality, to_dict() and the report hashes; the
+    strategy "honest" is stored as None, so both spellings are one config."""
 
     protocol: str
     strategy: str | None = None  # None: honest runs
@@ -58,8 +59,10 @@ class ExperimentConfig:
             kind = ProtocolKind(self.protocol)
         except ValueError:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
+        if self.strategy == "honest":
+            object.__setattr__(self, "strategy", None)
         try:
-            strategy = None if self.strategy in (None, "honest") else AttackStrategy(self.strategy)
+            strategy = None if self.strategy is None else AttackStrategy(self.strategy)
         except ValueError:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         try:  # group, n_e, kem mode and flag, checked where they live
@@ -88,14 +91,8 @@ class ExperimentConfig:
             raise ConfigError(reason)
         object.__setattr__(self, "_resolved", (kind, strategy, cfg))
 
-    def kind(self) -> ProtocolKind:
-        return self._resolved[0]
-
     def strategy_enum(self) -> AttackStrategy | None:
         return self._resolved[1]
-
-    def protocol_config(self) -> ProtocolConfig:
-        return self._resolved[2]
 
     def effective_budget(self) -> int:
         return self.budget if self.budget is not None else 1 << (self.n_e + 4)
@@ -160,31 +157,33 @@ class TrialSummary:
         return out
 
 
-def _trial_seed(config: ExperimentConfig, index: int) -> bytes:
-    return derive_seed(config.seed, b"trial", index.to_bytes(8, "big"))
-
-
-def _trial_batch(config: ExperimentConfig, indices: list[int]) -> list[tuple[bool, int]]:
-    """(success, iterations used) for each of the given trials of one
-    experiment. What the trials share was resolved when the config was built;
-    each trial builds only its world. run_honest is looked up when called, so a
-    replacement on this module is the one that runs."""
+def trial_world(config: ExperimentConfig, index: int) -> World:
+    """The fresh world trial `index` of the experiment runs in: honest runs under
+    AM between alice and bob, an attack under UM with its strategy's parties. Its
+    seed depends only on the master seed and the index."""
     kind, strategy, cfg = config._resolved
-    results = []
+    seed = derive_seed(config.seed, b"trial", index.to_bytes(8, "big"))
     if strategy is None:
-        for i in indices:
-            init, resp = run_honest(World(kind, cfg, Model.AM, _trial_seed(config, i)))
-            ok = (
-                init.status is resp.status is SessionStatus.COMPLETED
-                and init.kappa == resp.kappa and init.entropies == resp.entropies
-            )
-            results.append((ok, 1))
-        return results
-    spec, budget = STRATEGIES[strategy], config.effective_budget()
-    for i in indices:
-        outcome = spec.run(World(kind, cfg, Model.UM, _trial_seed(config, i), spec.parties), budget)
-        results.append((outcome.success, outcome.iterations))
-    return results
+        return World(kind, cfg, Model.AM, seed)
+    return World(kind, cfg, Model.UM, seed, STRATEGIES[strategy].parties)
+
+
+def _honest_trial(world: World, budget: int) -> AttackOutcome:
+    """An honest run succeeds when both ends complete with equal keys and
+    entropies. run_honest is looked up when called, so a replacement on this
+    module is the one that runs."""
+    init, resp = run_honest(world)
+    return AttackOutcome(init.status is resp.status is SessionStatus.COMPLETED
+                         and init.kappa == resp.kappa and init.entropies == resp.entropies, 1)
+
+
+def _trial_batch(config: ExperimentConfig, indices: list[int]) -> list[AttackOutcome]:
+    """The outcome of each of the given trials of one experiment; the runner and
+    the budget are picked once, and each trial builds only its world."""
+    strategy = config.strategy_enum()
+    run = _honest_trial if strategy is None else STRATEGIES[strategy].run
+    budget = config.effective_budget()
+    return [run(trial_world(config, i), budget) for i in indices]
 
 
 def run_experiment(config: ExperimentConfig) -> TrialSummary:
@@ -205,9 +204,9 @@ def run_experiment(config: ExperimentConfig) -> TrialSummary:
             ))
     else:
         batches = [_trial_batch(config, list(range(config.trials)))]
-    results = [result for batch in batches for result in batch]
-    successes = sum(1 for ok, _ in results if ok)
-    iterations = [its for _, its in results]
+    outcomes = [outcome for batch in batches for outcome in batch]
+    successes = sum(1 for outcome in outcomes if outcome.success)
+    iterations = [outcome.iterations for outcome in outcomes]
     rate = successes / config.trials
     low, high = wilson_interval(successes, config.trials)
     bound = config.theoretical_bound()

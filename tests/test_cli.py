@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from saslab import harness
 from saslab.cli import main
 from saslab.harness import ExperimentConfig, run_experiment
 from saslab.harness import EXCLUDED_REPORT_FIELDS
@@ -148,10 +149,16 @@ def test_csv_report(tmp_path, capsys):
         (("run", "--protocol", "kex3", "--trials", "2"), "--out"),
         (("run", "--protocol", "kex3", "--trials", "2", "--format", "csv"), "--out"),
         (("run", "--protocol", "kex3", "--trials", "2"), "--transcript"),
+        (("sweep", "--protocol", "kex3", "--ne", "4,8", "--trials", "2"), "--out"),
     ],
-    ids=["json-report", "csv-report", "transcript"],
+    ids=["json-report", "csv-report", "transcript", "sweep-report"],
 )
-def test_unwritable_output_exits_one_with_one_line(argv, flag, tmp_path, capsys):
+def test_unwritable_output_exits_one_with_one_line(argv, flag, tmp_path, capsys, monkeypatch):
+    # refused before any trial runs
+    def batch(config, indices):
+        raise AssertionError("a trial ran before the output path was checked")
+
+    monkeypatch.setattr(harness, "_trial_batch", batch)
     target = tmp_path / "missing" / "out.bin"
     assert run_cli(*argv, flag, str(target)) == 1
     err = capsys.readouterr().err
@@ -207,8 +214,9 @@ def test_transcript_roundtrip_via_cli(tmp_path, capsys):
 
 
 def test_transcript_records_the_reports_trial_zero(tmp_path, capsys):
-    from saslab.harness import _trial_seed
     from saslab.model import TRANSCRIPT_MAGIC, Model, World, run_honest, transcript_export
+    from saslab.protocols import ProtocolConfig, ProtocolKind
+    from saslab.rng import derive_seed
 
     transcript = tmp_path / "run.bin"
     assert run_cli(
@@ -216,8 +224,8 @@ def test_transcript_records_the_reports_trial_zero(tmp_path, capsys):
         "--transcript", str(transcript),
     ) == 0
     capsys.readouterr()
-    config = ExperimentConfig(protocol="kex3", n_e=8, trials=2, seed=5)
-    world = World(config.kind(), config.protocol_config(), Model.AM, _trial_seed(config, 0))
+    seed = derive_seed(5, b"trial", (0).to_bytes(8, "big"))
+    world = World(ProtocolKind.KEX3, ProtocolConfig(n_e=8), Model.AM, seed)
     run_honest(world)
 
     def records(raw):

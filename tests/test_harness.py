@@ -4,7 +4,7 @@ import json
 import pytest
 
 from saslab import harness
-from saslab.attacks import STRATEGIES
+from saslab.attacks import STRATEGIES, AttackOutcome
 from saslab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -17,6 +17,7 @@ from saslab.harness import (
     sweep,
     wilson_interval,
 )
+from saslab.model import Model
 
 
 def test_honest_experiment_all_completions():
@@ -70,6 +71,40 @@ def test_same_seed_same_summary():
     first = run_experiment(config)
     second = run_experiment(config)
     assert first == second  # wall_time_s is excluded from comparison
+
+
+@pytest.mark.parametrize(
+    "fields,model,parties",
+    [
+        (dict(protocol="kex3"), Model.AM, (b"alice", b"bob")),
+        (dict(protocol="kem4", strategy="random-forge"), Model.UM, (b"alice", b"bob")),
+        (dict(protocol="kex2", strategy="kex2-collision"), Model.UM, (b"alice", b"bob")),
+        (dict(protocol="kex3", strategy="redirect"), Model.UM, (b"alice", b"bob", b"carol")),
+    ],
+    ids=["kex3-honest", "kem4-random-forge", "kex2-collision", "kex3-redirect"],
+)
+def test_each_trial_is_its_runner_on_its_trial_world(fields, model, parties):
+    # one builder of a trial's world, and one outcome type from every runner
+    config = ExperimentConfig(n_e=4, trials=6, seed=7, **fields)
+    strategy = config.strategy_enum()
+    run = harness._honest_trial if strategy is None else STRATEGIES[strategy].run
+    indices = [4, 0, 2]
+    outcomes = harness._trial_batch(config, indices)
+    assert all(type(outcome) is AttackOutcome for outcome in outcomes)
+    assert outcomes == [
+        run(harness.trial_world(config, i), config.effective_budget()) for i in indices
+    ]
+    world = harness.trial_world(config, 0)
+    assert world.model is model and tuple(world.parties) == parties
+
+
+def test_honest_and_no_strategy_are_one_config():
+    named = ExperimentConfig(protocol="kex3", strategy="honest", trials=3, seed=7)
+    unnamed = ExperimentConfig(protocol="kex3", trials=3, seed=7)
+    assert named == unnamed and named.strategy is None
+    hashes = [build_report([run_experiment(c)], config=c)["content_sha256"]
+              for c in (named, unnamed)]
+    assert hashes[0] == hashes[1]
 
 
 def test_parallel_execution_matches_sequential():

@@ -11,10 +11,11 @@ exactly what the other sent, between two ends that each name the other as
 peer. A redirect relays payloads unchanged, so only the peer check sees it:
 alice names bob, but her end was verified against carol's.
 
-Survivors, each with receiver=None on one entropy value: kem4's E_B and
-kem3-two-entropy's E_B1. Another value of the row (kem4's E_A, the second
-value E_B2) still binds the receiver the redirect changes, so the redirect
-is rejected on the mutant as on the shipped row.
+Survivors, each with receiver=None on one entropy value: kem4's E_B, kem6's
+E_B, and kem3-two-entropy's E_B1 and E_B2. Another value of the row (kem4's
+and kem6's E_A, the other of E_B1 and E_B2) still binds the receiver the
+redirect changes, so the redirect is rejected on the mutant as on the
+shipped row.
 """
 
 import dataclasses
@@ -115,6 +116,21 @@ MUTANTS = {
     "mt-auth-E_A-without-receiver": (
         ProtocolKind.MT_AUTH,
         lambda: replaced(ProtocolKind.MT_AUTH, "E_A", receiver=None),
+        redirect,
+    ),
+    "kem4-E_A-without-receiver": (
+        ProtocolKind.KEM4,
+        lambda: replaced(ProtocolKind.KEM4, "E_A", receiver=None),
+        redirect,
+    ),
+    "kem6-E_A-without-receiver": (
+        ProtocolKind.KEM6,
+        lambda: replaced(ProtocolKind.KEM6, "E_A", receiver=None),
+        redirect,
+    ),
+    "kem3-commit-E-without-receiver": (
+        ProtocolKind.KEM3_COMMIT,
+        lambda: replaced(ProtocolKind.KEM3_COMMIT, "E", receiver=None),
         redirect,
     ),
 }
