@@ -6,8 +6,8 @@ adversary schedules, delays, or drops messages but every delivered message
 is exactly what was sent. Under the unauthenticated model (UM) the adversary
 may also rewrite payloads or inject fabricated envelopes. Verification of
 session entropies runs over a tamper-proof comparison channel executed by
-the scheduler; the adversary observes verdicts and can override one only by
-corrupting a party first.
+the scheduler; the adversary observes each verdict and can change none, so
+a session completes only when its entropies equal its peer's.
 
 A single world is strictly sequential. Independent worlds share nothing and
 can run in parallel.
@@ -48,7 +48,7 @@ class ModelViolationError(Exception):
 
 
 class RuleViolationError(Exception):
-    """Query broke its own rules (double test, revealing expired keys, ...)."""
+    """Query broke its own rules (double test, revealing a key never accepted, ...)."""
 
 
 class SequencingError(Exception):
@@ -105,10 +105,10 @@ class SessionStatus(Enum):
 @dataclass
 class SessionRecord:
     """A party's one session: (P_i, P_j, s, key) plus status, entropies, an
-    ordered event log, the machine of its side, the seq of its next outgoing
-    message, and its live key, held exactly while the session is COMPLETED
-    and not expired. The status leaves IN_PROCESS once and never moves again,
-    and a settled session takes no further message.
+    ordered event log, the machine of its side and the seq of its next
+    outgoing message. kappa is set exactly when the session is COMPLETED.
+    The status leaves IN_PROCESS once and never moves again, and a settled
+    session takes no further message.
 
     `log` keeps each event's name, details and, for "sent" and "received",
     the raw payload. `events` builds the event dicts from that log each time
@@ -124,7 +124,6 @@ class SessionRecord:
     kappa: Optional[bytes] = None
     entropies: dict = field(default_factory=dict)
     sent: int = field(default=0, repr=False, compare=False)
-    live_key: SharedKey | None = field(default=None, repr=False, compare=False)
     _log: list = field(default_factory=list, init=False)  # (event, details, payload)
 
     def log(self, event: str, payload: bytes | None = None, **details):
@@ -221,7 +220,6 @@ def _check_injected(env: MessageEnvelope) -> None:
 
 class _Party:
     _rng = None  # what every party starts with, kept on the class until set
-    corrupted = False
 
     def __init__(self, name: bytes, world_seed: bytes | int):
         self.name = name
@@ -385,7 +383,7 @@ class World:
 
     def schedule(self, action: Deliver | Modify | Inject | Drop):
         """Apply one wire action under the active delivery model. The other
-        adversary queries (corrupt, reveal, expire, test) are methods below.
+        adversary queries (reveal_key, test) are methods below.
         A payload or an injected envelope that cannot go on the wire is
         refused before any envelope is taken, session created or event logged."""
         if isinstance(action, Deliver):
@@ -421,7 +419,6 @@ class World:
         initiator_sid: SessionId,
         responder: bytes,
         responder_sid: SessionId,
-        override: bool = False,
     ) -> str:
         """Compare the two sessions' entropy values over the tamper-proof
         channel, complete or abort both sessions accordingly, and return the
@@ -441,33 +438,24 @@ class World:
             if not record.machine.done or not record.machine.entropies:
                 raise SequencingError("verification requested before entropy was computed")
         ours, theirs = first.machine.entropies, second.machine.entropies
-        if override:
-            if not (self._party(initiator).corrupted or self._party(responder).corrupted):
-                raise RuleViolationError("override requires a corrupted party")
-            verdict = "accept"
-            rounds = [(sorted(ours), "accept")]
-        else:
-            verdict = "accept" if ours == theirs else "reject"
-            ordered = sorted(ours)
-            groups = [[lbl] for lbl in ordered] if SPECS[self.kind].separate_rounds else [ordered]
-            # a round accepts when its own values agree, as all do when the dicts are equal;
-            # a label the other side lacks rejects
-            rounds = [
-                (labels, "accept" if verdict == "accept"
-                 or all(ours[lbl] == theirs.get(lbl) for lbl in labels) else "reject")
-                for labels in groups
-            ]
+        verdict = "accept" if ours == theirs else "reject"
+        ordered = sorted(ours)
+        groups = [[lbl] for lbl in ordered] if SPECS[self.kind].separate_rounds else [ordered]
+        # a round accepts when its own values agree, as all do when the dicts are equal;
+        # a label the other side lacks rejects
+        rounds = [
+            (labels, "accept" if verdict == "accept"
+             or all(ours[lbl] == theirs.get(lbl) for lbl in labels) else "reject")
+            for labels in groups
+        ]
         for record in records:
             record.entropies = dict(record.machine.entropies)
             for labels, round_verdict in rounds:
-                record.log(
-                    "verified", labels=list(labels), verdict=round_verdict,
-                    override=override,
-                )
+                # override is always False; transcript v1 and the seeded record pins carry it
+                record.log("verified", labels=list(labels), verdict=round_verdict, override=False)
             if verdict == "accept":
                 record.status = SessionStatus.COMPLETED
-                record.live_key = record.machine.key
-                record.kappa = record.live_key.key
+                record.kappa = record.machine.key.key
                 if record.machine.delivered_message is not None:
                     record.log(
                         "mt-delivered",
@@ -489,37 +477,17 @@ class World:
 
     # -- adversary queries ------------------------------------------------------
 
-    def corrupt(self, party: bytes) -> dict:
-        p = self._party(party)
-        p.corrupted = True
-        state = {}
-        for sid, record in p.sessions.items():
-            record.log("corrupted")
-            state[sid.label()] = record.machine.state_snapshot()
-        return state
-
     def _holding_key(self, party: bytes, sid: SessionId) -> SessionRecord:
-        """The session, which must hold its live key: completed, not expired."""
+        """The session, which must have accepted a key: COMPLETED."""
         record = self.session_record(party, sid)
-        if record.live_key is None:
-            completed = record.status is SessionStatus.COMPLETED
-            raise RuleViolationError("session key deleted" if completed else "no accepted key")
+        if record.status is not SessionStatus.COMPLETED:
+            raise RuleViolationError("no accepted key")
         return record
 
     def reveal_key(self, party: bytes, sid: SessionId) -> SharedKey:
         record = self._holding_key(party, sid)
         record.log("key-revealed")
-        return record.live_key
-
-    def reveal_state(self, party: bytes, sid: SessionId) -> dict:
-        record = self.session_record(party, sid)
-        record.log("state-revealed")
-        return record.machine.state_snapshot()
-
-    def expire(self, party: bytes, sid: SessionId):
-        record = self._holding_key(party, sid)
-        record.live_key = None
-        record.log("expired")
+        return record.machine.key
 
     def test(self, party: bytes, sid: SessionId) -> SharedKey:
         if self._test_used:
@@ -530,14 +498,12 @@ class World:
         sent, received = tested.conversation()
         for record in self.records():
             if record is tested or record.conversation() == (received, sent):
-                if {"key-revealed", "state-revealed"} & set(record.event_types()):
+                if "key-revealed" in record.event_types():
                     raise RuleViolationError("session or its partner was revealed; test disallowed")
-        if any(self.parties[p].corrupted for p in tested.parties if p in self.parties):
-            raise RuleViolationError("a participant is corrupted; test disallowed")
         self._test_used = True
         tested.log("tested")
         if self._challenge_bit == 1:
-            return tested.live_key
+            return tested.machine.key
         return SharedKey(self._hidden_rng.randbytes(32))
 
     # -- bookkeeping -------------------------------------------------------------
@@ -550,7 +516,7 @@ class AdversaryView:
     """The attacker-visible surface: wire traffic and scheduling only.
 
     Attack strategies receive this facade instead of the world, which keeps
-    them honest: party machines, records, and live keys are unreachable.
+    them honest: party machines, records, and session keys are unreachable.
     """
 
     def __init__(self, world: World):
@@ -586,17 +552,12 @@ class AdversaryView:
     def drop(self, env: MessageEnvelope):
         return self._world.schedule(Drop(env))
 
-    def corrupt(self, party: bytes):
-        return self._world.corrupt(party)
-
     def verify(
         self, initiator: bytes, initiator_sid: SessionId,
-        responder: bytes, responder_sid: SessionId, override: bool = False,
+        responder: bytes, responder_sid: SessionId,
     ) -> str:
         """Run the out-of-band comparison; the adversary observes the verdict."""
-        return self._world.i_f_verify(
-            initiator, initiator_sid, responder, responder_sid, override
-        )
+        return self._world.i_f_verify(initiator, initiator_sid, responder, responder_sid)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .primitives import (
     EntropyValue,
     GroupParams,
     KemMode,
-    KeyPair,
     MAX_ENTROPY_BITS,
     MIN_ENTROPY_BITS,
     Opening,
@@ -287,36 +286,6 @@ class Machine:
         self._step += 1
         return None if out is None else encode_fields(out)
 
-    def state_snapshot(self) -> dict:
-        """Ephemeral session state, as exposed by a state-reveal query.
-
-        Holds the machine's byte and integer attributes and the locals of
-        its suspended column, with key pairs, commitments, openings and legs
-        flattened into dotted names. A column that has returned or aborted
-        holds no locals: session state is erased at completion.
-        """
-        out = {"kind": self.spec.kind.value, "side": self.side.value, "step": self._step}
-        state = dict(vars(self))
-        if self._flow.gi_frame is not None:
-            state.update(self._flow.gi_frame.f_locals)
-        for name, value in state.items():
-            if name not in out:
-                _reveal(name, value, out)
-        return out
-
-
-def _reveal(name: str, value, out: dict) -> None:
-    if isinstance(value, bytes):
-        out[name] = value.hex()
-    elif isinstance(value, int) and not isinstance(value, bool):
-        out[name] = hex(value)
-    elif isinstance(value, (KeyPair, Commitment, Opening)):
-        for key, inner in vars(value).items():
-            _reveal(f"{name}.{key}", inner, out)
-    elif isinstance(value, dict):  # a transfer's legs
-        for key, inner in value.items():
-            _reveal(f"{name}.{key}", inner, out)
-
 
 # ---------------------------------------------------------------------------
 # the 2- and 3-pass columns: kex2, kex3, kem2 and the kem3 variants
@@ -460,7 +429,6 @@ def _transfer(m: Machine):
                 out = None
                 for i, step, leg in steps:
                     step(m, leg, values[i])
-            del i  # state_snapshot reveals a suspended column's int locals
         return out
     finally:
         m.legs = m.pk = m.peer = m.pair = None

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from saslab import model, primitives
+from saslab import model, primitives, protocols
 from saslab.attacks import forge_trial, redirect_trial
 from saslab.model import (
     AdversaryView,
@@ -122,33 +122,6 @@ def test_tampered_runs_accept_at_collision_rate():
     assert abs(accepted - mu) <= 3 * sigma, f"{accepted} acceptances vs mean {mu:.1f}"
 
 
-def test_corruption_override_forces_acceptance():
-    world = World(ProtocolKind.KEX2, ProtocolConfig(n_e=32), Model.UM, seed=5)
-    sid = world.start_session(b"alice", b"bob")
-    world.schedule(Deliver(world.undelivered[0]))
-    env = world.undelivered[0]
-    g = world.cfg.group
-    from saslab.primitives import encode_fields
-    world.schedule(
-        Modify(env, encode_fields([("pkb", g.encode_element(pow(g.g, 7, g.p)))]))
-    )
-    with pytest.raises(RuleViolationError):
-        world.i_f_verify(b"alice", sid, b"bob", sid, override=True)
-    world.corrupt(b"alice")
-    assert world.i_f_verify(b"alice", sid, b"bob", sid, override=True) == "accept"
-    for party in (b"alice", b"bob"):
-        verified = [
-            e for e in world.session_record(party, sid).events if e["event"] == "verified"
-        ]
-        assert verified and all(e["override"] is True for e in verified)
-    record = world.session_record(b"alice", sid)
-    assert record.status is SessionStatus.COMPLETED
-    assert "corrupted" in record.event_types()
-    assert any(
-        e["event"] == "verified" and e["override"] for e in record.events
-    )
-
-
 def test_verification_before_entropy_is_a_sequencing_error():
     world = make_world(kind=ProtocolKind.KEX2)
     sid = world.start_session(b"alice", b"bob")
@@ -180,23 +153,6 @@ def test_reveal_key_returns_kappa_and_logs():
     assert "key-revealed" in record.event_types()
 
 
-def test_reveal_state_returns_snapshot():
-    world, sid = completed_session()
-    state = world.reveal_state(b"bob", sid)
-    assert state["kind"] == "kex3"
-    assert "state-revealed" in world.session_record(b"bob", sid).event_types()
-
-
-def test_expire_deletes_key():
-    world, sid = completed_session()
-    world.expire(b"alice", sid)
-    with pytest.raises(RuleViolationError, match="session key deleted"):
-        world.reveal_key(b"alice", sid)
-    with pytest.raises(RuleViolationError, match="session key deleted"):
-        world.test(b"alice", sid)
-    assert "expired" in world.session_record(b"alice", sid).event_types()
-
-
 def test_late_message_leaves_a_completed_session_alone():
     world = make_world(kind=ProtocolKind.KEX2, model=Model.UM, seed=10)
     init, _ = run_honest(world)
@@ -212,8 +168,7 @@ def test_late_message_leaves_a_completed_session_alone():
 
 @pytest.mark.parametrize("kind", list(ProtocolKind), ids=[k.value for k in ProtocolKind])
 def test_a_session_is_verified_once(kind):
-    # a second verification must neither settle a session again nor put an
-    # expired key back
+    # a second verification must not settle a session again
     world = make_world(kind=kind, seed=13)
     records = run_honest(world)
     sid = records[0].session
@@ -221,13 +176,6 @@ def test_a_session_is_verified_once(kind):
     with pytest.raises(RuleViolationError, match="already verified"):
         world.i_f_verify(b"alice", sid, b"bob", sid)
     assert [(r.status, r.kappa, r.events) for r in records] == before
-    world.expire(b"alice", sid)
-    with pytest.raises(RuleViolationError, match="already verified"):
-        world.i_f_verify(b"alice", sid, b"bob", sid)
-    with pytest.raises(RuleViolationError, match="session key deleted"):
-        world.reveal_key(b"alice", sid)
-    with pytest.raises(RuleViolationError, match="session key deleted"):
-        world.test(b"alice", sid)
 
 
 def test_a_session_is_not_verified_against_itself():
@@ -328,12 +276,8 @@ BAD_QUERIES = {
     "view-verify-int-sid": lambda world, sid: AdversaryView(world).verify(b"alice", sid, b"bob", 7),
     "reveal_key-str-sid": lambda world, sid: world.reveal_key(b"alice", sid.label()),
     "reveal_key-none-sid": lambda world, sid: world.reveal_key(b"alice", None),
-    "expire-str-sid": lambda world, sid: world.expire(b"bob", sid.label()),
-    "expire-none-sid": lambda world, sid: world.expire(b"bob", None),
     "test-str-sid": lambda world, sid: world.test(b"alice", sid.label()),
     "test-none-sid": lambda world, sid: world.test(b"alice", None),
-    "reveal_state-list-sid": lambda world, sid: world.reveal_state(b"bob", [sid]),
-    "corrupt-list-party": lambda world, sid: world.corrupt([b"alice"]),
     "session_record-list-party": lambda world, sid: world.session_record([b"bob"], sid),
 }
 # a SessionId whose fields the world never builds, named in each query that takes a sid
@@ -345,8 +289,6 @@ MALFORMED_SIDS = {
 SID_QUERIES = {
     "session_record": lambda world, bad: world.session_record(b"bob", bad),
     "reveal_key": lambda world, bad: world.reveal_key(b"alice", bad),
-    "reveal_state": lambda world, bad: world.reveal_state(b"bob", bad),
-    "expire": lambda world, bad: world.expire(b"alice", bad),
     "test": lambda world, bad: world.test(b"alice", bad),
     "i_f_verify": lambda world, bad: world.i_f_verify(b"alice", bad, b"bob", bad),
 }
@@ -364,11 +306,10 @@ def test_a_query_refuses_a_malformed_party_or_sid(shape):
     sid = world.start_session(b"alice", b"bob")
     while world.undelivered:
         world.schedule(Deliver(world.undelivered[0]))
-    before = [(r.status, r.live_key, r.events) for r in world.records()]
+    before = [(r.status, r.kappa, r.events) for r in world.records()]
     with pytest.raises(RuleViolationError):
         BAD_QUERIES[shape](world, sid)
-    assert [(r.status, r.live_key, r.events) for r in world.records()] == before
-    assert not any(party.corrupted for party in world.parties.values())
+    assert [(r.status, r.kappa, r.events) for r in world.records()] == before
     assert world.i_f_verify(b"alice", sid, b"bob", sid) == "accept"  # the test query is unused
     assert world.test(b"alice", sid) is not None
 
@@ -448,13 +389,12 @@ def test_test_query_disqualified_by_reveal():
         world.test(b"alice", sid)
 
 
-@pytest.mark.parametrize("reveal", ["reveal_key", "reveal_state"], ids=["key", "state"])
-def test_test_query_disqualified_by_partner_reveal(reveal):
+def test_test_query_disqualified_by_partner_reveal():
     # bob's session has alice's matching conversation: revealing it reveals
-    # alice's key (or the state that derives it), so alice's is not fresh
+    # alice's key, so alice's is not fresh
     for seed in range(20):
         world, sid = completed_session(seed=200 + seed)
-        getattr(world, reveal)(b"bob", sid)
+        world.reveal_key(b"bob", sid)
         with pytest.raises(RuleViolationError):
             world.test(b"alice", sid)
 
@@ -463,15 +403,7 @@ def test_test_query_answers_beside_an_unrelated_reveal():
     world, sid = completed_session()
     other, _ = run_honest(world)  # a second alice-bob session
     world.reveal_key(b"bob", other.session)
-    world.reveal_state(b"bob", other.session)
     assert len(world.test(b"alice", sid).key) == 32
-
-
-def test_test_query_disqualified_by_corruption():
-    world, sid = completed_session()
-    world.corrupt(b"bob")
-    with pytest.raises(RuleViolationError):
-        world.test(b"alice", sid)
 
 
 def test_test_query_requires_completed_session():
@@ -564,8 +496,7 @@ def test_completion_soundness():
     for record in run_honest(world):
         if record.status is SessionStatus.COMPLETED:
             assert any(
-                e["event"] == "verified" and (e["verdict"] == "accept" or e["override"])
-                for e in record.events
+                e["event"] == "verified" and e["verdict"] == "accept" for e in record.events
             )
 
 
@@ -584,26 +515,23 @@ RAISED_FIELD = {
 
 @pytest.mark.parametrize("group", [TOY256, MODP2048], ids=["toy256", "modp2048"])
 @pytest.mark.parametrize("kind", list(RAISED_FIELD), ids=[k.value for k in RAISED_FIELD])
-def test_honest_key_equals_the_builtin_pow_of_the_revealed_secret(kind, group, monkeypatch):
+def test_honest_key_equals_the_builtin_pow_of_the_drawn_secret(kind, group, monkeypatch):
     # both honest ends may take their shared element from one generator-table
-    # power, so recompute it from a revealed secret with the built-in pow alone;
-    # the ends themselves make no variable-base pow
+    # power, so recompute it from the secret a party drew with the built-in pow
+    # alone; the ends themselves make no variable-base pow
     primitives.generator_table(group)
+    pairs = {}  # a party's rng -> the key pair drawn from it
+    for name in ("kex_keygen", "kem_keygen"):
+        def keygen(params, rng, drawn=getattr(protocols, name)):
+            pairs[rng] = drawn(params, rng)
+            return pairs[rng]
+        monkeypatch.setattr(protocols, name, keygen)
     calls = []
     monkeypatch.setattr(primitives, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
     world = make_world(kind=kind, seed=23, group=group)
-    sid = world.start_session(b"alice", b"bob")
-    secrets = {}
-    while True:
-        for party in (b"alice", b"bob"):
-            if sid in world.parties[party].sessions:
-                state = world.reveal_state(party, sid)
-                if "pair.secret" in state:
-                    secrets[party] = int(state["pair.secret"], 16)
-        if not world.undelivered:
-            break
-        world.schedule(Deliver(world.undelivered[0]))
-    assert world.i_f_verify(b"alice", sid, b"bob", sid) == "accept"
+    records = run_honest(world)
+    sid = records[0].session
+    assert all(record.status is SessionStatus.COMPLETED for record in records)
     assert calls == []
 
     label, opened = RAISED_FIELD[kind]
@@ -616,7 +544,7 @@ def test_honest_key_equals_the_builtin_pow_of_the_revealed_secret(kind, group, m
     ]
     if opened:
         raw = Opening.decode(raw).message
-    secret, p = secrets[raiser], group.p
+    secret, p = pairs[world.parties[raiser].rng].secret, group.p
     if kind in (ProtocolKind.KEX2, ProtocolKind.KEX3):
         shared = pow(group.decode_element(raw), secret, p)
     else:
@@ -690,7 +618,7 @@ def test_adversary_view_is_read_only_and_scoped():
         view.parties = {}
     public = {name for name in dir(view) if not name.startswith("_")}
     assert public == {
-        "pending", "deliver", "modify", "inject", "drop", "corrupt", "verify", "rng", "cfg", "kind",
+        "pending", "deliver", "modify", "inject", "drop", "verify", "rng", "cfg", "kind",
     }
 
 

@@ -11,20 +11,33 @@ exactly what the other sent, between two ends that each name the other as
 peer. A redirect relays payloads unchanged, so only the peer check sees it:
 alice names bob, but her end was verified against carol's.
 
-Survivors, each with receiver=None on one entropy value: kem4's E_B, kem6's
-E_B, and kem3-two-entropy's E_B1 and E_B2. Another value of the row (kem4's
-and kem6's E_A, the other of E_B1 and E_B2) still binds the receiver the
-redirect changes, so the redirect is rejected on the mutant as on the
-shipped row.
+One mutant is killed by a criterion instead: kem3-commit without its
+reopen check, run through acceptance.criterion_6 as a function, which
+tampers with the encapsulation alone and must see the initiator abort.
+
+Survivors, each with receiver=None on one entropy value, are not all alike.
+Measured at n_e 8 with 10^4 redirect trials at seed 7 (asserted nowhere):
+
+- kem3-two-entropy's E_B1 and E_B2 survive at n_e 64 and are weakened at
+  low n_e: the redirect succeeds 51 (E_B1) and 34 (E_B2) times, against 0 on
+  the shipped row. The other of the two values still binds the receiver the
+  redirect changes, so a redirect needs one digest collision, not two.
+- kem4's and kem6's E_B: 42 successes each, the same trials as on the
+  shipped rows. E_B binds the initiator's name, which a redirect leaves
+  alone, and E_A still binds the receiver it changes: equivalent for the
+  redirect.
 """
 
 import dataclasses
 
 import pytest
 
+from saslab import protocols
+from saslab.acceptance import criterion_6
 from saslab.attacks import redirect_trial
 from saslab.model import AdversaryView, Model, SessionStatus, World, run_honest
 from saslab.primitives import (
+    Commitment,
     Encapsulation,
     decode_fields,
     encode_fields,
@@ -34,7 +47,7 @@ from saslab.primitives import (
     pke_decrypt,
     pke_encrypt,
 )
-from saslab.protocols import SPECS, ProtocolConfig, ProtocolKind
+from saslab.protocols import SPECS, ProtocolConfig, ProtocolError, ProtocolKind, Side
 
 CFG = ProtocolConfig(n_e=64)  # a collision of the digests is out of reach
 PARTIES = (b"alice", b"bob", b"carol")  # carol: the redirect's third party
@@ -164,3 +177,32 @@ def test_a_mutant_is_accepted_by_its_attack_and_flagged_by_the_oracle(name, monk
         patch.setitem(SPECS, kind, mutant())
         assert runs() == [("accept", False)] * len(SEEDS)
     assert runs() == [("reject", True)] * len(SEEDS)  # and holds again once restored
+
+
+def kem3_commit_without_reopen_check(m):
+    """protocols._kem3_commit with the initiator's `open_commitment(...) is
+    REJECT` abort left out: it takes any encapsulation as the committed one."""
+    if m.side is Side.B:
+        return (yield from protocols._kem3_commit(m))
+    g = m.cfg.group
+    (raw_c,) = yield None, ["com"]
+    c = Commitment(raw_c)
+    pair = kem_keygen(g, m.rng)
+    pk = g.encode_element(pair.public)
+    ct, ctd = yield [("pk", pk)], ["ct", "ctd"]
+    blinder = pke_decrypt(pair.secret, g, ctd)
+    _, m.key = kem_decaps_star(pair.secret, Encapsulation.decode(ct, g), g)
+    if len(blinder) != 32:
+        raise ProtocolError("recovered blinder has wrong length")
+    m._entropy("E", pk=pk, com=c.digest, key=m.key.key)
+    return None
+
+
+def test_kem3_commit_without_its_reopen_check_fails_criterion_6(monkeypatch):
+    # C6 tampers with the encapsulation alone; only the reopen check aborts on it
+    assert criterion_6().passed  # the shipped row holds
+    with monkeypatch.context() as patch:
+        patch.setitem(SPECS, ProtocolKind.KEM3_COMMIT, dataclasses.replace(
+            SPECS[ProtocolKind.KEM3_COMMIT], column=kem3_commit_without_reopen_check))
+        result = criterion_6()
+    assert not result.passed and result.detail == "0/10000 aborts", result.line()

@@ -544,47 +544,44 @@ def test_a_world_takes_each_end_of_the_seed_range(seed):
     assert init.status is resp.status is SessionStatus.COMPLETED
 
 
-def test_state_snapshot_redacts_nothing_needed():
-    # the suspended side exposes its ephemeral secret; a finished one nothing
+def test_a_finished_column_keeps_no_secret():
+    # the suspended side keeps its ephemeral key pair in its column's frame; a
+    # finished side has no frame, so its session state is erased at completion
     cfg = ProtocolConfig()
     g = cfg.group
     a = build_machine(ProtocolKind.KEX2, cfg, Side.A, b"alice", b"bob", HashDrbg(25))
     b = build_machine(ProtocolKind.KEX2, cfg, Side.B, b"bob", b"alice", HashDrbg(26))
     first = a.advance(None)
     (pka,) = expect_fields(first, ["pka"])
-
-    def secrets(snapshot):
-        ints = [int(v, 16) for v in snapshot.values() if str(v).startswith("0x")]
-        return [s for s in ints if pow(g.g, s, g.p) == g.decode_element(pka)]
-
-    snapshot = a.state_snapshot()
-    assert snapshot["kind"] == "kex2" and snapshot["step"] == 1
-    assert secrets(snapshot)
+    pair = a._flow.gi_frame.f_locals["pair"]
+    assert pow(g.g, pair.secret, g.p) == g.decode_element(pka)
     a.advance(b.advance(first))
-    assert a.done and not secrets(a.state_snapshot())
+    assert a.done and a._flow.gi_frame is None
 
 
 @pytest.mark.parametrize("kind", [ProtocolKind.KEM4, ProtocolKind.KEM6], ids=["kem4", "kem6"])
 def test_transfer_state_is_erased_when_the_run_ends(kind):
-    # a suspended side exposes its key pair and its legs; a side that has
-    # finished, or aborted on a bad opening, exposes neither
+    # a suspended side keeps its key pair and its legs; a side that has
+    # finished, or aborted on a bad opening, keeps neither
     cfg = ProtocolConfig()
     a = build_machine(kind, cfg, Side.A, b"alice", b"bob", HashDrbg(27))
     b = build_machine(kind, cfg, Side.B, b"bob", b"alice", HashDrbg(28))
     payload, receiver, other = a.advance(None), b, a
     while not b.done:
         payload, receiver, other = receiver.advance(payload), other, receiver
-    assert "pair.secret" in a.state_snapshot() and "legs.E_B.c.digest" in a.state_snapshot()
+    assert a.pair.secret and a.legs["E_B"]["c"].digest
     (raw,) = expect_fields(payload, ["open_ct"])
     tampered = raw[:-1] + bytes([raw[-1] ^ 1])
     with pytest.raises(ProtocolError, match="opening rejected"):
         a.advance(encode_fields([("open_ct", tampered)]))
     for machine in (a, b):
-        assert not any(name.startswith(("pair.", "legs.")) for name in machine.state_snapshot())
+        assert keeps_no_column_state(machine)
 
 
-# the names a snapshot holds that come from the machine itself, not its column
-MACHINE_FIELDS = {"kind", "side", "step", "_step", "self_id", "peer_id"}
+def keeps_no_column_state(machine) -> bool:
+    """The machine's column has no frame, and a transfer's attributes are erased."""
+    kept = (getattr(machine, name, None) for name in ("legs", "pk", "peer", "pair"))
+    return machine._flow.gi_frame is None and all(value is None for value in kept)
 
 
 @pytest.mark.parametrize("way", ["schema", "start-signal"])
@@ -592,13 +589,13 @@ MACHINE_FIELDS = {"kind", "side", "step", "_step", "self_id", "peer_id"}
 def test_an_aborted_machine_keeps_no_column_state(kind, way):
     # after the first message both sides have run their column; abort each
     # with a payload of the wrong schema or a second start signal, and
-    # neither a state reveal nor a corruption may expose the column's
-    # locals (pair.*, c.*, legs.*, ...) or the attributes it keeps
+    # neither may keep the column's locals (pair, c, ...) or the
+    # attributes it keeps (legs, pk, peer, pair)
     world = World(kind, ProtocolConfig(), Model.UM, seed=41)
     sid = world.start_session(b"alice", b"bob")
     first = world.undelivered[0]
     starter = world.parties[first.sender].sessions[sid].machine
-    assert set(starter.state_snapshot()) - MACHINE_FIELDS  # the live column shows
+    assert not keeps_no_column_state(starter)  # the live column shows
     world.schedule(Deliver(first))
     for name, peer in ((b"alice", b"bob"), (b"bob", b"alice")):
         machine = world.parties[name].sessions[sid].machine
@@ -610,5 +607,4 @@ def test_an_aborted_machine_keeps_no_column_state(kind, way):
             with pytest.raises(ProtocolError):
                 machine.advance(None)
         assert machine.aborted
-        assert set(machine.state_snapshot()) <= MACHINE_FIELDS, (name, machine.state_snapshot())
-        assert set(world.corrupt(name)[sid.label()]) <= MACHINE_FIELDS
+        assert keeps_no_column_state(machine), name

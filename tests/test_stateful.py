@@ -3,24 +3,25 @@
 A hypothesis state machine drives one world with three parties and up to
 two concurrent sessions of one kind. Each step is one action: start a
 session, deliver, modify or drop a pending envelope, inject an envelope
-(malformed shapes included), re-inject one the world sent earlier, corrupt
-a party, reveal a session's key or state, expire it, ask the test query, or
-verify two sessions (sometimes one session against itself); a query may
-name a malformed party or a malformed sid. One more step
-delivers every pending envelope in order, as the honest scheduler does, so
-that flows reach verification. It reaches orders a fixed enumeration does
-not, such as a reveal or an expire between two messages.
+(malformed shapes included), re-inject one the world sent earlier, reveal
+a session's key, ask the test query, or verify two sessions (sometimes one
+session against itself); a query may name a malformed party or a malformed
+sid. One more step delivers every pending envelope in order, as the honest
+scheduler does, so that flows reach verification; under UM another does
+the same after splicing into the first one a payload of the same labels
+sent elsewhere, so that both ends finish with entropies that differ and a
+wrong accept would show. It reaches orders a fixed enumeration does not,
+such as a reveal between two messages.
 
 After every step these invariants hold:
 
 - only ModelViolationError, RuleViolationError and SequencingError escape;
 - a status leaves IN_PROCESS at most once, and a settled session takes no
   further message: it sends, receives and aborts nothing more;
-- live_key is not None exactly when the session is COMPLETED and not
-  expired;
+- kappa is not None exactly when the session is COMPLETED;
 - the test query answers at most once per world, and only for a session
-  never revealed whose participants are not corrupted;
-- an accept without override implies equal entropies;
+  whose key was never revealed;
+- an accept implies equal entropies;
 - a session completes only in an accepting verification against another
   session;
 - events are only ever appended;
@@ -56,16 +57,14 @@ from saslab.model import (
     SessionStatus,
     World,
 )
-from saslab.primitives import MAX_MESSAGE_SIZE
+from saslab.primitives import MAX_MESSAGE_SIZE, decode_fields
 from saslab.protocols import ProtocolConfig, ProtocolKind
 
 PARTIES = (b"alice", b"bob", b"carol")
 MAX_SESSIONS = 2
 TYPED_ERRORS = (ModelViolationError, RuleViolationError, SequencingError)
 # what a settled session may still log: the queries, and the transfer's delivery
-SETTLED_EVENTS = {
-    "corrupted", "key-revealed", "state-revealed", "expired", "tested", "mt-delivered",
-}
+SETTLED_EVENTS = {"key-revealed", "tested", "mt-delivered"}
 
 # names as the adversary may write them: the parties, a stranger, and malformed ones
 NAMES = st.sampled_from(PARTIES + (b"zed",)) | st.sampled_from(["bob", b"", b"\xff", [b"bob"]])
@@ -76,6 +75,10 @@ BAD_SIDS = st.sampled_from(["alice~bob~00", None, 0, [], SessionId("alice", "bob
 SEQS = st.integers(0, 3) | st.sampled_from(["0", None, True])
 PAYLOAD_EDITS = st.sampled_from(["flip", "truncate", "replay", "junk", "str", "oversized"])
 STEPS = settings(derandomize=True, max_examples=50, stateful_step_count=30, deadline=None)
+
+
+def _labels(payload):
+    return [label for label, _ in decode_fields(payload)]
 
 
 class WorldMachine(RuleBasedStateMachine):
@@ -153,6 +156,19 @@ class WorldMachine(RuleBasedStateMachine):
         while self.world.undelivered:
             self._do(self.world.schedule, Deliver(self.world.undelivered[0]))
 
+    @precondition(lambda self: self.model is Model.UM and self.world.undelivered)
+    @rule(data=st.data())
+    def splice(self, data):
+        # the first pending envelope carries another sent payload with the same labels,
+        # then the rest go as sent: both ends finish, most often with entropies apart
+        env = self.world.undelivered[0]
+        labels = _labels(env.payload)
+        same = [sent.payload for sent in self.sent
+                if sent.payload != env.payload and _labels(sent.payload) == labels]
+        if same:
+            self._do(self.world.schedule, Modify(env, data.draw(st.sampled_from(same))))
+            self.deliver_all()
+
     @precondition(lambda self: self.world.undelivered)
     @rule(data=st.data(), edit=PAYLOAD_EDITS)
     def modify(self, data, edit):
@@ -181,16 +197,10 @@ class WorldMachine(RuleBasedStateMachine):
     def reinject(self, data):
         self._do(self.world.schedule, Inject(data.draw(st.sampled_from(self.sent))))
 
-    @precondition(lambda self: not any(p.corrupted for p in self.world.parties.values()))
-    @rule(party=NAMES)
-    def corrupt(self, party):
-        # one party at most, so that sessions between the other two stay fresh
-        self._do(self.world.corrupt, party)
-
     @precondition(lambda self: self.world.records())
-    @rule(data=st.data(), query=st.sampled_from(["reveal_key", "reveal_state", "expire"]))
-    def reveal_or_expire(self, data, query):
-        self._do(getattr(self.world, query), *self._sessions(data))
+    @rule(data=st.data())
+    def reveal_key(self, data):
+        self._do(self.world.reveal_key, *self._sessions(data))
 
     @precondition(lambda self: self.world.records())
     @rule(data=st.data())
@@ -199,13 +209,11 @@ class WorldMachine(RuleBasedStateMachine):
         if self._do(self.world.test, party, sid) is not None:
             self.answers += 1
             record = self.world.session_record(party, sid)
-            assert not {"key-revealed", "state-revealed"} & set(record.event_types()[:-1])
-            assert not any(self.world.parties[p].corrupted for p in record.parties
-                           if p in self.world.parties)
+            assert "key-revealed" not in record.event_types()[:-1]
 
     @precondition(lambda self: self.world.records())
-    @rule(data=st.data(), override=st.booleans())
-    def verify(self, data, override):
+    @rule(data=st.data())
+    def verify(self, data):
         records = self.world.records()
         partners = [((a.parties[0], a.session), (b.parties[0], b.session))
                     for a in records for b in records
@@ -215,10 +223,9 @@ class WorldMachine(RuleBasedStateMachine):
         else:  # sometimes a session against itself
             first = self._sessions(data)
             second = first if data.draw(st.booleans()) else self._sessions(data)
-        verdict = self._do(self.world.i_f_verify, *first, *second, override)
+        verdict = self._do(self.world.i_f_verify, *first, *second)
         if verdict == "accept":
             self.accepted.append((first, second))
-        if verdict == "accept" and not override:
             ours, theirs = (self.world.session_record(*end) for end in (first, second))
             assert ours.entropies == theirs.entropies
 
@@ -240,11 +247,9 @@ class WorldMachine(RuleBasedStateMachine):
             assert set(record.event_types()[count:]) <= SETTLED_EVENTS, record.event_types()
 
     @invariant()
-    def live_key_exactly_while_completed_and_not_expired(self):
+    def kappa_exactly_while_completed(self):
         for record in self._records().values():
-            holds = (record.status is SessionStatus.COMPLETED
-                     and "expired" not in record.event_types())
-            assert (record.live_key is not None) == holds, record.event_types()
+            assert (record.kappa is not None) == (record.status is SessionStatus.COMPLETED)
 
     @invariant()
     def completed_only_against_another_session(self):
