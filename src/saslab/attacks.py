@@ -3,8 +3,8 @@
 Two families:
 
   demonstrations   the 2-pass protocols fall: one entropy-collision loop,
-                   _collide, tries fresh secrets against the 2-pass exchange
-                   and fresh (replica) or secret-reusing (combined)
+                   _collide, tries consecutive secrets against the 2-pass
+                   exchange and fresh (replica) or secret-reusing (combined)
                    encapsulations against the 2-pass encapsulation
                    protocol; the same-key attack re-encapsulates once
 
@@ -14,11 +14,15 @@ Two families:
                    kem3-commit forges run the initiator's column in alice's
                    place, and forge_trial says why the others do not
 
-Same-key sends one re-encapsulation, so it stays out of the loop. A kex2
-candidate costs a draw, two powers and two hashes, one in derive_key and one
-in the entropy digest; a combined candidate a draw, two powers and the
-digest; a replica a draw, three powers, its exponent (hashed to a range in
-the deterministic mode, drawn in the probabilistic one), derive_key and the
+Same-key sends one re-encapsulation, so it stays out of the loop.
+kex2-collision and kem2-combined walk: they draw one exponent e per trial,
+raise g^e and pka^e once, and step both by one product per candidate,
+skipping e = q, where g^e is the identity. A kex2 candidate then costs two
+products and two hashes, one in derive_key and one in the entropy digest; a
+combined candidate three products and the digest. A replica cannot walk: its
+x is fresh with every candidate, and so is r = H(x || pka) in the
+deterministic mode, so a candidate costs a draw, three powers, its exponent
+(hashed to a range, or drawn in the probabilistic mode), derive_key and the
 digest. Every power comes from the generator table, the initiator's key by
 its remembered exponent.
 
@@ -190,15 +194,24 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
     """Substitute the attacker's own key pair toward the responder, answer
     its reply, then try candidates toward the initiator until the two sides'
     short digests collide. Past the kind's key pair and answer, only the
-    candidate step depends on the strategy."""
+    candidate step depends on the strategy.
+
+    kex2-collision and kem2-combined walk one exponent: candidate i uses
+    e + i, so g^e and pka^e advance by one product each, and the exponent q,
+    whose g^q = 1 would put the identity on the wire, is stepped over. Under
+    a random-oracle digest each distinct candidate lands with probability
+    2^-n_e however candidates are enumerated, so the walk keeps the
+    attack's rate. kem2-replica draws a fresh x, and with it a fresh r, for
+    every candidate."""
     sid, view = _begin(strategy, world)
     g = view.cfg.group
     kex = view.kind is ProtocolKind.KEX2
     combined = strategy is AttackStrategy.KEM2_COMBINED
+    walks = kex or combined  # a replica's x, and so its r, is fresh with every candidate
 
     env1 = view.pending()[0]
     ((first, pka_raw),) = decode_fields(env1.payload)
-    gen = generator_table(g)  # every candidate raises gen and pka to its exponent
+    gen = generator_table(g)  # the walk's first powers, and a replica's every time
     pka = g.decode_element(pka_raw)
     own = (kex_keygen if kex else kem_keygen)(g, view.rng)
     own_raw = g.encode_element(own.public)
@@ -216,21 +229,31 @@ def _collide(world: World, budget: int, strategy: AttackStrategy) -> AttackOutco
     e_bob = entropy(receiver, zip(names, (own_raw, reply_raw, key_eb.key)), view.cfg.n_e)
     prefix = entropy_prefix(receiver, [(first, pka_raw)])  # hashed once
 
+    if walks:  # one exponent e, then g^e and pka^e step with it
+        e = (view.rng.randrange(1, g.q) if kex  # kex_keygen's draw
+             else encaps_randomness(x_b, pka, g, view.cfg.kem_mode, view.rng))
+        element, shared = gen.pow(e), power(pka, e, g)
     iterations = 0
     for iterations in range(1, budget + 1):
-        if kex:  # kex_keygen's draw and power, then kex_agree's power
-            s = view.rng.randrange(1, g.q)
-            candidate_raw = g.encode_element(gen.pow(s))
-            key_ea = derive_key(power(pka, s, g), g)
-        else:  # kem_encaps's draws and powers; combined re-encapsulates x_b
-            x = x_b if combined else random_element(g, view.rng)
+        if kex:  # g^e on the wire, pka^e keyed as kex_agree keys it
+            candidate_raw = g.encode_element(element)
+            key_ea = derive_key(shared, g)
+        elif combined:  # x_b re-encapsulated under the walked exponent
+            candidate_raw = Encapsulation(element, x_b * shared % g.p).encode(g)
+            key_ea = key_eb
+        else:  # replica: kem_encaps's draws and three powers
+            x = random_element(g, view.rng)
             r = encaps_randomness(x, pka, g, view.cfg.kem_mode, view.rng)
             candidate_raw = Encapsulation(gen.pow(r), x * power(pka, r, g) % g.p).encode(g)
-            key_ea = key_eb if combined else derive_key(x, g)
+            key_ea = derive_key(x, g)
         h = prefix.copy()
         h.update(encode_fields([(second, candidate_raw), ("key", key_ea.key)]))
         if entropy_bits(h, view.cfg.n_e) == e_bob.value:
             break
+        if walks:  # e + 1; at e = q, where g^e = 1, on to g and pka
+            element, shared = element * g.g % g.p, shared * pka % g.p
+            if element == 1:
+                element, shared = g.g, pka
     else:  # the budget ran out without a collision
         view.drop(env2)
         return AttackOutcome(False, iterations)

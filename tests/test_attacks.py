@@ -22,6 +22,7 @@ from saslab.harness import ConfigError, ExperimentConfig, run_experiment
 from saslab.model import AdversaryView, Model, World, _record_to_dict
 from saslab.primitives import (
     TOY256,
+    Encapsulation,
     KemMode,
     commit,
     decode_fields,
@@ -140,18 +141,19 @@ def test_collision_loop_exhausted_budget_pinned(key):
 
 
 # sha256 of [[success, iterations, records], ...] over the worlds at seeds 7,
-# 8 and 9, n_e 6, on three paths the golden report pins do not take. Seed 7
-# alone is not enough: there, a loop that keeps the receiver in its digests
-# with identities off, or hashes its own key in place of the initiator's,
-# happens to stop on the same candidate.
+# 8 and 9, n_e 6, on three paths the golden report pins do not take. A loop
+# that keeps the receiver in its digests with identities off, or hashes its
+# own key in place of the initiator's, fails at all three seeds on the walked
+# strategies; with a fresh draw per candidate it once stopped on the right
+# candidate at seed 7, so one seed is not enough.
 LANDED_PINS = {
     "kex2-collision-no-identities": (
         AttackStrategy.KEX2_ENTROPY_COLLISION, dict(include_receiver_identity=False),
-        "2838ecce642e2c6d7bd365cf4b89f34864c0460689efdccbc7fe33de0ebd0e62",
+        "0aa1092907501149e3692cef3af8f63cd79462fbe7cf69aa9e61b4b0222a7d3d",
     ),
     "kem2-combined-prob": (
         AttackStrategy.KEM2_COMBINED, dict(kem_mode=KemMode.PROBABILISTIC),
-        "b2754af837d8eafc60a28457a0fcd1487c549293a184af8c44e826c5fe97dbc0",
+        "808bb29cab4c4f119697bb6b21373cb18b3ef3796bb4d738a0e7283426a3e80d",
     ),
     "kem2-replica-prob": (
         AttackStrategy.KEM2_REPLICA, dict(kem_mode=KemMode.PROBABILISTIC),
@@ -224,6 +226,77 @@ def test_collision_loop_length_is_geometric(strategy):
     mu = LOOP_WORLDS * survive(budget)
     sigma = math.sqrt(mu * (1 - survive(budget)))
     assert abs(exhausted - mu) <= 4 * sigma, (exhausted, mu)
+
+
+# PowerTable.pow calls in one cold trial at n_e 8: the three key pairs, the
+# value bob and the attacker share, then the walk's g^e and pka^e once, or a
+# replica's three powers with every candidate
+TABLE_POWERS = {
+    AttackStrategy.KEX2_ENTROPY_COLLISION: lambda iterations: 6,
+    AttackStrategy.KEM2_COMBINED: lambda iterations: 7,
+    AttackStrategy.KEM2_REPLICA: lambda iterations: 5 + 3 * iterations,
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(TABLE_POWERS, key=lambda s: s.value),
+                         ids=lambda s: s.value)
+def test_collision_trial_table_powers_are_counted(strategy, monkeypatch):
+    # a count, not a clock: a table power put back into the walk's loop
+    # makes the count grow with the loop length
+    spec = STRATEGIES[strategy]
+    cfg = ProtocolConfig(n_e=8, kem_mode=spec.kem_mode or KemMode.DETERMINISTIC)
+    table_pow, calls = primitives.PowerTable.pow, []
+    monkeypatch.setattr(primitives.PowerTable, "pow",
+                        lambda table, e: calls.append(e) or table_pow(table, e))
+    lengths = []
+    for seed in range(8):
+        for memo in ("_EXPONENTS", "_POWERS", "_ENCAPSULATIONS"):
+            monkeypatch.setattr(primitives, memo, {})
+        calls.clear()
+        outcome = spec.run(World(spec.targets[0], cfg, Model.UM, seed), 1 << 14)
+        assert outcome.success
+        assert len(calls) == TABLE_POWERS[strategy](outcome.iterations), (seed, outcome.iterations)
+        lengths.append(outcome.iterations)
+    assert max(lengths) >= 10 * min(lengths), lengths
+
+
+@pytest.mark.parametrize("strategy, first", [
+    (AttackStrategy.KEX2_ENTROPY_COLLISION, TOY256.q - 2),
+    (AttackStrategy.KEM2_COMBINED, TOY256.q - 1),
+], ids=["kex2-collision", "kem2-combined"])
+def test_the_walk_steps_past_the_identity(strategy, first, monkeypatch):
+    # from an exponent just below q the walk reaches g^q = 1, which must never
+    # go on the wire: it goes on at g and pka, exponent 1
+    spec, g, budget = STRATEGIES[strategy], TOY256, 4
+    cfg = ProtocolConfig(n_e=32, kem_mode=spec.kem_mode or KemMode.DETERMINISTIC)
+    world = World(spec.targets[0], cfg, Model.UM, SEED)
+    rng = world.adversary_rng
+    draws, real = iter([None, first]), rng.randrange  # the attacker's key pair, then e
+    monkeypatch.setattr(rng, "randrange", lambda low, high: next(draws) or real(low, high))
+    decoded, encoded = [], []
+    monkeypatch.setattr(attacks, "decode_fields",
+                        lambda payload: decoded.append(decode_fields(payload)) or decoded[-1])
+    monkeypatch.setattr(attacks, "encode_fields",
+                        lambda fields: encoded.append(fields) or encode_fields(fields))
+    outcome = spec.run(world, budget)
+    assert not outcome.success and outcome.iterations == budget
+
+    ((_, pka_raw),) = decoded[0]
+    pka = g.decode_element(pka_raw)
+    candidates = [fields for fields in encoded if fields[-1][0] == "key"]
+    exponents = [*range(first, g.q), *range(1, budget)][:budget]
+    assert len(candidates) == budget
+    c2_first = None
+    for ((_, raw), (_, key)), e in zip(candidates, exponents):
+        if strategy is AttackStrategy.KEX2_ENTROPY_COLLISION:
+            element = g.decode_element(raw)
+            assert key == primitives.derive_key(pow(pka, e, g.p), g).key
+        else:  # c2 = x_b * pka^e, and every candidate keys on bob's x_b
+            ct = Encapsulation.decode(raw, g)
+            element, c2_first = ct.c1, c2_first or ct.c2
+            assert ct.c2 == c2_first * pow(pka, e - first, g.p) % g.p
+            assert key == candidates[0][1][1]
+        assert element != 1 and element == pow(g.g, e, g.p)
 
 
 @pytest.mark.parametrize("kind", [ProtocolKind.KEX2, ProtocolKind.KEM2], ids=["kex2", "kem2"])

@@ -45,14 +45,14 @@ REPORT_PINS = [
     (dict(protocol="kem6", n_e=8, trials=3),
      "153262f02863d6e83ada657dc26f5e06224d00031abb65991e60c96e0baeda06"),
     (dict(protocol="kex2", strategy="kex2-collision", n_e=4, trials=4, budget=1000),
-     "3981867f39fb80167430cc24b0d634e195fabe7d7aec436231c19c134131af01"),
+     "254cf5e20f96eb275bbdc3773d189164614676d05a8d09e6eafc24ee0d79da56"),
     (dict(protocol="kem2", strategy="kem-same-key", n_e=4, trials=16),
      "11e70e15656c3bd2565f708e1a26f6d12d47f888e6f98892b2d2a625746b4874"),
     (dict(protocol="kem2", strategy="kem2-replica", n_e=4, trials=4, budget=1000),
      "d4a3f0d6bb1b430239ed16e8f43166fcabff19c805d45125d89906e534589afe"),
     (dict(protocol="kem2", strategy="kem2-combined", kem_mode="prob", n_e=4, trials=4,
           budget=1000),
-     "67c274f266e782a07ae39ee23e81b1d3a99c65c7140e2d2b6a649cedfc881ed7"),
+     "092a47838fe790d607c6fb5ab723db22ae2870e3f0407cb00da1c9702d49883f"),
     (dict(protocol="kem6", strategy="random-forge", n_e=4, trials=32),
      "2da20886841fadc7f6c8bbc996cd55b276bfd14021eb37a9b02ddc64fe3735a6"),
     (dict(protocol="kem4", strategy="redirect", n_e=4, trials=32),
@@ -81,10 +81,10 @@ TRANSCRIPT_PINS = {
 
 # (strategy, protocol) -> sha256 of the records one trial leaves behind
 ATTACK_PINS = {
-    ("kex2-collision", "kex2"): "2680acfc6399475874053a1812b33a7a86dbd5f75468e1d9b644c3ac05433199",
+    ("kex2-collision", "kex2"): "87b5b23d305fa2b5df62822c7c4fbfca792d8c51ad72ed80b0c927ca0d78effe",
     ("kem-same-key", "kem2"): "5de9a8808c20180fb893a31e8db1fc46b0cd4a50bdafc65f14009d8b401d6457",
     ("kem2-replica", "kem2"): "10059cfdfdd25d7eb861aaad5c8cd7a9e68f7104e61abc4744383a8bcdaccc66",
-    ("kem2-combined", "kem2"): "00ad39bae2e571eea97b4b428be5ae6f1b9bdecb672ac25f493418c9bfc6fbae",
+    ("kem2-combined", "kem2"): "0e826b2e35e966a881d8d7da5ab35cc713ca5e682fcbef9863a7ca1255b1d651",
     ("random-forge", "kex3"): "328425a193d7289f12c12a2d2c68223c997c52801b49e38767c3fee7188cc7a2",
     ("random-forge", "kem3-two-entropy"): "88f59266e245f5af756c95beb6382464f093b3dc1e5c4fd1330a59be1c09f1fb",
     ("random-forge", "kem3-commit"): "21615ce151f2a62a0403ccb084776dda5b3b01cfbdb43d3307ab1bbcbd1e3b2c",
